@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Any, Sequence
 

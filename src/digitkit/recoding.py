@@ -57,14 +57,33 @@ def is_naf(e: Expansion) -> bool:
     return all(not (ds[j] and ds[j + 1]) for j in range(len(ds) - 1))
 
 
+def _sjsf_column(a: int, b: int) -> tuple[int, int]:
+    """The SJSF digit rule: the column for residuals congruent to (a, b) mod 4."""
+    if a & 1 and b & 1:
+        return 2 - a, 2 - b
+    sign = 1 if a >> 1 == b >> 1 else -1
+    if a & 1:
+        return sign, 0
+    if b & 1:
+        return 0, sign
+    return 0, 0
+
+
+# SJSF_RULE[(r1 & 3) << 2 | (r2 & 3)] is the (d1, d2) column of residuals
+# (r1, r2); sjsf() and the table-driven metric in experiments both read it.
+SJSF_RULE = tuple(_sjsf_column(a, b) for a in range(4) for b in range(4))
+
+
 def sjsf(m: int, n: int) -> JointExpansion:
     """Simple joint sparse form of a pair of non-negative integers.
 
-    Built right to left.  When both residuals are odd, each digit follows
-    the d = 2 - (r mod 4) rule so both successors become even, forcing the
-    next column to zero.  When exactly one residual is odd, its digit sign
-    is chosen so the two successors get equal parity.  The result is the
-    unique two-row {-1,0,1} word satisfying
+    Built right to left, one column per step, from the digit rule in
+    SJSF_RULE, which depends only on both residuals mod 4.  When both
+    residuals are odd, each digit follows the d = 2 - (r mod 4) rule so
+    both successors become even, forcing the next column to zero.  When
+    exactly one residual is odd, its digit sign is chosen so the two
+    successors get equal parity.  The result is the unique two-row
+    {-1,0,1} word satisfying
 
     (1) unequal column magnitudes are followed by equal ones, and
     (2) a (+-1, +-1) column is followed by a zero column,
@@ -77,20 +96,7 @@ def sjsf(m: int, n: int) -> JointExpansion:
     d1s: list[int] = []
     d2s: list[int] = []
     while r1 or r2:
-        p1, p2 = r1 & 1, r2 & 1
-        if p1 and p2:
-            d1 = 2 - (r1 & 3)
-            d2 = 2 - (r2 & 3)
-        elif p1:
-            want = (r2 >> 1) & 1
-            d1 = 1 if ((r1 - 1) >> 1) & 1 == want else -1
-            d2 = 0
-        elif p2:
-            want = (r1 >> 1) & 1
-            d1 = 0
-            d2 = 1 if ((r2 - 1) >> 1) & 1 == want else -1
-        else:
-            d1 = d2 = 0
+        d1, d2 = SJSF_RULE[(r1 & 3) << 2 | (r2 & 3)]
         d1s.append(d1)
         d2s.append(d2)
         r1 = (r1 - d1) >> 1

@@ -7,7 +7,14 @@ from fractions import Fraction
 import pytest
 
 from digitkit import experiments as ex
-from digitkit.recoding import RecodingScheme, naf, recode_joint, sjsf, wllc_recode
+from digitkit.recoding import (
+    RecodingScheme,
+    min_joint_weight_oracle,
+    naf,
+    recode_joint,
+    sjsf,
+    wllc_recode,
+)
 
 
 def reference_metrics(exps, length, scheme):
@@ -66,16 +73,53 @@ def test_wllc_support_matches_wllc_recode():
             assert ex._wllc_support(n, length) == (mask, deep)
 
 
+def sjsf_reference(m, n):
+    """(joint weight, width) of recoding.sjsf(m, n); its top column is nonzero."""
+    joint = sjsf(m, n)
+    weight = sum(1 for col in zip(*(row.digits for row in joint.rows)) if any(col))
+    return weight, len(joint)
+
+
+def assert_sjsf_counts(m, n, length, reference):
+    weight, width = reference
+    assert width <= length + 1
+    top = 1 if width == length + 1 else 0
+    assert ex._sjsf_weight_top(m, n, length) == (weight, top)
+
+
 def test_sjsf_counts_match_sjsf():
-    for m in range(32):
-        for n in range(32):
-            joint = sjsf(m, n)
-            assert ex._sjsf_counts(m, n) == (joint.joint_weight(), len(joint))
+    # Every pair below 2**9, at each length 1..9 that holds it.
+    for m in range(1 << 9):
+        for n in range(1 << 9):
+            reference = sjsf_reference(m, n)
+            for length in range(max(m.bit_length(), n.bit_length(), 1), 10):
+                assert_sjsf_counts(m, n, length, reference)
     rng = random.Random(2)
     for _ in range(100):
         m, n = rng.getrandbits(192), rng.getrandbits(192)
-        joint = sjsf(m, n)
-        assert ex._sjsf_counts(m, n) == (joint.joint_weight(), len(joint))
+        assert_sjsf_counts(m, n, 192, sjsf_reference(m, n))
+    lengths = [1, 2, 3, 5, 6, 7, 9, 12, 13, 255, 257, 510, 511, 513, 600]
+    lengths += [rng.randint(1, 600) for _ in range(200)]
+    for length in lengths:
+        m, n = rng.getrandbits(length), rng.getrandbits(length)
+        assert_sjsf_counts(m, n, length, sjsf_reference(m, n))
+        # With its top bit set the form may need all length + 1 columns.
+        m |= 1 << (length - 1)
+        assert_sjsf_counts(m, n, length, sjsf_reference(m, n))
+
+
+def test_sjsf_counts_match_the_oracle():
+    for m in range(64):
+        for n in range(64):
+            weight, _ = ex._sjsf_weight_top(m, n, 6)
+            assert weight == min_joint_weight_oracle(m, n).minimal_cost
+
+
+def test_sjsf_counts_reject_exponents_wider_than_length():
+    with pytest.raises(RuntimeError):
+        ex._sjsf_weight_top(1 << 8, 0, 8)
+    with pytest.raises(RuntimeError):
+        ex._sjsf_weight_top(3, 1 << 300, 256)
 
 
 def test_scheme_metrics_match_digit_level_recoders():
@@ -199,6 +243,30 @@ def test_compare_schemes_never_favors_the_complement_form():
     assert comparison.samples == 800
     assert comparison.violations == 0
     assert comparison.min_margin >= 0
+
+
+def test_compare_schemes_rejects_invalid_arguments():
+    with pytest.raises(ValueError):
+        ex.compare_schemes(length=8, samples=0, seed=1)
+    with pytest.raises(ValueError):
+        ex.compare_schemes(length=0, samples=5, seed=1)
+    with pytest.raises(ValueError):
+        ex.compare_schemes(length=8, samples=5, seed=1, workers=0)
+
+
+def test_sjsf_reports_do_not_depend_on_workers():
+    # Dropping the cached table makes each worker build its own.
+    ex._sjsf_nibble_table.cache_clear()
+    pooled_slope = ex.cost_slope(
+        RecodingScheme.SJSF, base_length=20, samples=300, seed=8, workers=2
+    )
+    pooled_comparison = ex.compare_schemes(length=20, samples=300, seed=8, workers=2)
+    assert pooled_slope == ex.cost_slope(
+        RecodingScheme.SJSF, base_length=20, samples=300, seed=8, workers=1
+    )
+    assert pooled_comparison == ex.compare_schemes(
+        length=20, samples=300, seed=8, workers=1
+    )
 
 
 def test_complement_bit_probabilities_frozen_values():
