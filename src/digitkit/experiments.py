@@ -29,16 +29,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
-from .recoding import SJSF_RULE, RecodingScheme
+from .recoding import SJSF_RULE, RecodingScheme, _naf_support
 
 _LOG = logging.getLogger(__name__)
 
 _EXHAUSTIVE_BITS_BOUND = 24
 _BIT_PROBABILITY_LENGTH_BOUND = 16
-
-OUTPUT_FORMATS = ("json", "csv")
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,6 @@ class RunConfig:
     lengths: tuple[int, ...]
     scheme: RecodingScheme
     dimension: int = 2
-    output_format: str = "json"
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -64,8 +61,6 @@ class RunConfig:
             raise ValueError("dimension must be at least 1")
         if self.scheme is RecodingScheme.SJSF and self.dimension != 2:
             raise ValueError("the joint sparse form is two-dimensional")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ValueError(f"unknown output format {self.output_format!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -155,13 +150,6 @@ def sample_exponents(
 
 # ---------------------------------------------------------------------------
 # Arithmetic per-sample metrics.
-
-
-def _naf_support(n: int) -> int:
-    # The nonzero positions of the non-adjacent form of n are the set bits
-    # of ((3n) XOR n) >> 1; Python's two's-complement semantics make this
-    # valid for negative n as well.
-    return ((3 * n) ^ n) >> 1
 
 
 def _wllc_support(n: int, length: int) -> tuple[int, bool]:
@@ -305,33 +293,80 @@ def _chunk_bounds(samples: int, workers: int) -> list[tuple[int, int]]:
     return [(a, min(a + step, samples)) for a in range(0, samples, step)]
 
 
-def _stats_chunk(args: tuple[int, str, int, int, int, int]) -> tuple[int, ...]:
-    seed, scheme_name, length, dimension, start, stop = args
-    scheme = RecodingScheme(scheme_name)
-    nonzero = scheme is RecodingScheme.WLLC
-    sum_w = sum_w1 = sum_z = sum_m = sum_s = sum_w1_sq = redraws = 0
-    for index in range(start, stop):
-        exps, r = sample_exponents(seed, index, length, dimension, nonzero)
-        redraws += r
+def _map_chunks(
+    fn: Callable[[tuple], tuple], chunk_args: list[tuple], workers: int
+) -> list[tuple]:
+    """fn applied to every chunk, in order; in a process pool when workers > 1.
+
+    The pool is never larger than the chunk count: under the fork start
+    method it starts all of its workers at the first submit.
+    """
+    if workers == 1:
+        return [fn(args) for args in chunk_args]
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunk_args))) as pool:
+        return list(pool.map(fn, chunk_args))
+
+
+def _accumulate(
+    draws: Iterable[tuple[tuple[int, ...], int]], length: int, scheme: RecodingScheme
+) -> tuple[int, ...]:
+    """Running sums over (exponent vector, redraws) draws.
+
+    In order: count, weight, weight1, zeros, multiplications, squarings,
+    weight1 squared, redraws.
+    """
+    count = sum_w = sum_w1 = sum_z = sum_m = sum_s = sum_w1_sq = redraws = 0
+    for exps, r in draws:
         w, w1, z, m, s = _scheme_metrics(exps, length, scheme)
+        count += 1
         sum_w += w
         sum_w1 += w1
         sum_z += z
         sum_m += m
         sum_s += s
         sum_w1_sq += w1 * w1
-    return (stop - start, sum_w, sum_w1, sum_z, sum_m, sum_s, sum_w1_sq, redraws)
+        redraws += r
+    return count, sum_w, sum_w1, sum_z, sum_m, sum_s, sum_w1_sq, redraws
 
 
-def _merge_chunks(parts: list[tuple[int, ...]]) -> tuple[int, ...]:
-    return tuple(sum(values) for values in zip(*parts))
+def _stats_chunk(args: tuple[int, str, int, int, int, int]) -> tuple[int, ...]:
+    seed, scheme_name, length, dimension, start, stop = args
+    scheme = RecodingScheme(scheme_name)
+    nonzero = scheme is RecodingScheme.WLLC
+    draws = (
+        sample_exponents(seed, index, length, dimension, nonzero)
+        for index in range(start, stop)
+    )
+    return _accumulate(draws, length, scheme)
 
 
-def _std_error(count: int, total: int, total_sq: int) -> float:
+def _std_error(sums: tuple[int, ...]) -> float:
+    count, total, total_sq = sums[0], sums[2], sums[6]
     if count < 2:
         return 0.0
     variance = (total_sq - total * total / count) / (count - 1)
     return math.sqrt(max(variance, 0.0) / count)
+
+
+def _record(
+    experiment: str, length: int, dimension: int, scheme: RecodingScheme,
+    sums: tuple[int, ...], seed: int, std_error: float,
+) -> StatRecord:
+    count, sum_w, sum_w1, sum_z, sum_m, sum_s = sums[:6]
+    return StatRecord(
+        experiment=experiment,
+        length=length,
+        dimension=dimension,
+        scheme=scheme.value,
+        samples=count,
+        mean_weight=sum_w / count,
+        mean_weight1=sum_w1 / count,
+        mean_zeros=sum_z / count,
+        mean_multiplications=sum_m / count,
+        mean_squarings=sum_s / count,
+        std_error=std_error,
+        seed=seed,
+    )
 
 
 def run_stats(config: RunConfig, experiment: str = "stats") -> Iterator[StatRecord]:
@@ -341,33 +376,17 @@ def run_stats(config: RunConfig, experiment: str = "stats") -> Iterator[StatReco
             (config.seed, config.scheme.value, length, config.dimension, a, b)
             for a, b in _chunk_bounds(config.samples, config.workers)
         ]
-        if config.workers == 1:
-            parts = [_stats_chunk(args) for args in chunk_args]
-        else:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                parts = list(pool.map(_stats_chunk, chunk_args))
-        count, sum_w, sum_w1, sum_z, sum_m, sum_s, sum_w1_sq, redraws = _merge_chunks(
-            parts
-        )
-        if redraws:
+        parts = _map_chunks(_stats_chunk, chunk_args, config.workers)
+        sums = tuple(sum(values) for values in zip(*parts))
+        if sums[7]:
             _LOG.info(
                 "length %d: redrew the all-zero exponent vector %d time(s)",
                 length,
-                redraws,
+                sums[7],
             )
-        yield StatRecord(
-            experiment=experiment,
-            length=length,
-            dimension=config.dimension,
-            scheme=config.scheme.value,
-            samples=count,
-            mean_weight=sum_w / count,
-            mean_weight1=sum_w1 / count,
-            mean_zeros=sum_z / count,
-            mean_multiplications=sum_m / count,
-            mean_squarings=sum_s / count,
-            std_error=_std_error(count, sum_w1, sum_w1_sq),
-            seed=config.seed,
+        yield _record(
+            experiment, length, config.dimension, config.scheme, sums,
+            config.seed, _std_error(sums),
         )
 
 
@@ -391,32 +410,13 @@ def exhaustive_stats(
     if scheme is RecodingScheme.SJSF and dimension != 2:
         raise ValueError("the joint sparse form is two-dimensional")
     skip_zero = scheme is RecodingScheme.WLLC
-    count = sum_w = sum_w1 = sum_z = sum_m = sum_s = sum_w1_sq = 0
-    for exps in iter_product(range(1 << length), repeat=dimension):
-        if skip_zero and not any(exps):
-            continue
-        w, w1, z, m, s = _scheme_metrics(exps, length, scheme)
-        count += 1
-        sum_w += w
-        sum_w1 += w1
-        sum_z += z
-        sum_m += m
-        sum_s += s
-        sum_w1_sq += w1 * w1
-    return StatRecord(
-        experiment=experiment,
-        length=length,
-        dimension=dimension,
-        scheme=scheme.value,
-        samples=count,
-        mean_weight=sum_w / count,
-        mean_weight1=sum_w1 / count,
-        mean_zeros=sum_z / count,
-        mean_multiplications=sum_m / count,
-        mean_squarings=sum_s / count,
-        std_error=0.0,
-        seed=0,
+    draws = (
+        (exps, 0)
+        for exps in iter_product(range(1 << length), repeat=dimension)
+        if any(exps) or not skip_zero
     )
+    sums = _accumulate(draws, length, scheme)
+    return _record(experiment, length, dimension, scheme, sums, seed=0, std_error=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +511,7 @@ def compare_schemes(
     chunk_args = [
         (seed, length, a, b) for a, b in _chunk_bounds(samples, workers)
     ]
-    if workers == 1:
-        parts = [_compare_chunk(args) for args in chunk_args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_compare_chunk, chunk_args))
+    parts = _map_chunks(_compare_chunk, chunk_args, workers)
     return SchemeComparison(
         length=length,
         samples=samples,

@@ -50,6 +50,12 @@ def naf(n: int) -> Expansion:
     return Expansion(tuple(digits))
 
 
+def _naf_support(n: int) -> int:
+    """Bit mask of the nonzero positions of naf(n); two's-complement
+    semantics make the identity valid for negative n as well."""
+    return ((3 * n) ^ n) >> 1
+
+
 def is_naf(e: Expansion) -> bool:
     ds = e.digits
     if any(d not in (-1, 0, 1) for d in ds):

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
-
-import networkx as nx
+from typing import Hashable, Iterable, Mapping
 
 from .expansions import Expansion, JointExpansion
+from .recoding import _naf_support
 
 Column = tuple[int, ...]
 OutputWord = tuple[Column, ...]
@@ -103,18 +102,34 @@ class Transducer:
         return self.run(word.digits)
 
 
+def _components(
+    successors: Mapping[Hashable, Iterable[Hashable]],
+) -> dict[frozenset, bool]:
+    """Strongly connected components, each mapped to whether it is
+    recurrent (reaches nothing outside itself).  Reachability by search
+    from every node: quadratic, which suits graphs of a few states."""
+    reach = {}
+    for s in successors:
+        seen, stack = {s}, [s]
+        while stack:
+            for target in successors[stack.pop()]:
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+        reach[s] = seen
+    comps = {s: frozenset(u for u in seen if s in reach[u]) for s, seen in reach.items()}
+    return {comps[s]: comps[s] == reach[s] for s in reach}
+
+
 def strongly_connected_components(t: Transducer) -> tuple[frozenset[str], ...]:
     """SCCs of the transition graph, with flushing modelled as an edge to
     a terminal sink state.  Sorted by size, then by state labels."""
-    g = nx.DiGraph()
-    g.add_nodes_from(t.states)
-    g.add_node(TERMINAL)
-    for (s, _b), (target, _word) in t.transitions.items():
-        g.add_edge(s, target)
-    for s in t.states:
-        g.add_edge(s, TERMINAL)
-    comps = [frozenset(c) for c in nx.strongly_connected_components(g)]
-    return tuple(sorted(comps, key=lambda c: (len(c), sorted(c))))
+    successors = {
+        s: [t.transitions[(s, b)][0] for b in (0, 1)] + [TERMINAL]
+        for s in t.states
+    }
+    successors[TERMINAL] = []
+    return tuple(sorted(_components(successors), key=lambda c: (len(c), sorted(c))))
 
 
 def naf_transducer() -> Transducer:
@@ -407,17 +422,13 @@ def stationary_distribution(p: RationalMatrix) -> StateDistribution:
     """
     if not p.is_row_stochastic():
         raise ValueError("matrix is not row-stochastic")
-    g = nx.DiGraph()
-    g.add_nodes_from(range(p.size))
-    for i in range(p.size):
-        for j in range(p.size):
-            if p.entries[i][j] != 0:
-                g.add_edge(i, j)
-    cond = nx.condensation(g)
-    recurrent = [c for c in cond.nodes if cond.out_degree(c) == 0]
+    successors = {
+        i: [j for j, x in enumerate(row) if x != 0] for i, row in enumerate(p.entries)
+    }
+    recurrent = [c for c, closed in _components(successors).items() if closed]
     if len(recurrent) != 1:
         raise ValueError("recurrent class is not unique")
-    support = sorted(cond.nodes[recurrent[0]]["members"])
+    support = sorted(recurrent[0])
     m = len(support)
     # (P_sub^T - I) pi^T = 0 plus the normalization row sum(pi) = 1.
     rows = [
@@ -434,12 +445,6 @@ def stationary_distribution(p: RationalMatrix) -> StateDistribution:
     if dist.times(p).weights != dist.weights:
         raise RuntimeError("stationary check pi P = pi failed")
     return dist
-
-
-def _naf_digit_is_zero(n: int, k: int) -> bool:
-    # Non-adjacent-form support identity: the nonzero positions of the
-    # recoding of n are exactly the set bits of ((3n) XOR n) >> 1.
-    return (((3 * n) ^ n) >> (k + 1)) & 1 == 0
 
 
 def zero_output_probability(k: int, method: str = "markov") -> Fraction:
@@ -477,6 +482,6 @@ def zero_output_probability(k: int, method: str = "markov") -> Fraction:
                 f"exhaustive enumeration capped at k = {_EXHAUSTIVE_POSITION_BOUND}"
             )
         width = k + 2
-        count = sum(_naf_digit_is_zero(n, k) for n in range(1 << width))
+        count = sum(_naf_support(n) >> k & 1 == 0 for n in range(1 << width))
         return Fraction(count, 1 << width)
     raise ValueError(f"unknown method {method!r}")

@@ -1,11 +1,25 @@
 """Command-line interface: output of every subcommand and exit codes."""
 
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import digitkit
 from digitkit.cli import main
 from digitkit.experiments import STAT_FIELDS
+from digitkit.verification import CHECKS
+
+VERIFY_FLAGS = {
+    "--max-n": "max_n",
+    "--max-length": "max_length",
+    "--pairs": "random_pairs",
+    "--instances": "instances",
+}
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +212,41 @@ def test_verify_usage_errors(capsys):
     assert "--instances" in err
     code, _, _ = run_cli(capsys, "verify", "entropy")
     assert code == 2
+
+
+def test_verify_bounds_follow_check_signatures(capsys):
+    for check, fn in CHECKS.items():
+        accepted = inspect.signature(fn).parameters
+        tiny = []
+        for flag, param in VERIFY_FLAGS.items():
+            if param in accepted:
+                tiny += [flag, "3"]
+                continue
+            code, _, err = run_cli(capsys, "verify", check, flag, "3")
+            assert code == 2, (check, flag)
+            assert flag in err
+        assert tiny, check
+        code, out, _ = run_cli(capsys, "verify", check, *tiny)
+        assert code == 0, (check, out)
+        assert "result: PASS" in out
+
+
+def test_cli_imports_only_the_standard_library():
+    probe = (
+        "import sys; before = set(sys.modules); import digitkit.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = Path(digitkit.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    loaded = {name.split(".")[0] for name in done.stdout.split()}
+    assert "digitkit" in loaded
+    # multiprocessing registers the running script under the alias __mp_main__.
+    foreign = loaded - set(sys.stdlib_module_names) - {"digitkit", "__mp_main__"}
+    assert not foreign, sorted(foreign)
 
 
 def test_markov_output(capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from digitkit import experiments as ex
+from digitkit import recoding
 from digitkit.recoding import (
     RecodingScheme,
     min_joint_weight_oracle,
@@ -61,7 +62,7 @@ def test_naf_support_matches_naf():
     for n in range(-512, 512):
         e = naf(n)
         mask = sum(1 << i for i, d in enumerate(e.digits) if d)
-        assert ex._naf_support(n) == mask
+        assert recoding._naf_support(n) == mask
 
 
 def test_wllc_support_matches_wllc_recode():
@@ -155,8 +156,6 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         ex.RunConfig(**{**good, "scheme": RecodingScheme.SJSF, "dimension": 3})
     with pytest.raises(ValueError):
-        ex.RunConfig(**{**good, "output_format": "xml"})
-    with pytest.raises(ValueError):
         ex.RunConfig(**{**good, "workers": 0})
     with pytest.raises(ValueError):
         ex.RunConfig(**{**good, "dimension": 0})
@@ -183,6 +182,30 @@ def test_run_stats_worker_count_does_not_change_records():
     solo = list(ex.run_stats(ex.RunConfig(**base, workers=1)))
     pooled = list(ex.run_stats(ex.RunConfig(**base, workers=3)))
     assert solo == pooled
+
+
+def test_worker_pool_is_no_larger_than_the_chunk_count(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", InProcessPool)
+    base = dict(seed=5, samples=10, lengths=(16,), scheme=RecodingScheme.WLLC)
+    pooled = list(ex.run_stats(ex.RunConfig(**base, workers=64)))
+    assert pooled == list(ex.run_stats(ex.RunConfig(**base)))
+    assert ex.compare_schemes(16, 3, 5, workers=64) == ex.compare_schemes(16, 3, 5)
+    assert sizes == [10, 3]
 
 
 def test_run_stats_matches_direct_sample_loop():

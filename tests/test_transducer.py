@@ -101,14 +101,17 @@ def test_double_machine_outputs_word_and_complement():
 
 
 def test_strongly_connected_components():
-    naf_sizes = [len(c) for c in strongly_connected_components(naf_transducer())]
-    assert naf_sizes == [1, 1, 3]
-    double_sizes = [
-        len(c) for c in strongly_connected_components(double_naf_transducer())
-    ]
-    assert double_sizes == [1, 1, 2, 3]
-    components = strongly_connected_components(double_naf_transducer())
-    assert any(TERMINAL in c for c in components)
+    assert strongly_connected_components(naf_transducer()) == (
+        frozenset({TERMINAL}),
+        frozenset({"start"}),
+        frozenset({"p0", "p1", "p2"}),
+    )
+    assert strongly_connected_components(double_naf_transducer()) == (
+        frozenset({"1"}),
+        frozenset({TERMINAL}),
+        frozenset({"2", "3"}),
+        frozenset({"4", "5", "6"}),
+    )
 
 
 def test_transition_matrix_is_the_expected_one():
@@ -149,6 +152,17 @@ def test_stationary_distribution():
     pi_naf = stationary_distribution(q)
     assert sorted(pi_naf.weights) == [ZERO, THIRD, THIRD, THIRD]
     assert pi_naf.probability(q.labels[0]) == 0
+
+    # The recurrent class {a, b} precedes the transient state c.
+    r = RationalMatrix(
+        ("a", "b", "c"),
+        ((ZERO, Fraction(1), ZERO), (Fraction(1), ZERO, ZERO), (HALF, ZERO, HALF)),
+    )
+    assert stationary_distribution(r).weights == (HALF, HALF, ZERO)
+
+    identity = RationalMatrix(("a", "b"), ((Fraction(1), ZERO), (ZERO, Fraction(1))))
+    with pytest.raises(ValueError, match="not unique"):
+        stationary_distribution(identity)
 
 
 def test_state_distribution_validation():
