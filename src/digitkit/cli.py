@@ -144,18 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _digit_string(digits: tuple[int, ...]) -> str:
-    if not digits:
-        return "(empty)"
-    return "".join(str(d) for d in reversed(digits))
-
-
 def cmd_recode(args: argparse.Namespace) -> int:
     joint = recode_joint(args.n, args.scheme, length=args.length)
     print(f"scheme: {args.scheme.value}")
     for k, row in enumerate(joint.rows):
         print(
-            f"row {k}: {_digit_string(row.digits)} "
+            f"row {k}: {row if len(row) else '(empty)'} "
             f"(value {row.value()}, weight {row.weight()})"
         )
     print(

@@ -1,39 +1,77 @@
 """Radix-2 signed digit expansions and joint (multi-row) expansions.
 
-Digits are plain integers in {-2, -1, 0, 1, 2}.  Expansions store their
-digits least significant first; printing and JSON serialization use the
-conventional most-significant-first order.  Equality compares digit
-sequences, so a zero-padded word is distinct from its trimmed form even
-though both denote the same integer.
+Digits are plain integers in {-2, -1, 0, 1, 2}.  An expansion is stored as
+its length and bit masks of its nonzero, negative and magnitude-2 digits,
+so weights and values are mask arithmetic.  The digit tuple, least
+significant first, is derived once, for display, JSON (most significant
+first) and column access.  Equality compares lengths and masks, so a
+zero-padded word is distinct from its trimmed form.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
-
-Digit = int
 
 DIGIT_MIN = -2
 DIGIT_MAX = 2
 
+_DIGITS = frozenset(range(DIGIT_MIN, DIGIT_MAX + 1))
+# From digits packed as signed bytes to one "0"/"1" character per digit.
+_SUPPORT_CHARS = bytes.maketrans(b"\x00\x01\x02\xfe\xff", b"01111")
+_NEGATIVE_CHARS = bytes.maketrans(b"\x00\x01\x02\xfe\xff", b"00011")
+_TWO_CHARS = bytes.maketrans(b"\x00\x01\x02\xfe\xff", b"00110")
+# Octal digit support + 2 * negative + 4 * two of one position -> its digit.
+_DIGIT_OF_OCTAL = {"0": 0, "1": 1, "3": -1, "5": 2, "7": -2}
 
-def _validated(digits: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in digits)
-    for d in out:
-        if d < DIGIT_MIN or d > DIGIT_MAX:
-            raise ValueError(f"digit {d} outside [{DIGIT_MIN}, {DIGIT_MAX}]")
-    return out
+
+def _from_masks(
+    length: int, support: int, negative: int = 0, two: int = 0
+) -> Expansion:
+    """An expansion from masks: negative and two within support < 2**length."""
+    e = object.__new__(Expansion)
+    e.__dict__.update(_length=length, _support=support, _negative=negative, _two=two)
+    return e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Expansion:
     """A finite signed digit word, least significant digit first."""
 
-    digits: tuple[int, ...] = ()
+    _length: int
+    _support: int
+    _negative: int
+    _two: int
+
+    def __init__(self, digits: Iterable[int] = ()) -> None:
+        self.__dict__["digits"] = tuple(map(int, digits))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", _validated(self.digits))
+        """Check the digits and derive the masks from them."""
+        digits = self.digits
+        if not _DIGITS.issuperset(digits):
+            bad = next(d for d in digits if d not in _DIGITS)
+            raise ValueError(f"digit {bad} outside [{DIGIT_MIN}, {DIGIT_MAX}]")
+        codes = struct.pack(f"{len(digits)}b", *reversed(digits))
+        self.__dict__.update(
+            _length=len(digits),
+            _support=int(b"0" + codes.translate(_SUPPORT_CHARS), 2),
+            _negative=int(b"0" + codes.translate(_NEGATIVE_CHARS), 2),
+            _two=int(b"0" + codes.translate(_TWO_CHARS), 2),
+        )
+
+    @cached_property
+    def digits(self) -> tuple[int, ...]:
+        """The digits, least significant first."""
+        if not self._length:
+            return ()
+        # Read in base 8, a mask's binary string puts one position per octal digit.
+        s, n, t = (int(f"{m:b}", 8) for m in (self._support, self._negative, self._two))
+        octal = reversed(f"{s + 2 * n + 4 * t:0{self._length}o}")
+        return tuple(map(_DIGIT_OF_OCTAL.__getitem__, octal))
 
     @classmethod
     def from_msb(cls, digits: Iterable[int]) -> "Expansion":
@@ -46,39 +84,39 @@ class Expansion:
 
     def to_json(self) -> list[int]:
         """Digits as a JSON-ready list, most significant first."""
-        return [int(d) for d in reversed(self.digits)]
+        return list(reversed(self.digits))
 
     def msb_digits(self) -> tuple[int, ...]:
         return tuple(reversed(self.digits))
 
     def value(self) -> int:
         """The integer sum(d_j * 2^j)."""
-        return sum(d << j for j, d in enumerate(self.digits))
+        deep_negative = self._two & self._negative
+        return self._support + self._two - 2 * (self._negative + deep_negative)
 
     def weight(self) -> int:
         """Number of nonzero digits."""
-        return sum(1 for d in self.digits if d)
+        return self._support.bit_count()
 
     def trimmed(self) -> "Expansion":
         """Drop most-significant zeros."""
-        top = len(self.digits)
-        while top and self.digits[top - 1] == 0:
-            top -= 1
-        return Expansion(self.digits[:top])
+        support = self._support
+        return _from_masks(support.bit_length(), support, self._negative, self._two)
 
     def padded(self, length: int) -> "Expansion":
         """Extend with most-significant zeros to exactly `length` digits."""
-        if length < len(self.digits):
-            raise ValueError(f"cannot pad {len(self.digits)} digits down to {length}")
-        return Expansion(self.digits + (0,) * (length - len(self.digits)))
+        if length < self._length:
+            raise ValueError(f"cannot pad {self._length} digits down to {length}")
+        return _from_masks(length, self._support, self._negative, self._two)
 
     def __len__(self) -> int:
-        return len(self.digits)
+        return self._length
 
     def __str__(self) -> str:
-        if not self.digits:
-            return "ε"
-        return "".join(str(d) for d in self.msb_digits())
+        return "".join(map(str, self.msb_digits())) or "ε"
+
+    def __repr__(self) -> str:
+        return f"Expansion(digits={self.digits!r})"
 
 
 def binary(n: int, length: int) -> Expansion:
@@ -87,14 +125,14 @@ def binary(n: int, length: int) -> Expansion:
         raise ValueError("length must be non-negative")
     if n < 0 or n >= (1 << length):
         raise ValueError(f"{n} is not representable in {length} bits")
-    return Expansion(tuple((n >> j) & 1 for j in range(length)))
+    return _from_masks(length, n)
 
 
 def ones_complement(e: Expansion) -> Expansion:
     """Flip every digit of a {0,1} word; value becomes 2^len - value - 1."""
-    if any(d not in (0, 1) for d in e.digits):
+    if e._negative or e._two:
         raise ValueError("ones_complement requires a {0,1} word")
-    return Expansion(tuple(1 - d for d in e.digits))
+    return _from_masks(len(e), e._support ^ ((1 << len(e)) - 1))
 
 
 @dataclass(frozen=True)
@@ -131,19 +169,26 @@ class JointExpansion:
 
     def columns(self) -> Iterator[tuple[int, ...]]:
         """Columns least significant first."""
-        for j in range(len(self)):
-            yield self.column(j)
+        return zip(*(r.digits for r in self.rows))
+
+    def _masks(self) -> tuple[int, int]:
+        """(nonzero columns, columns holding a digit of magnitude 2) as masks."""
+        support = two = 0
+        for r in self.rows:
+            support, two = support | r._support, two | r._two
+        return support, two
 
     def values(self) -> tuple[int, ...]:
         return tuple(r.value() for r in self.rows)
 
     def joint_weight(self) -> int:
         """Number of nonzero columns."""
-        return sum(1 for col in self.columns() if any(col))
+        return self._masks()[0].bit_count()
 
     def weight1(self) -> int:
         """Sum over columns of max|digit|."""
-        return sum(max(abs(d) for d in col) for col in self.columns())
+        support, two = self._masks()
+        return support.bit_count() + two.bit_count()
 
     def zeros(self) -> int:
         """Number of all-zero columns; zeros() + joint_weight() == len."""

@@ -3,11 +3,12 @@
 Every experiment is driven by per-sample seeds derived from (run seed,
 sample index) with BLAKE2b, so results are independent of worker count
 and chunking: the multiset of samples for a given seed is always the
-same.  Per-sample metrics use arithmetic fast paths that the test suite
-cross-validates against the digit-level recoders: bit masks for the
-single-exponent recoders, and for the joint sparse form a 9-state
-transducer that reads both exponents a nibble at a time through a table
-built from the digit rule recoding.sjsf uses.
+same.  Per-sample metrics build no expansion objects.  The NAF and
+complement-aware metrics take the position masks from the private
+helpers that recoding.naf and recoding.wllc_recode build their expansions
+from.  The joint sparse form metric runs a 9-state transducer that reads
+both exponents a nibble at a time through a table built from the digit
+rule recoding.sjsf uses; the test suite checks it against the recoder.
 
 Column statistics use a fixed width: signed schemes are measured at
 length+1 columns (their maximum), the binary scheme at length columns.
@@ -31,7 +32,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Iterable, Iterator
 
-from .recoding import SJSF_RULE, RecodingScheme, _naf_support
+from .recoding import SJSF_RULE, RecodingScheme, _naf_support, _wllc_support
 
 _LOG = logging.getLogger(__name__)
 
@@ -152,26 +153,6 @@ def sample_exponents(
 # Arithmetic per-sample metrics.
 
 
-def _wllc_support(n: int, length: int) -> tuple[int, bool]:
-    """Nonzero positions of the complement-aware row, and a -2 flag.
-
-    Mirrors wllc_recode(n, length): heavy words recode the non-positive
-    value n - (2**length - 1), gaining +1 at the top position and -1 at
-    position 0.  The +1 toggles the top bit of the support; the -1 either
-    creates a nonzero digit (even value), cancels a +1 (making position 0
-    zero), or deepens a -1 into -2 (the flag; position 0 stays nonzero).
-    """
-    if 2 * n.bit_count() > length:
-        v = n - ((1 << length) - 1)
-        mask = _naf_support(v) ^ (1 << length)
-        if v & 1:
-            if (3 * v >> 1) & 1:
-                return mask & ~1, False
-            return mask | 1, True
-        return mask | 1, False
-    return _naf_support(n), False
-
-
 def _sjsf_step(state: int, b1: int, b2: int) -> tuple[int, int]:
     """One step of the SJSF transducer: (column nonzero, next state).
 
@@ -247,39 +228,32 @@ def _sjsf_weight_top(m: int, n: int, length: int) -> tuple[int, int]:
 def _scheme_metrics(
     exps: tuple[int, ...], length: int, scheme: RecodingScheme
 ) -> tuple[int, int, int, int, int]:
-    """(weight, weight1, zeros, multiplications, squarings) of one sample."""
-    if scheme is RecodingScheme.BINARY:
-        union = 0
-        for n in exps:
-            union |= n
-        weight = union.bit_count()
-        top = (union >> (length - 1)) & 1
-        return weight, weight, length - weight, weight - top, length - 1
-    width = length + 1
-    if scheme in (RecodingScheme.NAF, RecodingScheme.STACKED_NAF):
-        union = 0
-        for n in exps:
-            union |= _naf_support(n)
-        weight = union.bit_count()
-        top = (union >> length) & 1
-        return weight, weight, width - weight, weight - top, width - 1
+    """(weight, weight1, zeros, multiplications, squarings) of one sample;
+    outside SJSF the nonzero columns are the union of the row supports."""
+    width = length if scheme is RecodingScheme.BINARY else length + 1
     if scheme is RecodingScheme.SJSF:
         if len(exps) != 2:
             raise ValueError("the joint sparse form is two-dimensional")
         weight, top = _sjsf_weight_top(exps[0], exps[1], length)
         return weight, weight, width - weight, weight - top, width - 1
+    union = deep = 0
     if scheme is RecodingScheme.WLLC:
-        union = 0
-        deep = False
         for n in exps:
-            mask, minus2 = _wllc_support(n, length)
-            union |= mask
-            deep = deep or minus2
-        weight = union.bit_count()
-        weight1 = weight + (1 if deep else 0)
-        top = (union >> length) & 1
-        return weight, weight1, width - weight, weight1 - top, width - 1
-    raise ValueError(f"unknown scheme {scheme!r}")
+            support, two = _wllc_support(n, length)
+            union |= support
+            deep |= two
+    elif scheme is RecodingScheme.BINARY:
+        for n in exps:
+            union |= n
+    elif scheme in (RecodingScheme.NAF, RecodingScheme.STACKED_NAF):
+        for n in exps:
+            union |= _naf_support(n)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    weight = union.bit_count()
+    weight1 = weight + deep
+    top = (union >> (width - 1)) & 1
+    return weight, weight1, width - weight, weight1 - top, width - 1
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +270,15 @@ def _chunk_bounds(samples: int, workers: int) -> list[tuple[int, int]]:
 def _map_chunks(
     fn: Callable[[tuple], tuple], chunk_args: list[tuple], workers: int
 ) -> list[tuple]:
-    """fn applied to every chunk, in order; in a process pool when workers > 1.
+    """fn applied to every chunk, in order; pooled when workers and chunks are > 1.
 
     The pool is never larger than the chunk count: under the fork start
     method it starts all of its workers at the first submit.
     """
-    if workers == 1:
+    pool_size = min(workers, len(chunk_args))
+    if pool_size == 1:
         return [fn(args) for args in chunk_args]
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunk_args))) as pool:
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
         return list(pool.map(fn, chunk_args))
 
 

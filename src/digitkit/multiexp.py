@@ -235,10 +235,6 @@ def precompute(bases: Sequence[Element], group: GroupOps) -> PrecompTable:
     return PrecompTable(group, base_list, entries, mults, invs)
 
 
-def _clamp(column: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(-1, min(1, d)) for d in column)
-
-
 def evaluate(
     joint: JointExpansion,
     table: PrecompTable,
@@ -257,27 +253,26 @@ def evaluate(
     counter = CostCounter(precomp_multiplications=table.precomp_multiplications)
     counter.inversions = table.inversions
     cg = CountingGroup(group, counter)
-    length = len(joint)
-    if length == 0:
-        return group.identity, counter
-    top = joint.column(length - 1)
-    if any(top):
-        first = _clamp(top)
-        acc = table[first]
-        rest = tuple(d - u for d, u in zip(top, first))
-        if any(rest):
-            acc = cg.multiply(acc, table[rest])
-    else:
-        acc = group.identity
-    for j in range(length - 2, -1, -1):
-        acc = cg.square(acc)
-        col = joint.column(j)
-        if any(col):
-            first = _clamp(col)
-            acc = cg.multiply(acc, table[first])
-            rest = tuple(d - u for d, u in zip(col, first))
-            if any(rest):
-                acc = cg.multiply(acc, table[rest])
+    columns = tuple(joint.columns())
+    _, deep = joint._masks()
+    top = len(columns) - 1
+    acc = group.identity
+    for j in range(top, -1, -1):
+        if j < top:
+            acc = cg.square(acc)
+        col = columns[j]
+        if not any(col):
+            continue
+        if deep >> j & 1:
+            first = tuple(max(-1, min(1, d)) for d in col)
+            factors = [table[first], table[tuple(d - u for d, u in zip(col, first))]]
+        else:
+            factors = [table[col]]
+        # The first factor of the top column is loaded, not multiplied.
+        if j == top:
+            acc = factors.pop(0)
+        for factor in factors:
+            acc = cg.multiply(acc, factor)
     return acc, counter
 
 

@@ -16,6 +16,7 @@ from enum import Enum
 from typing import Sequence
 
 from .expansions import Expansion, JointExpansion, binary, ones_complement, stack
+from .expansions import _from_masks
 
 
 class RecodingScheme(Enum):
@@ -34,33 +35,30 @@ def naf(n: int) -> Expansion:
     """Non-adjacent form of any integer, least significant digit first.
 
     The unique {-1,0,1} expansion with no two adjacent nonzero digits; it
-    has minimal weight among signed binary expansions of n.  At every odd
-    step the digit is d = 2 - (n mod 4), which keeps the successor
-    divisible by 4.  naf(0) is empty; for n < 0 the top digit is -1.
+    has minimal weight among signed binary expansions of n: digit by digit,
+    odd steps take d = 2 - (n mod 4) so the successor is divisible by 4.
+    naf(0) is empty; for n < 0 the top digit is -1.
     """
-    digits = []
-    while n:
-        if n & 1:
-            d = 2 - (n & 3)
-            n -= d
-        else:
-            d = 0
-        digits.append(d)
-        n >>= 1
-    return Expansion(tuple(digits))
+    support = _naf_support(n)
+    return _row(support.bit_length(), support, n)
 
 
 def _naf_support(n: int) -> int:
-    """Bit mask of the nonzero positions of naf(n); two's-complement
-    semantics make the identity valid for negative n as well."""
+    """Bit mask of the nonzero positions of naf(n).  With h = 3n, digit j
+    is bit j+1 of h minus bit j+1 of n; two's-complement semantics make
+    the identity valid for negative n as well."""
     return ((3 * n) ^ n) >> 1
 
 
+def _row(length: int, support: int, value: int, two: int = 0) -> Expansion:
+    """The recoded row with these masks and value.  The recoders leave only
+    negative digits of magnitude 2, so value = support - 2 * negative - two."""
+    return _from_masks(length, support, (support - two - value) >> 1, two)
+
+
 def is_naf(e: Expansion) -> bool:
-    ds = e.digits
-    if any(d not in (-1, 0, 1) for d in ds):
-        return False
-    return all(not (ds[j] and ds[j + 1]) for j in range(len(ds) - 1))
+    support = e._support
+    return not e._two and not support & (support >> 1)
 
 
 def _sjsf_column(a: int, b: int) -> tuple[int, int]:
@@ -99,33 +97,31 @@ def sjsf(m: int, n: int) -> JointExpansion:
     if m < 0 or n < 0:
         raise ValueError("sjsf requires non-negative inputs")
     r1, r2 = m, n
-    d1s: list[int] = []
-    d2s: list[int] = []
+    s1 = s2 = 0
+    length = 0
     while r1 or r2:
         d1, d2 = SJSF_RULE[(r1 & 3) << 2 | (r2 & 3)]
-        d1s.append(d1)
-        d2s.append(d2)
+        if d1:
+            s1 |= 1 << length
+        if d2:
+            s2 |= 1 << length
         r1 = (r1 - d1) >> 1
         r2 = (r2 - d2) >> 1
-    return JointExpansion((Expansion(tuple(d1s)), Expansion(tuple(d2s))))
+        length += 1
+    return JointExpansion((_row(length, s1, m), _row(length, s2, n)))
 
 
 def is_sjsf(joint: JointExpansion) -> bool:
     """Check the two syntactic conditions above; digits past the top count as 0."""
     if joint.dimension != 2:
         raise ValueError("is_sjsf is defined for two rows")
-    cols = list(joint.columns())
-    if any(abs(d) > 1 for col in cols for d in col):
+    a, b = joint.rows
+    if a._two or b._two:
         return False
-    cols.append((0, 0))
-    for j in range(len(cols) - 1):
-        a1, a2 = abs(cols[j][0]), abs(cols[j][1])
-        b1, b2 = abs(cols[j + 1][0]), abs(cols[j + 1][1])
-        if a1 != a2 and b1 != b2:
-            return False
-        if a1 == 1 and a2 == 1 and (b1 or b2):
-            return False
-    return True
+    unequal = a._support ^ b._support
+    both = a._support & b._support
+    nonzero = a._support | b._support
+    return not unequal & (unequal >> 1) and not both & (nonzero >> 1)
 
 
 def wllc_recode(n: int, length: int) -> Expansion:
@@ -141,14 +137,27 @@ def wllc_recode(n: int, length: int) -> Expansion:
         raise ValueError("length must be at least 1")
     if n < 0 or n >= (1 << length):
         raise ValueError(f"{n} is not representable in {length} bits")
-    word = binary(n, length)
-    if 2 * word.weight() > length:
-        digits = list(naf(n - ((1 << length) - 1)).padded(length + 1).digits)
-        digits[length] += 1
-        digits[0] -= 1
-    else:
-        digits = list(naf(n).padded(length + 1).digits)
-    return Expansion(tuple(digits))
+    support, two = _wllc_support(n, length)
+    return _row(length + 1, support, n, two)
+
+
+def _wllc_support(n: int, length: int) -> tuple[int, int]:
+    """(nonzero, magnitude-2) position masks of wllc_recode(n, length).
+
+    A heavy word recodes v = n - (2^length - 1) <= 0.  The +1 at the top
+    turns the top digit of naf(v), 0 or -1, into 1 or 0.  The -1 at
+    position 0 turns digit 0 of naf(v) into -1 when v is even, into -2
+    when v = 3 mod 4 (digit -1), and into 0 when v = 1 mod 4 (digit 1).
+    """
+    if 2 * n.bit_count() <= length:
+        return _naf_support(n), 0
+    v = n - ((1 << length) - 1)
+    support = _naf_support(v) ^ (1 << length)
+    if not v & 1:
+        return support | 1, 0
+    if v & 3 == 3:
+        return support, 1
+    return support ^ 1, 0
 
 
 def wllc_joint(exponents: Sequence[int]) -> JointExpansion:
@@ -157,15 +166,7 @@ def wllc_joint(exponents: Sequence[int]) -> JointExpansion:
     The common length is the bit length of the largest component, so every
     row has exactly length+1 digits.
     """
-    exps = tuple(int(n) for n in exponents)
-    if not exps:
-        raise ValueError("need at least one exponent")
-    if any(n < 0 for n in exps):
-        raise ValueError("exponents must be non-negative")
-    if not any(exps):
-        raise ValueError("all-zero exponent vector cannot be recoded")
-    length = max(exps).bit_length()
-    return JointExpansion(tuple(wllc_recode(n, length) for n in exps))
+    return recode_joint(exponents, RecodingScheme.WLLC)
 
 
 def reduce_digit2(joint: JointExpansion) -> JointExpansion:
@@ -178,11 +179,7 @@ def reduce_digit2(joint: JointExpansion) -> JointExpansion:
     """
     rows = [list(r.digits) for r in joint.rows]
     length = len(joint)
-    j = -1
-    for pos in range(length - 1, -1, -1):
-        if any(abs(row[pos]) == 2 for row in rows):
-            j = pos
-            break
+    j = joint._masks()[1].bit_length() - 1
     while j >= 0:
         if j + 1 == length:
             for row in rows:
@@ -220,23 +217,23 @@ def recode_joint(
     if scheme is RecodingScheme.BINARY:
         width = max(n.bit_length() for n in exps) if length is None else length
         return JointExpansion(tuple(binary(n, width) for n in exps))
+    if scheme is RecodingScheme.WLLC:
+        if length is None:
+            if not any(exps):
+                raise ValueError("all-zero exponent vector cannot be recoded")
+            length = max(exps).bit_length()
+        return JointExpansion(tuple(wllc_recode(n, length) for n in exps))
     if scheme in (RecodingScheme.NAF, RecodingScheme.STACKED_NAF):
         joint = stack([naf(n) for n in exps])
-        if length is not None:
-            joint = JointExpansion(tuple(r.padded(length) for r in joint.rows))
-        return joint
-    if scheme is RecodingScheme.SJSF:
+    elif scheme is RecodingScheme.SJSF:
         if len(exps) != 2:
             raise ValueError("sjsf recodes exactly two exponents")
         joint = sjsf(exps[0], exps[1])
-        if length is not None:
-            joint = JointExpansion(tuple(r.padded(length) for r in joint.rows))
-        return joint
-    if scheme is RecodingScheme.WLLC:
-        if length is None:
-            return wllc_joint(exps)
-        return JointExpansion(tuple(wllc_recode(n, length) for n in exps))
-    raise ValueError(f"unknown scheme {scheme!r}")
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if length is not None:
+        joint = JointExpansion(tuple(r.padded(length) for r in joint.rows))
+    return joint
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +264,7 @@ def _witness(parent, columns_end) -> JointExpansion:
         cols.append(col)
         node = prev
     cols.reverse()
-    row1 = Expansion(tuple(c[0] for c in cols))
-    row2 = Expansion(tuple(c[1] for c in cols))
-    return JointExpansion((row1, row2))
+    return JointExpansion(tuple(Expansion(c[k] for c in cols) for k in (0, 1)))
 
 
 def min_weight1_oracle(m: int, n: int) -> OracleResult:

@@ -90,14 +90,11 @@ class Transducer:
             state, word = self.step(state, b)
             columns.extend(word)
         columns.extend(self.flush[state])
-        rows = tuple(
-            Expansion(tuple(col[i] for col in columns))
-            for i in range(self.output_dim)
-        )
-        return JointExpansion(rows)
+        rows = (Expansion(col[i] for col in columns) for i in range(self.output_dim))
+        return JointExpansion(tuple(rows))
 
     def run_word(self, word: Expansion) -> JointExpansion:
-        if any(d not in (0, 1) for d in word.digits):
+        if word._negative or word._two:
             raise ValueError("transducer input must be a standard binary word")
         return self.run(word.digits)
 

@@ -86,10 +86,9 @@ def check_complement_weight_gap(max_length: int = 14) -> CheckReport:
             gap = abs(naf_complement_weight_gap(word))
             if gap > max_gap:
                 max_gap = gap
-                witness = "".join(str(d) for d in word.msb_digits())
+                witness = str(word)
             if gap > 2:
-                bits = "".join(str(d) for d in word.msb_digits())
-                bad.append(f"word={bits} gap={gap}")
+                bad.append(f"word={word} gap={gap}")
     details = f"max gap {max_gap} (witness {witness}) over {cases} words"
     return _report("thm2", cases, details, bad)
 
@@ -234,9 +233,8 @@ def check_transducer(max_length: int = 14) -> CheckReport:
             cases += 1
             bits = tuple((value >> i) & 1 for i in range(length))
             out = machine.run(bits)
-            first = out.rows[0].trimmed().digits
-            second = out.rows[1].trimmed().digits
-            if first != naf(value).digits or second != naf(full - value).digits:
+            first, second = (row.trimmed() for row in out.rows)
+            if first != naf(value) or second != naf(full - value):
                 bad.append(f"length={length} value={value}: output mismatch")
     details = (
         f"matrix, distributions, and recoded outputs over words up to "

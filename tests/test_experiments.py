@@ -58,20 +58,49 @@ def test_sample_exponents_redraws_zero_vectors():
     assert redraw_seen
 
 
+def naf_digits(n):
+    """The non-adjacent form digit by digit: each odd step takes
+    d = 2 - (n mod 4), so the successor is divisible by 4."""
+    digits = []
+    while n:
+        d = 2 - (n & 3) if n & 1 else 0
+        digits.append(d)
+        n = (n - d) >> 1
+    return digits
+
+
+def wllc_digits(n, length):
+    """The recipe of the wllc_recode docstring, on digit lists."""
+    if 2 * bin(n).count("1") <= length:
+        digits = naf_digits(n)
+        return tuple(digits + [0] * (length + 1 - len(digits)))
+    digits = naf_digits(n - ((1 << length) - 1))
+    digits += [0] * (length + 1 - len(digits))
+    digits[length] += 1
+    digits[0] -= 1
+    return tuple(digits)
+
+
+def mask_of(digits, keep):
+    return sum(1 << i for i, d in enumerate(digits) if keep(d))
+
+
 def test_naf_support_matches_naf():
     for n in range(-512, 512):
-        e = naf(n)
-        mask = sum(1 << i for i, d in enumerate(e.digits) if d)
-        assert recoding._naf_support(n) == mask
+        digits = naf_digits(n)
+        assert recoding._naf_support(n) == mask_of(digits, lambda d: d != 0)
+        assert naf(n).digits == tuple(digits)
 
 
 def test_wllc_support_matches_wllc_recode():
     for length in range(1, 10):
         for n in range(1 << length):
-            digits = wllc_recode(n, length).digits
-            mask = sum(1 << i for i, d in enumerate(digits) if d)
-            deep = any(d == -2 for d in digits)
-            assert ex._wllc_support(n, length) == (mask, deep)
+            digits = wllc_digits(n, length)
+            assert recoding._wllc_support(n, length) == (
+                mask_of(digits, lambda d: d != 0),
+                mask_of(digits, lambda d: abs(d) == 2),
+            )
+            assert wllc_recode(n, length).digits == digits
 
 
 def sjsf_reference(m, n):
@@ -205,6 +234,12 @@ def test_worker_pool_is_no_larger_than_the_chunk_count(monkeypatch):
     pooled = list(ex.run_stats(ex.RunConfig(**base, workers=64)))
     assert pooled == list(ex.run_stats(ex.RunConfig(**base)))
     assert ex.compare_schemes(16, 3, 5, workers=64) == ex.compare_schemes(16, 3, 5)
+    # A run of one chunk stays in-process: no pool at all.
+    one = dict(base, samples=1)
+    assert list(ex.run_stats(ex.RunConfig(**one, workers=2))) == list(
+        ex.run_stats(ex.RunConfig(**one))
+    )
+    assert ex.compare_schemes(8, 1, 1, workers=2) == ex.compare_schemes(8, 1, 1)
     assert sizes == [10, 3]
 
 
