@@ -3,12 +3,10 @@
 Every experiment is driven by per-sample seeds derived from (run seed,
 sample index) with BLAKE2b, so results are independent of worker count
 and chunking: the multiset of samples for a given seed is always the
-same.  Per-sample metrics build no expansion objects.  The NAF and
-complement-aware metrics take the position masks from the private
-helpers that recoding.naf and recoding.wllc_recode build their expansions
-from.  The joint sparse form metric runs a 9-state transducer that reads
-both exponents a nibble at a time through a table built from the digit
-rule recoding.sjsf uses; the test suite checks it against the recoder.
+same.  Per-sample metrics build no expansion objects and state no
+digit rule: the NAF, complement-aware and joint sparse form metrics take
+their position masks and column counts from the private helpers in
+recoding that naf, wllc_recode and sjsf are built on.
 
 Column statistics use a fixed width: signed schemes are measured at
 length+1 columns (their maximum), the binary scheme at length columns.
@@ -19,7 +17,6 @@ nonzero] and squarings = width - 1 per sample.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -32,7 +29,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Iterable, Iterator
 
-from .recoding import SJSF_RULE, RecodingScheme, _naf_support, _wllc_support
+from .recoding import RecodingScheme, _naf_support, _sjsf_weight_top, _wllc_support
 
 _LOG = logging.getLogger(__name__)
 
@@ -151,78 +148,6 @@ def sample_exponents(
 
 # ---------------------------------------------------------------------------
 # Arithmetic per-sample metrics.
-
-
-def _sjsf_step(state: int, b1: int, b2: int) -> tuple[int, int]:
-    """One step of the SJSF transducer: (column nonzero, next state).
-
-    A state is the pending pair (bit + carry) in {0,1,2}**2 at the last
-    position read, coded p1 * 3 + p2.  Reading the next bit of each row
-    fixes both residuals mod 4, so the rule gives the column at the
-    previous position; its carries join the bits just read.
-    """
-    p1, p2 = divmod(state, 3)
-    d1, d2 = SJSF_RULE[((p1 + 2 * b1) & 3) << 2 | ((p2 + 2 * b2) & 3)]
-    c1, c2 = (p1 - d1) >> 1, (p2 - d2) >> 1
-    return (1 if d1 or d2 else 0), (b1 + c1) * 3 + b2 + c2
-
-
-@functools.cache
-def _sjsf_nibble_table() -> list[list[tuple[int, list]]]:
-    """Nine rows, one per state; row[x1 << 4 | x2] = (weight, next row).
-
-    An entry reads nibble x1 of the first exponent and x2 of the second,
-    least significant bit first, through the one-bit steps, and holds the
-    number of nonzero columns emitted on the way and the row of the state
-    it ends in.  Built on first use, so callers that never take the SJSF
-    fast path do not pay for it.
-    """
-    step = [
-        [_sjsf_step(state, b1, b2) for b1 in (0, 1) for b2 in (0, 1)]
-        for state in range(9)
-    ]
-    rows: list[list] = [[] for _ in range(9)]
-    for state, row in enumerate(rows):
-        for x1 in range(16):
-            for x2 in range(16):
-                target, weight = state, 0
-                for i in range(4):
-                    bits = (x1 >> i & 1) << 1 | (x2 >> i & 1)
-                    nonzero, target = step[target][bits]
-                    weight += nonzero
-                row.append((weight, rows[target]))
-    return rows
-
-
-def _sjsf_weight_top(m: int, n: int, length: int) -> tuple[int, int]:
-    """(joint weight, top column nonzero) of the joint sparse form of (m, n).
-
-    Reads positions 0..length of both exponents once, a nibble at a time.
-    Zero bits prepended below position 0 pad the read to whole bytes: from
-    the start state they emit zero columns and stay there.  Once position
-    length (a zero bit) is read, the state holds only the carries into it,
-    so the column at length is nonzero exactly when the state is not the
-    start state, and every column above it is zero.
-    """
-    if (m | n) >> length:
-        raise RuntimeError("joint sparse form exceeded its width bound")
-    nbytes = (length + 8) >> 3
-    pad = 8 * nbytes - 1 - length
-    m <<= pad
-    n <<= pad
-    low_nibbles = ((1 << 8 * nbytes) - 1) // 0x11
-    lo = (((m & low_nibbles) << 4) | (n & low_nibbles)).to_bytes(nbytes, "little")
-    hi = ((m & (low_nibbles << 4)) | ((n >> 4) & low_nibbles)).to_bytes(
-        nbytes, "little"
-    )
-    start = row = _sjsf_nibble_table()[0]
-    weight = 0
-    for x, y in zip(lo, hi):
-        a, row = row[x]
-        b, row = row[y]
-        weight += a + b
-    top = 0 if row is start else 1
-    return weight + top, top
 
 
 def _scheme_metrics(

@@ -71,9 +71,6 @@ class GroupOps(abc.ABC):
     @abc.abstractmethod
     def invert(self, x: Element) -> Element: ...
 
-    def equals(self, x: Element, y: Element) -> bool:
-        return x == y
-
     def element(self, x: Any) -> Element:
         """Validate and normalize a raw element; override where relevant."""
         return x
@@ -299,7 +296,11 @@ def multiexp(
     scheme: RecodingScheme,
     group: GroupOps,
 ) -> tuple[Element, CostCounter]:
-    """Recode the exponent vector with a scheme and evaluate it."""
+    """Recode the exponent vector with a scheme and evaluate it.
+
+    Exponents must be non-negative (recode_joint raises ValueError
+    otherwise); invert a base to raise it to a negative power.
+    """
     if len(bases) != len(exponents):
         raise ValueError("bases and exponents must have the same dimension")
     joint = recode_joint(exponents, scheme)

@@ -5,11 +5,21 @@ complement-aware scheme (wllc) that recodes heavy binary words through
 their ones' complement, a digit-set reduction rewriting magnitude-2 digits
 away, and brute-force minimal-cost oracles used to check optimality
 claims.
+
+Each scheme states its digit rule once.  The private helpers
+_naf_support, _wllc_support and _sjsf_weight_top give the per-sample
+Monte Carlo metrics in experiments the same masks and counts the public
+recoders build their expansions from.  The joint sparse form runs as a
+9-state transducer over a cached nibble table built from its digit rule:
+sjsf() reads the nonzero columns from the table and _sjsf_weight_top the
+column counts, both in time linear in the bit length.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import struct
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -73,19 +83,99 @@ def _sjsf_column(a: int, b: int) -> tuple[int, int]:
     return 0, 0
 
 
-# SJSF_RULE[(r1 & 3) << 2 | (r2 & 3)] is the (d1, d2) column of residuals
-# (r1, r2); sjsf() and the table-driven metric in experiments both read it.
-SJSF_RULE = tuple(_sjsf_column(a, b) for a in range(4) for b in range(4))
+def _sjsf_step(state: int, b1: int, b2: int) -> tuple[int, int]:
+    """One step of the SJSF transducer: (column, next state).
+
+    A state is the pending pair (bit + carry) in {0,1,2}**2 at the last
+    position read, coded p1 * 3 + p2.  Reading the next bit of each row
+    fixes both residuals mod 4, so the rule gives the column at the
+    previous position; its carries join the bits just read.  The column
+    comes back as bit 0 (first row nonzero) and bit 8 (second row nonzero).
+    """
+    p1, p2 = divmod(state, 3)
+    d1, d2 = _sjsf_column((p1 + 2 * b1) & 3, (p2 + 2 * b2) & 3)
+    c1, c2 = (p1 - d1) >> 1, (p2 - d2) >> 1
+    return (d1 & 1) | (d2 & 1) << 8, (b1 + c1) * 3 + b2 + c2
+
+
+@functools.cache
+def _sjsf_nibble_table() -> list[list[tuple[int, int, list]]]:
+    """Nine rows, one per state; row[x1 << 4 | x2] = (weight, columns, next row).
+
+    An entry reads nibble x1 of the first exponent and x2 of the second,
+    least significant bit first, through the one-bit steps.  Bit i of
+    columns marks a nonzero first-row digit in the i-th column emitted on
+    the way, bit 8 + i a nonzero second-row digit; weight counts the
+    nonzero columns.  Built on first use, so callers that never recode to
+    the joint sparse form do not pay for it.
+    """
+    step = [
+        [_sjsf_step(state, b1, b2) for b1 in (0, 1) for b2 in (0, 1)]
+        for state in range(9)
+    ]
+    rows: list[list] = [[] for _ in range(9)]
+    for state, row in enumerate(rows):
+        for x1 in range(16):
+            for x2 in range(16):
+                target, columns = state, 0
+                for i in range(4):
+                    bits = (x1 >> i & 1) << 1 | (x2 >> i & 1)
+                    column, target = step[target][bits]
+                    columns |= column << i
+                weight = ((columns | columns >> 8) & 15).bit_count()
+                row.append((weight, columns, rows[target]))
+    return rows
+
+
+def _sjsf_bytes(m: int, n: int, length: int) -> tuple[bytes, bytes, int]:
+    """(lo, hi, pad): positions 0..length of m and n as table indices.
+
+    Zero bits prepended below position 0 pad the read to whole bytes: from
+    the start state they emit zero columns and stay there.  Byte k of lo
+    pairs the low nibbles of byte k of both exponents, byte k of hi the
+    high nibbles, so reading lo[k] then hi[k] reads byte k.  The columns
+    emitted start at position -pad - 1.
+    """
+    nbytes = (length + 8) >> 3
+    pad = 8 * nbytes - 1 - length
+    m <<= pad
+    n <<= pad
+    low_nibbles = ((1 << 8 * nbytes) - 1) // 0x11
+    lo = (((m & low_nibbles) << 4) | (n & low_nibbles)).to_bytes(nbytes, "little")
+    hi = ((m & (low_nibbles << 4)) | ((n >> 4) & low_nibbles)).to_bytes(
+        nbytes, "little"
+    )
+    return lo, hi, pad
+
+
+def _sjsf_weight_top(m: int, n: int, length: int) -> tuple[int, int]:
+    """(joint weight, top column nonzero) of the joint sparse form of (m, n).
+
+    Reads positions 0..length of both exponents once, a nibble at a time.
+    Once position length (a zero bit) is read, the state holds only the
+    carries into it, so the column at length is nonzero exactly when the
+    state is not the start state, and every column above it is zero.
+    """
+    if (m | n) >> length:
+        raise RuntimeError("joint sparse form exceeded its width bound")
+    lo, hi, _ = _sjsf_bytes(m, n, length)
+    start = row = _sjsf_nibble_table()[0]
+    weight = 0
+    for x, y in zip(lo, hi):
+        a, _, row = row[x]
+        b, _, row = row[y]
+        weight += a + b
+    top = 0 if row is start else 1
+    return weight + top, top
 
 
 def sjsf(m: int, n: int) -> JointExpansion:
     """Simple joint sparse form of a pair of non-negative integers.
 
-    Built right to left, one column per step, from the digit rule in
-    SJSF_RULE, which depends only on both residuals mod 4.  When both
-    residuals are odd, each digit follows the d = 2 - (r mod 4) rule so
-    both successors become even, forcing the next column to zero.  When
-    exactly one residual is odd, its digit sign is chosen so the two
+    The digit rule (_sjsf_column) depends only on both residuals mod 4.
+    When both residuals are odd, each digit follows the d = 2 - (r mod 4)
+    rule so both successors become even, forcing the next column to zero.
+    When exactly one residual is odd, its digit sign is chosen so the two
     successors get equal parity.  The result is the unique two-row
     {-1,0,1} word satisfying
 
@@ -93,22 +183,31 @@ def sjsf(m: int, n: int) -> JointExpansion:
     (2) a (+-1, +-1) column is followed by a zero column,
 
     and it minimizes the number of nonzero columns.
+
+    The rule runs as a 9-state transducer, a byte of both exponents per
+    pair of table lookups, so the cost is linear in the bit length.  It
+    yields the nonzero positions of each row; one more lookup on a zero
+    nibble pair flushes the column at position max bit length, which the
+    carries may still fill.  Digit signs then follow from the values.
     """
     if m < 0 or n < 0:
         raise ValueError("sjsf requires non-negative inputs")
-    r1, r2 = m, n
-    s1 = s2 = 0
-    length = 0
-    while r1 or r2:
-        d1, d2 = SJSF_RULE[(r1 & 3) << 2 | (r2 & 3)]
-        if d1:
-            s1 |= 1 << length
-        if d2:
-            s2 |= 1 << length
-        r1 = (r1 - d1) >> 1
-        r2 = (r2 - d2) >> 1
-        length += 1
-    return JointExpansion((_row(length, s1, m), _row(length, s2, n)))
+    lo, hi, pad = _sjsf_bytes(m, n, max(m.bit_length(), n.bit_length()))
+    row = _sjsf_nibble_table()[0]
+    # One 16-bit word per byte read: the first row's columns in the low
+    # byte, the second row's in the high byte.
+    columns = []
+    for x, y in zip(lo, hi):
+        _, a, row = row[x]
+        _, b, row = row[y]
+        columns.append(a | b << 4)
+    columns.append(row[0][1])  # the flush
+    packed = struct.pack(f"<{len(columns)}H", *columns)
+    s1 = int.from_bytes(packed[0::2], "little") >> (pad + 1)
+    s2 = int.from_bytes(packed[1::2], "little") >> (pad + 1)
+    # The last column of the form is nonzero, so the support sets the width.
+    width = (s1 | s2).bit_length()
+    return JointExpansion((_row(width, s1, m), _row(width, s2, n)))
 
 
 def is_sjsf(joint: JointExpansion) -> bool:
@@ -208,7 +307,11 @@ def recode_joint(
     scheme: RecodingScheme,
     length: int | None = None,
 ) -> JointExpansion:
-    """Produce the joint expansion a scheme feeds to the evaluator."""
+    """Produce the joint expansion a scheme feeds to the evaluator.
+
+    Exponents must be non-negative; a negative one raises ValueError, even
+    for the schemes whose single-row recoders accept negative integers.
+    """
     exps = tuple(int(n) for n in exponents)
     if not exps:
         raise ValueError("need at least one exponent")

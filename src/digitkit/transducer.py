@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Hashable, Iterable, Mapping
 
 from .expansions import Expansion, JointExpansion
@@ -157,71 +158,14 @@ def naf_transducer() -> Transducer:
     return Transducer(("start", "p0", "p1", "p2"), "start", 1, transitions, flush)
 
 
-def _zero_padded(word: OutputWord, length: int, dim: int) -> OutputWord:
-    return word + ((0,) * dim,) * (length - len(word))
-
-
-def _minimized(t: Transducer) -> Transducer:
-    """Merge states with identical output behaviour (Moore refinement)."""
-    signature = {
-        s: (t.transitions[(s, 0)][1], t.transitions[(s, 1)][1], t.flush[s])
-        for s in t.states
-    }
-    keys = sorted({signature[s] for s in t.states}, key=repr)
-    block = {s: keys.index(signature[s]) for s in t.states}
-    while True:
-        refined = {
-            s: (block[s], block[t.transitions[(s, 0)][0]], block[t.transitions[(s, 1)][0]])
-            for s in t.states
-        }
-        keys = sorted({refined[s] for s in t.states})
-        new_block = {s: keys.index(refined[s]) for s in t.states}
-        if new_block == block:
-            break
-        block = new_block
-    rep: dict[int, str] = {}
-    for s in t.states:
-        rep.setdefault(block[s], s)
-    states = tuple(rep[b] for b in sorted(rep))
-    transitions = {}
-    flush = {}
-    for s in states:
-        for b in (0, 1):
-            target, word = t.transitions[(s, b)]
-            transitions[(s, b)] = (rep[block[target]], word)
-        flush[s] = t.flush[s]
-    return Transducer(states, rep[block[t.initial]], t.output_dim, transitions, flush)
-
-
-def _relabelled(t: Transducer) -> Transducer:
-    """Rename states to "1", "2", ... in breadth-first order (inputs 0, 1)."""
-    order = [t.initial]
-    seen = {t.initial}
-    i = 0
-    while i < len(order):
-        s = order[i]
-        i += 1
-        for b in (0, 1):
-            target = t.transitions[(s, b)][0]
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
-    name = {s: str(k + 1) for k, s in enumerate(order)}
-    transitions = {
-        (name[s], b): (name[target], word)
-        for (s, b), (target, word) in t.transitions.items()
-    }
-    flush = {name[s]: word for s, word in t.flush.items()}
-    return Transducer(tuple(name[s] for s in order), name[t.initial], t.output_dim, transitions, flush)
-
-
 def double_naf_transducer() -> Transducer:
     """Product machine recoding a word and its ones' complement in lockstep.
 
     Each input digit b drives one copy of the single recoder on b and a
     second copy on 1-b, so row 1 of the output is the non-adjacent form of
     the input value and row 2 that of its complement.  The reachable part
-    has six states, renamed "1".."6" in breadth-first order.
+    has six states, named "1".."6" in the order breadth-first search
+    (inputs 0, then 1) discovers them.
     """
     m = naf_transducer()
 
@@ -232,35 +176,24 @@ def double_naf_transducer() -> Transducer:
 
     initial = (m.initial, m.initial)
     pairs = [initial]
-    seen = {initial}
+    label = {initial: "1"}
     transitions: dict[tuple[str, int], tuple[str, OutputWord]] = {}
     flush: dict[str, OutputWord] = {}
-    i = 0
-    while i < len(pairs):
-        s1, s2 = pairs[i]
-        i += 1
-        label = f"{s1}|{s2}"
+    for s1, s2 in pairs:
+        source = label[(s1, s2)]
         for b in (0, 1):
             t1, w1 = m.transitions[(s1, b)]
             t2, w2 = m.transitions[(s2, 1 - b)]
             target = (t1, t2)
-            transitions[(label, b)] = (f"{t1}|{t2}", merged(w1, w2))
-            if target not in seen:
-                seen.add(target)
+            if target not in label:
+                label[target] = str(len(pairs) + 1)
                 pairs.append(target)
+            transitions[(source, b)] = (label[target], merged(w1, w2))
         f1, f2 = m.flush[s1], m.flush[s2]
-        depth = max(len(f1), len(f2))
-        flush[label] = merged(
-            _zero_padded(f1, depth, 1), _zero_padded(f2, depth, 1)
+        flush[source] = tuple(
+            (c1[0], c2[0]) for c1, c2 in zip_longest(f1, f2, fillvalue=(0,))
         )
-    product = Transducer(
-        tuple(f"{s1}|{s2}" for s1, s2 in pairs),
-        f"{initial[0]}|{initial[1]}",
-        2,
-        transitions,
-        flush,
-    )
-    return _relabelled(_minimized(product))
+    return Transducer(tuple(label[p] for p in pairs), "1", 2, transitions, flush)
 
 
 # ---------------------------------------------------------------------------

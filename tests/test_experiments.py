@@ -103,53 +103,71 @@ def test_wllc_support_matches_wllc_recode():
             assert wllc_recode(n, length).digits == digits
 
 
-def sjsf_reference(m, n):
-    """(joint weight, width) of recoding.sjsf(m, n); its top column is nonzero."""
-    joint = sjsf(m, n)
-    weight = sum(1 for col in zip(*(row.digits for row in joint.rows)) if any(col))
-    return weight, len(joint)
+def sjsf_digits(m, n):
+    """The joint sparse form digit by digit, from the sjsf docstring: both
+    residuals odd, each digit is 2 - (r mod 4); one residual odd, its
+    digit sign makes the two successors equal in parity."""
+    rows = ([], [])
+    while m or n:
+        if m & 1 and n & 1:
+            d1, d2 = 2 - (m & 3), 2 - (n & 3)
+        elif (m | n) & 1:
+            d1, d2 = m & 1, n & 1
+            if ((m - d1) >> 1 ^ (n - d2) >> 1) & 1:
+                d1, d2 = -d1, -d2
+        else:
+            d1 = d2 = 0
+        rows[0].append(d1)
+        rows[1].append(d2)
+        m, n = (m - d1) >> 1, (n - d2) >> 1
+    return tuple(rows[0]), tuple(rows[1])
 
 
-def assert_sjsf_counts(m, n, length, reference):
-    weight, width = reference
-    assert width <= length + 1
-    top = 1 if width == length + 1 else 0
-    assert ex._sjsf_weight_top(m, n, length) == (weight, top)
+def assert_sjsf_matches(m, n, lengths):
+    """sjsf(m, n) and _sjsf_weight_top at each length against sjsf_digits."""
+    digits = sjsf_digits(m, n)
+    # Lengths and masks, not row.digits: deriving digits would triple the cost.
+    rows = tuple((len(d), mask_of(d, bool), mask_of(d, lambda x: x < 0)) for d in digits)
+    assert tuple((len(r), r._support, r._negative) for r in sjsf(m, n).rows) == rows
+    width = len(digits[0])
+    weight = (rows[0][1] | rows[1][1]).bit_count()
+    for length in lengths:
+        assert width <= length + 1
+        top = 1 if width == length + 1 else 0
+        assert recoding._sjsf_weight_top(m, n, length) == (weight, top)
 
 
 def test_sjsf_counts_match_sjsf():
     # Every pair below 2**9, at each length 1..9 that holds it.
     for m in range(1 << 9):
         for n in range(1 << 9):
-            reference = sjsf_reference(m, n)
-            for length in range(max(m.bit_length(), n.bit_length(), 1), 10):
-                assert_sjsf_counts(m, n, length, reference)
+            low = max(m.bit_length(), n.bit_length(), 1)
+            assert_sjsf_matches(m, n, range(low, 10))
     rng = random.Random(2)
     for _ in range(100):
-        m, n = rng.getrandbits(192), rng.getrandbits(192)
-        assert_sjsf_counts(m, n, 192, sjsf_reference(m, n))
+        assert_sjsf_matches(rng.getrandbits(192), rng.getrandbits(192), (192,))
     lengths = [1, 2, 3, 5, 6, 7, 9, 12, 13, 255, 257, 510, 511, 513, 600]
     lengths += [rng.randint(1, 600) for _ in range(200)]
     for length in lengths:
         m, n = rng.getrandbits(length), rng.getrandbits(length)
-        assert_sjsf_counts(m, n, length, sjsf_reference(m, n))
+        assert_sjsf_matches(m, n, (length,))
         # With its top bit set the form may need all length + 1 columns.
         m |= 1 << (length - 1)
-        assert_sjsf_counts(m, n, length, sjsf_reference(m, n))
+        assert_sjsf_matches(m, n, (length,))
 
 
 def test_sjsf_counts_match_the_oracle():
     for m in range(64):
         for n in range(64):
-            weight, _ = ex._sjsf_weight_top(m, n, 6)
+            weight, _ = recoding._sjsf_weight_top(m, n, 6)
             assert weight == min_joint_weight_oracle(m, n).minimal_cost
 
 
 def test_sjsf_counts_reject_exponents_wider_than_length():
     with pytest.raises(RuntimeError):
-        ex._sjsf_weight_top(1 << 8, 0, 8)
+        recoding._sjsf_weight_top(1 << 8, 0, 8)
     with pytest.raises(RuntimeError):
-        ex._sjsf_weight_top(3, 1 << 300, 256)
+        recoding._sjsf_weight_top(3, 1 << 300, 256)
 
 
 def test_scheme_metrics_match_digit_level_recoders():
@@ -314,7 +332,7 @@ def test_compare_schemes_rejects_invalid_arguments():
 
 def test_sjsf_reports_do_not_depend_on_workers():
     # Dropping the cached table makes each worker build its own.
-    ex._sjsf_nibble_table.cache_clear()
+    recoding._sjsf_nibble_table.cache_clear()
     pooled_slope = ex.cost_slope(
         RecodingScheme.SJSF, base_length=20, samples=300, seed=8, workers=2
     )

@@ -1,5 +1,6 @@
-"""Property tests: the mask-backed expansions and recoders against
-digit-level definitions written out here.
+"""Property tests: the mask-backed expansions, recoders and transducers
+against digit-level definitions written out here (the joint sparse form's
+in test_experiments), the brute-force oracle and naf.
 
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -9,7 +10,17 @@ from hypothesis import strategies as st
 
 from digitkit.expansions import Expansion, JointExpansion
 from digitkit.multiexp import MERSENNE61, AdditiveGroup, ModGroup, evaluate, precompute
-from digitkit.recoding import is_naf, is_sjsf, naf, sjsf, wllc_recode
+from digitkit.recoding import (
+    _sjsf_weight_top,
+    is_naf,
+    is_sjsf,
+    min_joint_weight_oracle,
+    naf,
+    sjsf,
+    wllc_recode,
+)
+from digitkit.transducer import naf_transducer
+from test_experiments import sjsf_digits
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -111,6 +122,43 @@ def test_sjsf_rows_round_trip(m, n):
     for row in joint.rows:
         assert set(row.digits) <= {-1, 0, 1}
         assert Expansion(row.digits) == row
+
+
+def below(max_width):
+    """Non-negative integers below 2**width, for widths up to max_width."""
+    return st.integers(0, max_width).flatmap(
+        lambda width: st.integers(0, (1 << width) - 1)
+    )
+
+
+@PROPERTY
+@given(below(2048), below(2048))
+@example(0, 0)
+@example(1, 0)
+@example((1 << 2048) - 1, 1)
+def test_sjsf_follows_the_digit_level_rule(m, n):
+    assert tuple(row.digits for row in sjsf(m, n).rows) == sjsf_digits(m, n)
+
+
+@PROPERTY
+@given(below(10), below(10), st.integers(0, 9))
+@example(0, 0, 0)
+@example(1023, 1, 0)
+def test_sjsf_weight_is_the_minimal_joint_weight(m, n, extra):
+    length = max(m.bit_length(), n.bit_length(), 1) + extra
+    weight, _ = _sjsf_weight_top(m, n, length)
+    assert weight == sjsf(m, n).joint_weight()
+    assert weight == min_joint_weight_oracle(m, n).minimal_cost
+
+
+@PROPERTY
+@given(below(512), st.integers(0, 3))
+@example(0, 0)
+@example(3, 0)
+def test_naf_transducer_emits_the_naf(n, extra):
+    bits = [n >> j & 1 for j in range(n.bit_length() + extra)]
+    (row,) = naf_transducer().run(bits).rows
+    assert row.trimmed() == naf(n)
 
 
 @PROPERTY
