@@ -9,10 +9,12 @@ claims.
 Each scheme states its digit rule once.  The private helpers
 _naf_support, _wllc_support and _sjsf_weight_top give the per-sample
 Monte Carlo metrics in experiments the same masks and counts the public
-recoders build their expansions from.  The joint sparse form runs as a
-9-state transducer over a cached nibble table built from its digit rule:
-sjsf() reads the nonzero columns from the table and _sjsf_weight_top the
-column counts, both in time linear in the bit length.
+recoders build their expansions from.  The column rules _naf_column and
+_sjsf_column are what transducer builds its machines from.  The joint
+sparse form runs over a cached nibble table compiled from
+transducer.sjsf_transducer(): sjsf() reads the nonzero columns from the
+table and _sjsf_weight_top the column counts, both in time linear in the
+bit length.
 """
 
 from __future__ import annotations
@@ -71,6 +73,11 @@ def is_naf(e: Expansion) -> bool:
     return not e._two and not support & (support >> 1)
 
 
+def _naf_column(a: int) -> tuple[int]:
+    """The NAF digit rule: the digit for a residual congruent to a mod 4."""
+    return (2 - a if a & 1 else 0,)
+
+
 def _sjsf_column(a: int, b: int) -> tuple[int, int]:
     """The SJSF digit rule: the column for residuals congruent to (a, b) mod 4."""
     if a & 1 and b & 1:
@@ -83,48 +90,38 @@ def _sjsf_column(a: int, b: int) -> tuple[int, int]:
     return 0, 0
 
 
-def _sjsf_step(state: int, b1: int, b2: int) -> tuple[int, int]:
-    """One step of the SJSF transducer: (column, next state).
-
-    A state is the pending pair (bit + carry) in {0,1,2}**2 at the last
-    position read, coded p1 * 3 + p2.  Reading the next bit of each row
-    fixes both residuals mod 4, so the rule gives the column at the
-    previous position; its carries join the bits just read.  The column
-    comes back as bit 0 (first row nonzero) and bit 8 (second row nonzero).
-    """
-    p1, p2 = divmod(state, 3)
-    d1, d2 = _sjsf_column((p1 + 2 * b1) & 3, (p2 + 2 * b2) & 3)
-    c1, c2 = (p1 - d1) >> 1, (p2 - d2) >> 1
-    return (d1 & 1) | (d2 & 1) << 8, (b1 + c1) * 3 + b2 + c2
-
-
 @functools.cache
-def _sjsf_nibble_table() -> list[list[tuple[int, int, list]]]:
-    """Nine rows, one per state; row[x1 << 4 | x2] = (weight, columns, next row).
+def _sjsf_nibble_table() -> list[tuple[int, int, list]]:
+    """Row "p00" of a table compiled from sjsf_transducer(), one row per
+    pending state.  row[x1 << 4 | x2] = (weight, columns, next row) reads
+    nibble x1 of the first exponent and x2 of the second, least significant
+    bit first.  Bit i of columns marks a nonzero first-row digit in the
+    i-th column emitted on the way, bit 8 + i a nonzero second-row digit;
+    weight counts the nonzero columns.  Row "p00" reads like the start
+    state but also emits the (zero) column below the first position read.
+    Built on first use, so callers that never recode to the joint sparse
+    form do not pay for it."""
+    from .transducer import sjsf_transducer  # transducer imports this module
 
-    An entry reads nibble x1 of the first exponent and x2 of the second,
-    least significant bit first, through the one-bit steps.  Bit i of
-    columns marks a nonzero first-row digit in the i-th column emitted on
-    the way, bit 8 + i a nonzero second-row digit; weight counts the
-    nonzero columns.  Built on first use, so callers that never recode to
-    the joint sparse form do not pay for it.
-    """
-    step = [
-        [_sjsf_step(state, b1, b2) for b1 in (0, 1) for b2 in (0, 1)]
-        for state in range(9)
-    ]
-    rows: list[list] = [[] for _ in range(9)]
-    for state, row in enumerate(rows):
+    machine = sjsf_transducer()
+    # step[state][letter] = (next state, nonzero bits of the column emitted)
+    step: dict[str, list] = {s: [] for s in machine.states if s != machine.initial}
+    for state, row in step.items():
+        for letter in machine.letters:
+            target, ((d1, d2),) = machine.transitions[(state, letter)]
+            row.append((target, (d1 & 1) | (d2 & 1) << 8))
+    rows: dict[str, list] = {s: [] for s in step}
+    for state, row in rows.items():
         for x1 in range(16):
             for x2 in range(16):
                 target, columns = state, 0
                 for i in range(4):
-                    bits = (x1 >> i & 1) << 1 | (x2 >> i & 1)
-                    column, target = step[target][bits]
+                    letter = (x1 >> i & 1) | (x2 >> i & 1) << 1
+                    target, column = step[target][letter]
                     columns |= column << i
                 weight = ((columns | columns >> 8) & 15).bit_count()
                 row.append((weight, columns, rows[target]))
-    return rows
+    return rows["p00"]
 
 
 def _sjsf_bytes(m: int, n: int, length: int) -> tuple[bytes, bytes, int]:
@@ -159,7 +156,7 @@ def _sjsf_weight_top(m: int, n: int, length: int) -> tuple[int, int]:
     if (m | n) >> length:
         raise RuntimeError("joint sparse form exceeded its width bound")
     lo, hi, _ = _sjsf_bytes(m, n, length)
-    start = row = _sjsf_nibble_table()[0]
+    start = row = _sjsf_nibble_table()
     weight = 0
     for x, y in zip(lo, hi):
         a, _, row = row[x]
@@ -184,16 +181,17 @@ def sjsf(m: int, n: int) -> JointExpansion:
 
     and it minimizes the number of nonzero columns.
 
-    The rule runs as a 9-state transducer, a byte of both exponents per
-    pair of table lookups, so the cost is linear in the bit length.  It
-    yields the nonzero positions of each row; one more lookup on a zero
-    nibble pair flushes the column at position max bit length, which the
-    carries may still fill.  Digit signs then follow from the values.
+    The rule runs as transducer.sjsf_transducer() compiled to a nibble
+    table, a byte of both exponents per pair of table lookups, so the cost
+    is linear in the bit length.  It yields the nonzero positions of each
+    row; one more lookup on a zero nibble pair flushes the column at
+    position max bit length, which the carries may still fill.  Digit
+    signs then follow from the values.
     """
     if m < 0 or n < 0:
         raise ValueError("sjsf requires non-negative inputs")
     lo, hi, pad = _sjsf_bytes(m, n, max(m.bit_length(), n.bit_length()))
-    row = _sjsf_nibble_table()[0]
+    row = _sjsf_nibble_table()
     # One 16-bit word per byte read: the first row's columns in the low
     # byte, the second row's in the high byte.
     columns = []

@@ -1,26 +1,26 @@
 """Recoding transducers and their exact Markov-chain analysis.
 
-The machines read standard binary digits least significant first and emit
-signed digit columns with a one-position delay: the digit for position j
-is written while reading position j+1, once the look-ahead needed for
-non-adjacency is available.  Reading position j leaves the machine holding
-a pending value in {0, 1, 2} (input digit plus carry); the flush word
-realizes whatever the pending value still contributes after the last
-input digit.
+One builder turns a column digit rule from recoding into a machine, and
+it builds all three: the non-adjacent form (naf_transducer), a word and
+its complement in lockstep (double_naf_transducer) and the simple joint
+sparse form (sjsf_transducer).  A machine reads one binary digit per row,
+least significant first, as one input letter, and emits signed digit
+columns one position late, once the residues mod 4 the rule needs are
+known.  Each row holds a pending value in {0, 1, 2} (input digit plus
+carry); the flush word realizes what the pending values still contribute.
 
-Everything downstream of the machines is exact rational arithmetic; no
-floating point enters this module.
+The chain tools accept any of the machines.  Everything downstream of the
+machines is exact rational arithmetic; no floating point enters here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
-from typing import Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .expansions import Expansion, JointExpansion
-from .recoding import _naf_support
+from .recoding import _naf_column, _naf_support, _sjsf_column
 
 Column = tuple[int, ...]
 OutputWord = tuple[Column, ...]
@@ -34,11 +34,12 @@ _EXHAUSTIVE_POSITION_BOUND = 20
 
 @dataclass(frozen=True)
 class Transducer:
-    """Deterministic letter-to-word transducer over input alphabet {0,1}.
+    """Deterministic letter-to-word transducer.
 
-    transitions maps (state, input digit) to (next state, output word);
-    an output word is a tuple of columns, each column one output digit per
-    row.  flush maps each state to the word emitted when input ends there.
+    The input letters are range(2 ** input_dim).  transitions maps
+    (state, letter) to (next state, output word); an output word is a
+    tuple of columns, each column one output digit per row.  flush maps
+    each state to the word emitted when input ends there.
     """
 
     states: tuple[str, ...]
@@ -46,15 +47,17 @@ class Transducer:
     output_dim: int
     transitions: Mapping[tuple[str, int], tuple[str, OutputWord]]
     flush: Mapping[str, OutputWord]
+    input_dim: int = 1
 
     def __post_init__(self) -> None:
         if self.initial not in self.states:
             raise ValueError("initial state missing from state set")
+        letters = self.letters
         for s in self.states:
             if s not in self.flush:
                 raise ValueError(f"state {s!r} has no flush word")
             self._check_word(self.flush[s])
-            for b in (0, 1):
+            for b in letters:
                 if (s, b) not in self.transitions:
                     raise ValueError(f"state {s!r} lacks a transition on {b}")
                 target, word = self.transitions[(s, b)]
@@ -65,7 +68,7 @@ class Transducer:
         frontier = [self.initial]
         while frontier:
             s = frontier.pop()
-            for b in (0, 1):
+            for b in letters:
                 t = self.transitions[(s, b)][0]
                 if t not in seen:
                     seen.add(t)
@@ -73,31 +76,31 @@ class Transducer:
         if seen != set(self.states):
             raise ValueError("unreachable states present")
 
+    @property
+    def letters(self) -> range:
+        return range(1 << self.input_dim)
+
     def _check_word(self, word: OutputWord) -> None:
         for col in word:
             if len(col) != self.output_dim:
                 raise ValueError("output column has wrong dimension")
 
-    def step(self, state: str, bit: int) -> tuple[str, OutputWord]:
-        if bit not in (0, 1):
-            raise ValueError(f"input digit {bit} outside {{0,1}}")
-        return self.transitions[(state, bit)]
+    def step(self, state: str, letter: int) -> tuple[str, OutputWord]:
+        try:
+            return self.transitions[(state, letter)]
+        except KeyError:
+            raise ValueError(f"no transition from {state!r} on {letter!r}") from None
 
-    def run(self, bits: Iterable[int]) -> JointExpansion:
-        """Feed a least-significant-first digit stream, flush, and collect."""
+    def run(self, letters: Iterable[int]) -> JointExpansion:
+        """Feed a least-significant-first letter stream, flush, and collect."""
         state = self.initial
         columns: list[Column] = []
-        for b in bits:
+        for b in letters:
             state, word = self.step(state, b)
             columns.extend(word)
         columns.extend(self.flush[state])
         rows = (Expansion(col[i] for col in columns) for i in range(self.output_dim))
         return JointExpansion(tuple(rows))
-
-    def run_word(self, word: Expansion) -> JointExpansion:
-        if word._negative or word._two:
-            raise ValueError("transducer input must be a standard binary word")
-        return self.run(word.digits)
 
 
 def _components(
@@ -123,77 +126,90 @@ def strongly_connected_components(t: Transducer) -> tuple[frozenset[str], ...]:
     """SCCs of the transition graph, with flushing modelled as an edge to
     a terminal sink state.  Sorted by size, then by state labels."""
     successors = {
-        s: [t.transitions[(s, b)][0] for b in (0, 1)] + [TERMINAL]
+        s: [t.transitions[(s, b)][0] for b in t.letters] + [TERMINAL]
         for s in t.states
     }
     successors[TERMINAL] = []
     return tuple(sorted(_components(successors), key=lambda c: (len(c), sorted(c))))
 
 
-def naf_transducer() -> Transducer:
-    """Single-exponent recoder: binary in, non-adjacent digits out.
+def _carry_transducer(
+    rule: Callable[..., Column], inputs: Sequence[tuple[int, ...]]
+) -> Transducer:
+    """The machine that runs a column digit rule over binary rows.
 
-    States: "start" before any digit is read, then "p0"/"p1"/"p2" for the
-    pending value at the most recently read position.  A pending 1 resolves
-    to +1 when the next digit is 0 and to -1 (with carry, pending 2) when
-    the next digit is 1; even pendings always emit 0.
+    Letter k feeds the bits inputs[k], one per row.  A state other than
+    "start" is "p" followed by the pending value (bit plus carry, in
+    {0, 1, 2}) of each row at the last position read; states are named in
+    the order breadth-first search over the letters discovers them.
+    Reading the next bits fixes every residual mod 4, so the step emits
+    rule(*residues) for the previous position and the carries join the
+    bits just read.  Flushing steps on zero bits at least once, then until
+    nothing is pending.
     """
-    z: OutputWord = ((0,),)
-    transitions = {
-        ("start", 0): ("p0", ()),
-        ("start", 1): ("p1", ()),
-        ("p0", 0): ("p0", z),
-        ("p0", 1): ("p1", z),
-        ("p1", 0): ("p0", ((1,),)),
-        ("p1", 1): ("p2", ((-1,),)),
-        ("p2", 0): ("p1", z),
-        ("p2", 1): ("p2", z),
-    }
-    flush = {
-        "start": (),
-        "p0": ((0,),),
-        "p1": ((1,),),
-        "p2": ((0,), (1,)),
-    }
-    return Transducer(("start", "p0", "p1", "p2"), "start", 1, transitions, flush)
+    zeros = (0,) * len(inputs[0])
+
+    def step(pending: Column, bits: Column) -> tuple[Column, Column]:
+        column = rule(*[(p + 2 * b) & 3 for p, b in zip(pending, bits)])
+        carried = [b + ((p - d) >> 1) for p, b, d in zip(pending, bits, column)]
+        return tuple(carried), column
+
+    label: dict[Column | None, str] = {None: "start"}
+    order: list[Column | None] = [None]
+    transitions: dict[tuple[str, int], tuple[str, OutputWord]] = {}
+    flush: dict[str, OutputWord] = {}
+    for pending in order:
+        source = label[pending]
+        for letter, bits in enumerate(inputs):
+            if pending is None:
+                target, word = bits, ()
+            else:
+                target, column = step(pending, bits)
+                word = (column,)
+            if target not in label:
+                label[target] = "p" + "".join(map(str, target))
+                order.append(target)
+            transitions[(source, letter)] = (label[target], word)
+        tail: list[Column] = []
+        while pending is not None and (not tail or any(pending)):
+            if len(tail) > 3 ** len(zeros):  # more steps than pending values
+                raise RuntimeError("the rule's carries never die out")
+            pending, column = step(pending, zeros)
+            tail.append(column)
+        flush[source] = tuple(tail)
+    states, input_dim = tuple(label.values()), len(inputs).bit_length() - 1
+    return Transducer(states, "start", len(zeros), transitions, flush, input_dim)
+
+
+def naf_transducer() -> Transducer:
+    """Single-exponent recoder: binary in, non-adjacent digits out.  A
+    pending 1 ("p1") resolves to +1 when the next digit is 0 and to -1
+    (with carry, pending 2) when it is 1; even pendings emit 0."""
+    return _carry_transducer(_naf_column, ((0,), (1,)))
 
 
 def double_naf_transducer() -> Transducer:
-    """Product machine recoding a word and its ones' complement in lockstep.
+    """Two-row recoder of a word and its ones' complement in lockstep.
 
-    Each input digit b drives one copy of the single recoder on b and a
-    second copy on 1-b, so row 1 of the output is the non-adjacent form of
-    the input value and row 2 that of its complement.  The reachable part
-    has six states, named "1".."6" in the order breadth-first search
-    (inputs 0, then 1) discovers them.
+    Input digit b feeds b to row 1 and 1-b to row 2, so the rows of the
+    output are the non-adjacent forms of the input value and of its
+    complement.  The six states are renamed "1".."6" in the builder's order.
     """
-    m = naf_transducer()
+    t = _carry_transducer(lambda a, b: _naf_column(a) + _naf_column(b), ((0, 1), (1, 0)))
+    label = {s: str(i) for i, s in enumerate(t.states, 1)}
+    transitions = {
+        (label[s], b): (label[target], word)
+        for (s, b), (target, word) in t.transitions.items()
+    }
+    flush = {label[s]: word for s, word in t.flush.items()}
+    return Transducer(tuple(label.values()), "1", 2, transitions, flush)
 
-    def merged(w1: OutputWord, w2: OutputWord) -> OutputWord:
-        if len(w1) != len(w2):
-            raise RuntimeError("component machines fell out of step")
-        return tuple((c1[0], c2[0]) for c1, c2 in zip(w1, w2))
 
-    initial = (m.initial, m.initial)
-    pairs = [initial]
-    label = {initial: "1"}
-    transitions: dict[tuple[str, int], tuple[str, OutputWord]] = {}
-    flush: dict[str, OutputWord] = {}
-    for s1, s2 in pairs:
-        source = label[(s1, s2)]
-        for b in (0, 1):
-            t1, w1 = m.transitions[(s1, b)]
-            t2, w2 = m.transitions[(s2, 1 - b)]
-            target = (t1, t2)
-            if target not in label:
-                label[target] = str(len(pairs) + 1)
-                pairs.append(target)
-            transitions[(source, b)] = (label[target], merged(w1, w2))
-        f1, f2 = m.flush[s1], m.flush[s2]
-        flush[source] = tuple(
-            (c1[0], c2[0]) for c1, c2 in zip_longest(f1, f2, fillvalue=(0,))
-        )
-    return Transducer(tuple(label[p] for p in pairs), "1", 2, transitions, flush)
+def sjsf_transducer() -> Transducer:
+    """The simple joint sparse form over bit pairs: letter k feeds bit
+    k & 1 to row 1 and bit k >> 1 to row 2.  recoding.sjsf() runs a nibble
+    table compiled from its transitions."""
+    return _carry_transducer(_sjsf_column, ((0, 0), (1, 0), (0, 1), (1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,41 +232,10 @@ class RationalMatrix:
     def size(self) -> int:
         return len(self.labels)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
-
     def is_row_stochastic(self) -> bool:
         return all(
             all(x >= 0 for x in row) and sum(row) == 1 for row in self.entries
         )
-
-    def multiply(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.labels != other.labels:
-            raise ValueError("label mismatch")
-        n = self.size
-        rows = tuple(
-            tuple(
-                sum((self.entries[i][k] * other.entries[k][j] for k in range(n)), Fraction(0))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return RationalMatrix(self.labels, rows)
-
-    def power(self, k: int) -> "RationalMatrix":
-        if k < 0:
-            raise ValueError("negative power")
-        result = RationalMatrix(self.labels, _identity_rows(self.size))
-        for _ in range(k):
-            result = result.multiply(self)
-        return result
-
-
-def _identity_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
 
 
 @dataclass(frozen=True)
@@ -282,14 +267,14 @@ class StateDistribution:
 
 
 def transition_matrix(t: Transducer) -> RationalMatrix:
-    """Chain over the machine's states under uniform independent input digits."""
+    """Chain over the machine's states under uniform independent input letters."""
     labels = t.states
     index = {s: i for i, s in enumerate(labels)}
-    half = Fraction(1, 2)
+    weight = Fraction(1, len(t.letters))
     rows = [[Fraction(0)] * len(labels) for _ in labels]
     for s in labels:
-        for b in (0, 1):
-            rows[index[s]][index[t.transitions[(s, b)][0]]] += half
+        for b in t.letters:
+            rows[index[s]][index[t.transitions[(s, b)][0]]] += weight
     matrix = RationalMatrix(labels, tuple(tuple(r) for r in rows))
     if not matrix.is_row_stochastic():
         raise RuntimeError("transition matrix is not row-stochastic")

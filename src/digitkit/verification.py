@@ -272,9 +272,18 @@ CHECKS: dict[str, Callable[..., CheckReport]] = {
 }
 
 
+# The largest window each bound may ask for, above every default and
+# acceptance window: work grows with the bounds (exponentially in max_length).
+_BOUND_CAPS = {"max_n": 511, "max_length": 20, "random_pairs": 10**6, "instances": 10**6}
+
+
 def run_check(name: str, **bounds: int) -> CheckReport:
     try:
         check = CHECKS[name]
     except KeyError:
         raise ValueError(f"unknown check {name!r}") from None
+    for bound, value in bounds.items():
+        cap = _BOUND_CAPS.get(bound)
+        if cap is not None and value > cap:
+            raise ValueError(f"{bound} = {value} exceeds its cap of {cap}")
     return check(**bounds)

@@ -1,5 +1,6 @@
 """Command-line interface: output of every subcommand and exit codes."""
 
+import functools
 import inspect
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 import digitkit
 from digitkit.cli import main
 from digitkit.experiments import STAT_FIELDS
-from digitkit.verification import CHECKS
+from digitkit.verification import _BOUND_CAPS, CHECKS
 
 VERIFY_FLAGS = {
     "--max-n": "max_n",
@@ -298,3 +299,21 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
     assert main(["stats", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_verify_rejects_oversized_bounds_before_any_work(capsys, monkeypatch):
+    for check, fn in CHECKS.items():
+        @functools.wraps(fn)
+        def never(**bounds):
+            raise AssertionError(f"{check} ran with {bounds}")
+
+        monkeypatch.setitem(CHECKS, check, never)
+        accepted = inspect.signature(fn).parameters
+        for flag, param in VERIFY_FLAGS.items():
+            if param not in accepted:
+                continue
+            cap = _BOUND_CAPS[param]
+            code, out, err = run_cli(capsys, "verify", check, flag, str(cap + 1))
+            assert code == 2, (check, flag)
+            assert out == ""
+            assert f"{param} = {cap + 1} exceeds its cap of {cap}" in err

@@ -19,7 +19,7 @@ from digitkit.recoding import (
     sjsf,
     wllc_recode,
 )
-from digitkit.transducer import naf_transducer
+from digitkit.transducer import naf_transducer, sjsf_transducer
 from test_experiments import sjsf_digits
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -228,3 +228,27 @@ def test_is_naf_matches_its_digit_definition(digits):
 def test_is_sjsf_matches_its_digit_definition(columns):
     rows = tuple(Expansion([col[k] for col in columns]) for k in (0, 1))
     assert is_sjsf(JointExpansion(rows)) == is_sjsf_digits(columns)
+
+
+SJSF_MACHINE = sjsf_transducer()
+
+
+def sjsf_machine_matches(m, n, extra):
+    """sjsf_transducer() run on the bit pairs of (m, n), with extra zero
+    letters, yields sjsf(m, n) padded with zero columns."""
+    letters = [
+        (m >> j & 1) | (n >> j & 1) << 1
+        for j in range(max(m.bit_length(), n.bit_length()) + extra)
+    ]
+    got = SJSF_MACHINE.run(letters)
+    want = sjsf(m, n)
+    assert got.values() == (m, n)
+    return got == JointExpansion(tuple(row.padded(len(got)) for row in want.rows))
+
+
+@PROPERTY
+@given(below(512), below(512), st.integers(0, 3))
+@example(0, 0, 0)
+@example((1 << 512) - 1, (1 << 511) + 1, 0)
+def test_sjsf_transducer_emits_the_sjsf(m, n, extra):
+    assert sjsf_machine_matches(m, n, extra)

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from digitkit.expansions import Expansion
 from digitkit.recoding import naf
+from test_properties import sjsf_machine_matches
 from digitkit.transducer import (
     TERMINAL,
     ZERO_PROBABILITY_ERROR_CONSTANT,
@@ -14,6 +14,7 @@ from digitkit.transducer import (
     Transducer,
     double_naf_transducer,
     naf_transducer,
+    sjsf_transducer,
     state_distribution,
     stationary_distribution,
     strongly_connected_components,
@@ -48,12 +49,94 @@ def test_naf_transducer_reproduces_naf():
             assert out.rows[0].trimmed() == naf(value)
 
 
-def test_naf_transducer_word_interface():
+def test_naf_transducer_tables():
     machine = naf_transducer()
-    out = machine.run_word(Expansion((1, 0, 1)))
-    assert out.rows[0].trimmed() == naf(5)
+    assert machine.states == ("start", "p0", "p1", "p2")
+    assert (machine.initial, machine.input_dim, machine.output_dim) == ("start", 1, 1)
+    assert machine.transitions == {
+        ("start", 0): ("p0", ()),
+        ("start", 1): ("p1", ()),
+        ("p0", 0): ("p0", ((0,),)),
+        ("p0", 1): ("p1", ((0,),)),
+        ("p1", 0): ("p0", ((1,),)),
+        ("p1", 1): ("p2", ((-1,),)),
+        ("p2", 0): ("p1", ((0,),)),
+        ("p2", 1): ("p2", ((0,),)),
+    }
+    assert machine.flush == {
+        "start": (),
+        "p0": ((0,),),
+        "p1": ((1,),),
+        "p2": ((0,), (1,)),
+    }
+
+
+def test_double_naf_transducer_tables():
+    machine = double_naf_transducer()
+    assert machine.states == ("1", "2", "3", "4", "5", "6")
+    assert (machine.initial, machine.input_dim, machine.output_dim) == ("1", 1, 2)
+    assert machine.transitions == {
+        ("1", 0): ("2", ()),
+        ("1", 1): ("3", ()),
+        ("2", 0): ("4", ((0, -1),)),
+        ("2", 1): ("3", ((0, 1),)),
+        ("3", 0): ("2", ((1, 0),)),
+        ("3", 1): ("5", ((-1, 0),)),
+        ("4", 0): ("4", ((0, 0),)),
+        ("4", 1): ("6", ((0, 0),)),
+        ("5", 0): ("6", ((0, 0),)),
+        ("5", 1): ("5", ((0, 0),)),
+        ("6", 0): ("4", ((1, -1),)),
+        ("6", 1): ("5", ((-1, 1),)),
+    }
+    assert machine.flush == {
+        "1": (),
+        "2": ((0, 1),),
+        "3": ((1, 0),),
+        "4": ((0, 0), (0, 1)),
+        "5": ((0, 0), (1, 0)),
+        "6": ((1, 1),),
+    }
+
+
+def test_sjsf_transducer_reproduces_sjsf():
+    machine = sjsf_transducer()
+    assert (machine.initial, machine.input_dim, machine.output_dim) == ("start", 2, 2)
+    for m in range(1 << 6):
+        for n in range(1 << 6):
+            for extra in range(4):
+                assert sjsf_machine_matches(m, n, extra), (m, n, extra)
+
+
+def test_sjsf_transducer_chain():
+    machine = sjsf_transducer()
+    pending = frozenset(f"p{a}{b}" for a in range(3) for b in range(3))
+    assert strongly_connected_components(machine) == (
+        frozenset({TERMINAL}),
+        frozenset({"start"}),
+        pending,
+    )
+    p = transition_matrix(machine)
+    pi = stationary_distribution(p)
+    nonzero = sum(
+        weight * Fraction(sum(
+            any(machine.transitions[(state, letter)][1][0])
+            for letter in machine.letters
+        ), len(machine.letters))
+        for state, weight in zip(pi.labels, pi.weights)
+        if weight
+    )
+    assert nonzero == HALF
+    assert {s for s, w in zip(pi.labels, pi.weights) if w} == pending
+
+
+def test_transducer_step_rejects_unknown_letters():
+    machine = naf_transducer()
+    assert machine.step("p1", 1) == ("p2", ((-1,),))
     with pytest.raises(ValueError):
-        machine.run_word(Expansion((1, -1)))
+        machine.step("p1", 2)
+    with pytest.raises(ValueError):
+        sjsf_transducer().run([0, 4])
 
 
 def test_transducer_validation():
@@ -122,10 +205,6 @@ def test_transition_matrix_is_the_expected_one():
 
 
 def test_rational_matrix_algebra():
-    p = transition_matrix(double_naf_transducer())
-    assert p.power(0).entries[0][0] == 1
-    assert p.power(2) == p.multiply(p)
-    assert p.power(3).is_row_stochastic()
     with pytest.raises(ValueError):
         RationalMatrix(("a",), ((Fraction(1), Fraction(0)),))
 

@@ -1,10 +1,13 @@
 """Invariant check suites at desk-scale bounds, plus report plumbing."""
 
+import inspect
+
 import pytest
 
 from digitkit.verification import (
     CHECKS,
     CheckReport,
+    _BOUND_CAPS,
     _report,
     check_complement_weight_gap,
     check_cost_model,
@@ -64,6 +67,21 @@ def test_run_check_dispatch():
     }
     with pytest.raises(ValueError):
         run_check("entropy")
+
+
+def test_run_check_caps_its_bounds():
+    # The defaults and the acceptance windows all fit under the caps.
+    for check in CHECKS.values():
+        for param in inspect.signature(check).parameters.values():
+            if param.name in _BOUND_CAPS:
+                assert param.default <= _BOUND_CAPS[param.name], param
+    acceptance = {"max_n": 255, "max_length": 14, "random_pairs": 10_000, "instances": 1_000}
+    for bound, value in acceptance.items():
+        assert value <= _BOUND_CAPS[bound]
+    with pytest.raises(ValueError, match="max_length = 21 exceeds its cap of 20"):
+        run_check("thm2", max_length=21)
+    with pytest.raises(ValueError, match="max_n = 512 exceeds its cap of 511"):
+        run_check("sjsf", max_n=512, random_pairs=1)
 
 
 def test_report_caps_counterexamples():
