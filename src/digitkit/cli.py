@@ -27,6 +27,8 @@ from .experiments import (
 from .multiexp import AdditiveGroup, GroupOps, ModGroup, multiexp
 from .recoding import RecodingScheme, recode_joint
 from .transducer import (
+    _ratios,
+    _walk,
     double_naf_transducer,
     state_distribution,
     stationary_distribution,
@@ -37,6 +39,8 @@ from .verification import CHECKS, run_check
 _TARGET_SLOPE = 14 / 9
 _CLAIMED_SLOPES = {"wllc-slope": 1.304, "sun-slope": 1.471}
 OUTPUT_FORMATS = ("json", "csv")
+# The most chain steps markov prints; the output grows quadratically with them.
+_MARKOV_STEPS_CAP = 1000
 
 
 def _seed_value(text: str) -> int:
@@ -234,6 +238,10 @@ def _fraction_row(values) -> str:
 
 
 def cmd_markov(args: argparse.Namespace) -> int:
+    if args.steps > _MARKOV_STEPS_CAP:
+        raise ValueError(
+            f"steps = {args.steps} exceeds its cap of {_MARKOV_STEPS_CAP}"
+        )
     machine = double_naf_transducer()
     p = transition_matrix(machine)
     print(f"states: {' '.join(p.labels)}")
@@ -241,9 +249,9 @@ def cmd_markov(args: argparse.Namespace) -> int:
     for label, row in zip(p.labels, p.entries):
         print(f"  from {label}: {_fraction_row(row)}")
     print("state distribution after k input bits (started in state 1):")
-    for k in range(1, args.steps + 1):
-        dist = state_distribution(p, k)
-        print(f"  k={k}: {_fraction_row(dist.weights)}")
+    walk = _walk(p, state_distribution(p, 0).weights)
+    for k, (numerators, denominator) in zip(range(1, args.steps + 1), walk):
+        print(f"  k={k}: {_fraction_row(_ratios(numerators, denominator))}")
     pi = stationary_distribution(p)
     print(f"stationary: {_fraction_row(pi.weights)}")
     return 0

@@ -5,7 +5,9 @@ its length and bit masks of its nonzero, negative and magnitude-2 digits,
 so weights and values are mask arithmetic.  The digit tuple, least
 significant first, is derived once, for display, JSON (most significant
 first) and column access.  Equality compares lengths and masks, so a
-zero-padded word is distinct from its trimmed form.
+zero-padded word is distinct from its trimmed form.  Producers that
+already hold masks, or columns (the transducers and the oracle
+witnesses), build expansions without a digit tuple.
 """
 
 from __future__ import annotations
@@ -34,6 +36,28 @@ def _from_masks(
     e = object.__new__(Expansion)
     e.__dict__.update(_length=length, _support=support, _negative=negative, _two=two)
     return e
+
+
+def _rows_from_columns(
+    columns: Sequence[Sequence[int]], dimension: int
+) -> tuple[Expansion, ...]:
+    """The rows of a column sequence, least significant column first, each
+    column holding one digit in [-2, 2] per row; the digits are not checked."""
+    length = len(columns)
+    rows = []
+    for digits in zip(*columns) if columns else [()] * dimension:
+        support = negative = two = 0
+        bit = 1
+        for d in digits:
+            if d:
+                support |= bit
+                if d < 0:
+                    negative |= bit
+                if not d & 1:
+                    two |= bit
+            bit <<= 1
+        rows.append(_from_masks(length, support, negative, two))
+    return tuple(rows)
 
 
 @dataclass(frozen=True, init=False, repr=False)

@@ -443,18 +443,26 @@ def complement_bit_probabilities(length: int) -> ComplementBitReport:
             f"exhaustive bit probabilities capped at length "
             f"{_BIT_PROBABILITY_LENGTH_BOUND}"
         )
-    full = (1 << length) - 1
-    zero_masks = []
-    for n in range(1 << length):
-        word = n ^ full if 2 * n.bit_count() > length else n
-        zero_masks.append(~word & full)
+    # Sets of words n < 2**length as bitsets over n: by_weight[c] holds the
+    # words with c one bits (Pascal's rule, one bit position at a time).
     total = 1 << length
-    singles = tuple(
-        Fraction(sum((z >> i) & 1 for z in zero_masks), total)
+    by_weight = [1]
+    for i in range(length):
+        by_weight = [
+            low | high << (1 << i) for low, high in zip(by_weight + [0], [0] + by_weight)
+        ]
+    heavy = sum(by_weight[c] for c in range(length + 1) if 2 * c > length)
+    # zeros[i]: the words whose bit i is 0 after complementing.  Bit i of n
+    # is 0 on runs of 2**i words every 2**(i + 1); complementing flips the
+    # heavy words.
+    every = (1 << total) - 1
+    zeros = [
+        every // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) ^ heavy
         for i in range(length)
-    )
+    ]
+    singles = tuple(Fraction(z.bit_count(), total) for z in zeros)
     pairs = {
-        (i, j): Fraction(sum((z >> i) & (z >> j) & 1 for z in zero_masks), total)
+        (i, j): Fraction((zeros[i] & zeros[j]).bit_count(), total)
         for i in range(length)
         for j in range(i + 1, length)
     }

@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Sequence
 
 from .expansions import Expansion, JointExpansion, binary, ones_complement, stack
-from .expansions import _from_masks
+from .expansions import _from_masks, _rows_from_columns
 
 
 class RecodingScheme(Enum):
@@ -365,7 +365,7 @@ def _witness(parent, columns_end) -> JointExpansion:
         cols.append(col)
         node = prev
     cols.reverse()
-    return JointExpansion(tuple(Expansion(c[k] for c in cols) for k in (0, 1)))
+    return JointExpansion(_rows_from_columns(cols, 2))
 
 
 def min_weight1_oracle(m: int, n: int) -> OracleResult:

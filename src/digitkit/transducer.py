@@ -8,18 +8,30 @@ least significant first, as one input letter, and emits signed digit
 columns one position late, once the residues mod 4 the rule needs are
 known.  Each row holds a pending value in {0, 1, 2} (input digit plus
 carry); the flush word realizes what the pending values still contribute.
+A run returns its rows as mask-built expansions: the emitted columns go
+straight into bit masks, with no digit tuple per row.
 
 The chain tools accept any of the machines.  Everything downstream of the
-machines is exact rational arithmetic; no floating point enters here.
+machines is exact: distributions walk integer numerators over a common
+denominator and become rationals only when returned; no floating point
+enters here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .expansions import Expansion, JointExpansion
+from .expansions import (
+    _DIGITS,
+    DIGIT_MAX,
+    DIGIT_MIN,
+    JointExpansion,
+    _rows_from_columns,
+)
 from .recoding import _naf_column, _naf_support, _sjsf_column
 
 Column = tuple[int, ...]
@@ -84,6 +96,8 @@ class Transducer:
         for col in word:
             if len(col) != self.output_dim:
                 raise ValueError("output column has wrong dimension")
+            if not _DIGITS.issuperset(col):
+                raise ValueError(f"output digit outside [{DIGIT_MIN}, {DIGIT_MAX}]")
 
     def step(self, state: str, letter: int) -> tuple[str, OutputWord]:
         try:
@@ -97,10 +111,9 @@ class Transducer:
         columns: list[Column] = []
         for b in letters:
             state, word = self.step(state, b)
-            columns.extend(word)
-        columns.extend(self.flush[state])
-        rows = (Expansion(col[i] for col in columns) for i in range(self.output_dim))
-        return JointExpansion(tuple(rows))
+            columns += word
+        columns += self.flush[state]
+        return JointExpansion(_rows_from_columns(columns, self.output_dim))
 
 
 def _components(
@@ -134,7 +147,9 @@ def strongly_connected_components(t: Transducer) -> tuple[frozenset[str], ...]:
 
 
 def _carry_transducer(
-    rule: Callable[..., Column], inputs: Sequence[tuple[int, ...]]
+    rule: Callable[..., Column],
+    inputs: Sequence[tuple[int, ...]],
+    numbered: bool = False,
 ) -> Transducer:
     """The machine that runs a column digit rule over binary rows.
 
@@ -145,7 +160,8 @@ def _carry_transducer(
     Reading the next bits fixes every residual mod 4, so the step emits
     rule(*residues) for the previous position and the carries join the
     bits just read.  Flushing steps on zero bits at least once, then until
-    nothing is pending.
+    nothing is pending.  numbered=True names the states "1", "2", ... in
+    the same order instead.
     """
     zeros = (0,) * len(inputs[0])
 
@@ -154,7 +170,7 @@ def _carry_transducer(
         carried = [b + ((p - d) >> 1) for p, b, d in zip(pending, bits, column)]
         return tuple(carried), column
 
-    label: dict[Column | None, str] = {None: "start"}
+    label: dict[Column | None, str] = {None: "1" if numbered else "start"}
     order: list[Column | None] = [None]
     transitions: dict[tuple[str, int], tuple[str, OutputWord]] = {}
     flush: dict[str, OutputWord] = {}
@@ -167,7 +183,8 @@ def _carry_transducer(
                 target, column = step(pending, bits)
                 word = (column,)
             if target not in label:
-                label[target] = "p" + "".join(map(str, target))
+                name = "p" + "".join(map(str, target))
+                label[target] = str(len(label) + 1) if numbered else name
                 order.append(target)
             transitions[(source, letter)] = (label[target], word)
         tail: list[Column] = []
@@ -178,7 +195,7 @@ def _carry_transducer(
             tail.append(column)
         flush[source] = tuple(tail)
     states, input_dim = tuple(label.values()), len(inputs).bit_length() - 1
-    return Transducer(states, "start", len(zeros), transitions, flush, input_dim)
+    return Transducer(states, label[None], len(zeros), transitions, flush, input_dim)
 
 
 def naf_transducer() -> Transducer:
@@ -193,16 +210,11 @@ def double_naf_transducer() -> Transducer:
 
     Input digit b feeds b to row 1 and 1-b to row 2, so the rows of the
     output are the non-adjacent forms of the input value and of its
-    complement.  The six states are renamed "1".."6" in the builder's order.
+    complement.  The six states are numbered "1".."6" in the builder's order.
     """
-    t = _carry_transducer(lambda a, b: _naf_column(a) + _naf_column(b), ((0, 1), (1, 0)))
-    label = {s: str(i) for i, s in enumerate(t.states, 1)}
-    transitions = {
-        (label[s], b): (label[target], word)
-        for (s, b), (target, word) in t.transitions.items()
-    }
-    flush = {label[s]: word for s, word in t.flush.items()}
-    return Transducer(tuple(label.values()), "1", 2, transitions, flush)
+    return _carry_transducer(
+        lambda a, b: _naf_column(a) + _naf_column(b), ((0, 1), (1, 0)), numbered=True
+    )
 
 
 def sjsf_transducer() -> Transducer:
@@ -258,12 +270,10 @@ class StateDistribution:
     def times(self, p: RationalMatrix) -> "StateDistribution":
         if p.labels != self.labels:
             raise ValueError("label mismatch")
-        n = len(self.labels)
-        weights = tuple(
-            sum((self.weights[i] * p.entries[i][j] for i in range(n)), Fraction(0))
-            for j in range(n)
+        numerators, denominator = next(_walk(p, self.weights))
+        return StateDistribution(
+            self.labels, _ratios(numerators, denominator), self.step + 1
         )
-        return StateDistribution(self.labels, weights, self.step + 1)
 
 
 def transition_matrix(t: Transducer) -> RationalMatrix:
@@ -281,18 +291,51 @@ def transition_matrix(t: Transducer) -> RationalMatrix:
     return matrix
 
 
+def _walk(
+    p: RationalMatrix, weights: Sequence[Fraction]
+) -> Iterator[tuple[list[int], int]]:
+    """(numerators, denominator) of the weights after 1, 2, ... steps of p.
+
+    p's entries are taken as integers over their least common denominator
+    and the weights over theirs, so each step is integer arithmetic and
+    the denominator grows by that factor.  Like StateDistribution, a step
+    whose weights are negative or do not sum to 1 raises ValueError.
+    """
+    scale = math.lcm(*(x.denominator for row in p.entries for x in row))
+    rows = [
+        [(j, x.numerator * (scale // x.denominator)) for j, x in enumerate(row) if x]
+        for row in p.entries
+    ]
+    denominator = math.lcm(*(w.denominator for w in weights))
+    numerators = [w.numerator * (denominator // w.denominator) for w in weights]
+    while True:
+        step = [0] * len(numerators)
+        for v, row in zip(numerators, rows):
+            if v:
+                for j, a in row:
+                    step[j] += v * a
+        numerators = step
+        denominator *= scale
+        if min(numerators) < 0 or sum(numerators) != denominator:
+            raise ValueError("weights must be non-negative and sum to 1")
+        yield numerators, denominator
+
+
+def _ratios(numerators: Iterable[int], denominator: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(v, denominator) for v in numerators)
+
+
 def state_distribution(p: RationalMatrix, k: int) -> StateDistribution:
     """Exact distribution after k steps, started in the first-labelled state."""
     if k < 0:
         raise ValueError("step count must be non-negative")
-    dist = StateDistribution(
-        p.labels,
-        tuple(Fraction(1 if i == 0 else 0) for i in range(p.size)),
-        0,
+    start = StateDistribution(
+        p.labels, tuple(Fraction(1 if i == 0 else 0) for i in range(p.size)), 0
     )
-    for _ in range(k):
-        dist = dist.times(p)
-    return dist
+    if k == 0:
+        return start
+    numerators, denominator = next(islice(_walk(p, start.weights), k - 1, None))
+    return StateDistribution(p.labels, _ratios(numerators, denominator), k)
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

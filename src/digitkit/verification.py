@@ -27,6 +27,7 @@ from .recoding import (
 )
 from .transducer import (
     RationalMatrix,
+    _walk,
     double_naf_transducer,
     state_distribution,
     stationary_distribution,
@@ -215,11 +216,12 @@ def check_transducer(max_length: int = 14) -> CheckReport:
     want_pi = (Fraction(0), Fraction(0), Fraction(0), third, third, third)
     if pi.weights != want_pi:
         bad.append(f"stationary distribution {pi.weights}")
-    for k in range(1, 21):
+    transients = [p.labels.index(s) for s in ("2", "3")]
+    walk = _walk(p, state_distribution(p, 0).weights)
+    for k, (numerators, denominator) in zip(range(1, 21), walk):
         cases += 1
-        dist = state_distribution(p, k)
-        expected_k = Fraction(1, 1 << k)
-        if dist.probability("2") != expected_k or dist.probability("3") != expected_k:
+        # numerator / denominator == 2^-k
+        if any(numerators[i] << k != denominator for i in transients):
             bad.append(f"k={k}: transient components not 2^-{k}")
     for k in range(9):
         cases += 1

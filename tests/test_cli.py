@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import digitkit
-from digitkit.cli import main
+from digitkit import cli
+from digitkit.cli import _MARKOV_STEPS_CAP, main
 from digitkit.experiments import STAT_FIELDS
 from digitkit.verification import _BOUND_CAPS, CHECKS
 
@@ -258,6 +259,57 @@ def test_markov_output(capsys):
     assert "k=2:" in out
     assert out.count("1/3") == 3
     assert "0.3333" in out
+
+
+MARKOV_STEPS_2 = """\
+states: 1 2 3 4 5 6
+transition matrix P:
+  from 1:     0   1/2   1/2     0     0     0   | 0.0000 0.5000 0.5000 0.0000 0.0000 0.0000
+  from 2:     0     0   1/2   1/2     0     0   | 0.0000 0.0000 0.5000 0.5000 0.0000 0.0000
+  from 3:     0   1/2     0     0   1/2     0   | 0.0000 0.5000 0.0000 0.0000 0.5000 0.0000
+  from 4:     0     0     0   1/2     0   1/2   | 0.0000 0.0000 0.0000 0.5000 0.0000 0.5000
+  from 5:     0     0     0     0   1/2   1/2   | 0.0000 0.0000 0.0000 0.0000 0.5000 0.5000
+  from 6:     0     0     0   1/2   1/2     0   | 0.0000 0.0000 0.0000 0.5000 0.5000 0.0000
+state distribution after k input bits (started in state 1):
+  k=1:     0   1/2   1/2     0     0     0   | 0.0000 0.5000 0.5000 0.0000 0.0000 0.0000
+  k=2:     0   1/4   1/4   1/4   1/4     0   | 0.0000 0.2500 0.2500 0.2500 0.2500 0.0000
+stationary:     0     0     0   1/3   1/3   1/3   | 0.0000 0.0000 0.0000 0.3333 0.3333 0.3333
+"""
+
+
+def test_markov_steps_walk_once_and_are_capped(capsys, monkeypatch):
+    calls = []
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return call
+
+    for name in ("_walk", "state_distribution"):
+        monkeypatch.setattr(cli, name, counted(name))
+
+    code, out, _ = run_cli(capsys, "markov", "--steps", "2")
+    assert (code, out) == (0, MARKOV_STEPS_2)
+
+    assert _MARKOV_STEPS_CAP >= 100
+    code, out, err = run_cli(capsys, "markov", "--steps", str(_MARKOV_STEPS_CAP + 1))
+    assert (code, out) == (2, "")
+    assert f"exceeds its cap of {_MARKOV_STEPS_CAP}" in err
+
+    calls.clear()
+    code, out, _ = run_cli(capsys, "markov", "--steps", str(_MARKOV_STEPS_CAP))
+    lines = out.splitlines()
+    assert code == 0
+    # One walk for all the steps, not one chain per step.
+    assert sorted(calls) == ["_walk", "state_distribution"]
+    assert lines[9:11] == MARKOV_STEPS_2.splitlines()[9:11]
+    last = lines[-2].split()
+    assert last[0] == f"k={_MARKOV_STEPS_CAP}:"
+    assert last[2] == last[3] == f"1/{1 << _MARKOV_STEPS_CAP}"
 
 
 def test_falsify_bit_prob(capsys):

@@ -360,6 +360,34 @@ def test_complement_bit_probabilities_frozen_values():
     assert single.pair_zero_probability == {}
 
 
+def complement_bit_probabilities_by_words(length):
+    """(zero probabilities, pair zero probabilities) summed word by word."""
+    full = (1 << length) - 1
+    zero_masks = []
+    for n in range(1 << length):
+        word = n ^ full if 2 * bin(n).count("1") > length else n
+        zero_masks.append(~word & full)
+    total = 1 << length
+    singles = tuple(
+        Fraction(sum((z >> i) & 1 for z in zero_masks), total) for i in range(length)
+    )
+    pairs = {
+        (i, j): Fraction(sum((z >> i) & (z >> j) & 1 for z in zero_masks), total)
+        for i in range(length)
+        for j in range(i + 1, length)
+    }
+    return singles, pairs
+
+
+def test_complement_bit_probabilities_match_word_by_word_sums():
+    for length in range(1, 13):
+        report = ex.complement_bit_probabilities(length)
+        singles, pairs = complement_bit_probabilities_by_words(length)
+        assert report.samples == 1 << length
+        assert report.zero_probability == singles
+        assert list(report.pair_zero_probability.items()) == list(pairs.items())
+
+
 def test_complement_bit_probabilities_bounds():
     with pytest.raises(ValueError):
         ex.complement_bit_probabilities(0)

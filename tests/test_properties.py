@@ -19,7 +19,7 @@ from digitkit.recoding import (
     sjsf,
     wllc_recode,
 )
-from digitkit.transducer import naf_transducer, sjsf_transducer
+from digitkit.transducer import double_naf_transducer, naf_transducer, sjsf_transducer
 from test_experiments import sjsf_digits
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -159,6 +159,30 @@ def test_naf_transducer_emits_the_naf(n, extra):
     bits = [n >> j & 1 for j in range(n.bit_length() + extra)]
     (row,) = naf_transducer().run(bits).rows
     assert row.trimmed() == naf(n)
+
+
+def run_by_digits(machine, letters):
+    """Transducer.run built digit by digit: collect the columns along the
+    transitions and the flush word, then one Expansion per row of digits."""
+    state, columns = machine.initial, []
+    for letter in letters:
+        state, word = machine.transitions[(state, letter)]
+        columns.extend(word)
+    columns.extend(machine.flush[state])
+    rows = (Expansion([col[i] for col in columns]) for i in range(machine.output_dim))
+    return JointExpansion(tuple(rows))
+
+
+MACHINES = (naf_transducer(), double_naf_transducer(), sjsf_transducer())
+
+
+@PROPERTY
+@given(st.sampled_from(MACHINES), st.data())
+def test_transducer_run_matches_its_digits(machine, data):
+    letters = data.draw(st.lists(st.sampled_from(machine.letters), max_size=512))
+    got = machine.run(letters)
+    assert got == run_by_digits(machine, letters)
+    assert all(Expansion(row.digits) == row for row in got.rows)
 
 
 @PROPERTY

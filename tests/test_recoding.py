@@ -196,6 +196,8 @@ def test_min_weight1_oracle_witness_is_consistent():
             result = min_weight1_oracle(m, n)
             assert result.witness.values() == (m, n)
             assert result.witness.weight1() == result.minimal_cost
+            # The witness rows are built from masks; they must be canonical.
+            assert all(Expansion(r.digits) == r for r in result.witness.rows)
 
 
 def test_min_joint_weight_oracle_witness_is_consistent():
@@ -207,6 +209,7 @@ def test_min_joint_weight_oracle_witness_is_consistent():
             assert all(
                 d in (-1, 0, 1) for r in result.witness.rows for d in r.digits
             )
+            assert all(Expansion(r.digits) == r for r in result.witness.rows)
 
 
 def test_oracles_agree_with_sjsf_on_a_sample():

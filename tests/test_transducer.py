@@ -1,11 +1,12 @@
 """Recoding transducers and their exact Markov-chain analysis."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from digitkit.recoding import naf
-from test_properties import sjsf_machine_matches
+from test_properties import MACHINES, run_by_digits, sjsf_machine_matches
 from digitkit.transducer import (
     TERMINAL,
     ZERO_PROBABILITY_ERROR_CONSTANT,
@@ -130,6 +131,16 @@ def test_sjsf_transducer_chain():
     assert {s for s, w in zip(pi.labels, pi.weights) if w} == pending
 
 
+def test_run_matches_its_digits_on_every_short_input():
+    for machine in MACHINES:
+        for length in range(9):
+            for letters in product(machine.letters, repeat=length):
+                assert machine.run(letters) == run_by_digits(machine, letters), (
+                    machine.states,
+                    letters,
+                )
+
+
 def test_transducer_step_rejects_unknown_letters():
     machine = naf_transducer()
     assert machine.step("p1", 1) == ("p2", ((-1,),))
@@ -164,6 +175,23 @@ def test_transducer_validation():
             transitions={("a", 0): ("a", ((1,),)), ("a", 1): ("a", ())},
             flush={"a": ()},
         )
+    for bad in (3, -3):
+        with pytest.raises(ValueError, match="outside"):
+            Transducer(
+                states=("a",),
+                initial="a",
+                output_dim=1,
+                transitions={("a", 0): ("a", ((bad,),)), ("a", 1): ("a", ())},
+                flush={"a": ()},
+            )
+        with pytest.raises(ValueError, match="outside"):
+            Transducer(
+                states=("a",),
+                initial="a",
+                output_dim=1,
+                transitions={("a", 0): ("a", ()), ("a", 1): ("a", ())},
+                flush={"a": ((0,), (bad,))},
+            )
 
 
 def test_double_machine_shape():
@@ -219,6 +247,61 @@ def test_state_distribution_transients_halve():
         assert dist.probability("2") == Fraction(1, 1 << k)
         assert dist.probability("3") == Fraction(1, 1 << k)
         assert sum(dist.weights) == 1
+
+
+def distributions_by_fractions(p, steps):
+    """The weights after 0..steps steps from the first state, one Fraction
+    product-sum per entry."""
+    n = p.size
+    weights = tuple(Fraction(1 if i == 0 else 0) for i in range(n))
+    yield weights
+    for _ in range(steps):
+        weights = tuple(
+            sum((weights[i] * p.entries[i][j] for i in range(n)), Fraction(0))
+            for j in range(n)
+        )
+        yield weights
+
+
+# Denominators 3 and 5: the common denominator 15 is neither of them,
+# nor a power of two.
+THIRDS_AND_FIFTHS = RationalMatrix(
+    ("a", "b", "c"),
+    (
+        (THIRD, 2 * THIRD, ZERO),
+        (ZERO, Fraction(2, 5), Fraction(3, 5)),
+        (Fraction(2, 5), Fraction(1, 5), Fraction(2, 5)),
+    ),
+)
+
+
+def test_state_distribution_matches_the_fraction_loop():
+    matrices = [transition_matrix(m) for m in MACHINES] + [THIRDS_AND_FIFTHS]
+    for p in matrices:
+        want = list(distributions_by_fractions(p, 41))
+        for k in range(41):
+            dist = state_distribution(p, k)
+            assert (dist.labels, dist.weights, dist.step) == (p.labels, want[k], k)
+            step = dist.times(p)
+            assert (step.weights, step.step) == (want[k + 1], k + 1)
+
+
+def test_state_distribution_rejects_a_bad_matrix():
+    one = Fraction(1)
+    # Row "b" sums to 3/4; the walk first reaches it at step 2.
+    leaky = RationalMatrix(("a", "b"), ((ZERO, one), (HALF, Fraction(1, 4))))
+    assert state_distribution(leaky, 1).weights == (ZERO, one)
+    for k in (2, 3):
+        with pytest.raises(ValueError, match="sum to 1"):
+            state_distribution(leaky, k)
+    with pytest.raises(ValueError, match="sum to 1"):
+        state_distribution(leaky, 1).times(leaky)
+    # Rows that sum to 1 through a negative entry.
+    signed = RationalMatrix(("a", "b"), ((Fraction(2), -one), (ZERO, one)))
+    with pytest.raises(ValueError, match="non-negative"):
+        state_distribution(signed, 1)
+    with pytest.raises(ValueError, match="label mismatch"):
+        state_distribution(signed, 0).times(RationalMatrix(("x", "y"), leaky.entries))
 
 
 def test_stationary_distribution():
