@@ -1,12 +1,14 @@
 """Interleaved multi-exponentiation with an exact operation count.
 
-The evaluator walks a joint expansion most significant column first,
-squaring once per non-top column and multiplying by a precomputed table
-entry per nonzero column.  Counts are exact: squarings = length - 1 and
-multiplications = weight1 - 1 when the top column is nonzero (no
-multiplication is spent on the leading column).  Magnitude-2 digits,
-which the complement-assisted recoding can leave at digit 0, cost two
-table multiplications, which is what weight1 charges them.
+The evaluator walks a joint expansion most significant column first.  It
+loads the top column's table entry, then squares once per lower column
+and multiplies by one precomputed table entry per nonzero column, or by
+two when the column holds a magnitude-2 digit (which the
+complement-assisted recoding can leave at digit 0; weight1 charges it
+two).  The counts are tallied per group operation as it is performed, so
+they are exact: squarings = length - 1 and multiplications = weight1 - 1
+when the top column is nonzero (its first factor is loaded, not
+multiplied).
 """
 
 from __future__ import annotations
@@ -94,7 +96,11 @@ class ModGroup(GroupOps):
         return x * y % self.modulus
 
     def invert(self, x: int) -> int:
-        return pow(x, self.modulus - 2, self.modulus)
+        """The inverse by the extended Euclidean algorithm."""
+        try:
+            return pow(x, -1, self.modulus)
+        except ValueError:
+            raise ValueError(f"{x} is not a unit modulo {self.modulus}") from None
 
     def element(self, x: Any) -> int:
         r = int(x) % self.modulus
@@ -232,6 +238,18 @@ def precompute(bases: Sequence[Element], group: GroupOps) -> PrecompTable:
     return PrecompTable(group, base_list, entries, mults, invs)
 
 
+def _split(column: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Two table keys in {-1,0,1}^D that sum to a column with a digit of
+    magnitude 2: the column clamped to [-1, 1], and the remainder."""
+    first = tuple(max(-1, min(1, d)) for d in column)
+    return first, tuple(d - u for d, u in zip(column, first))
+
+
+# Marks a column with no table entry of its own, one holding a digit of
+# magnitude 2.  Not None: a group may represent an element by None.
+_SPLIT = object()
+
+
 def evaluate(
     joint: JointExpansion,
     table: PrecompTable,
@@ -239,37 +257,54 @@ def evaluate(
 ) -> tuple[Element, CostCounter]:
     """Left-to-right interleaved evaluation of prod a_k^(row_k value).
 
-    Accepts digits in {-2,...,2}; a column containing a magnitude-2 digit
-    is applied as two table multiplications.  Returns the element and the
-    exact operation counts (precomputation cost copied from the table).
+    Loads the top column's table entry, then, for each lower column, most
+    significant first, squares once and multiplies by the column's table
+    entry if the column is nonzero.  Accepts digits in {-2,...,2}: a
+    column holding a magnitude-2 digit is applied as two table entries
+    (at the top, the first is loaded and the second multiplied).  Returns
+    the element and the operation counts, each tallied where its group
+    operation is performed (precomputation cost copied from the table).
     """
     if table.group != group:
         raise ValueError("table was precomputed for a different group")
     if table.dimension != joint.dimension:
         raise ValueError("table dimension does not match the joint expansion")
-    counter = CostCounter(precomp_multiplications=table.precomp_multiplications)
-    counter.inversions = table.inversions
-    cg = CountingGroup(group, counter)
-    columns = tuple(joint.columns())
-    _, deep = joint._masks()
-    top = len(columns) - 1
+    mul = group.multiply
+    entries = table.entries
+    zero = (0,) * joint.dimension
+    squarings = multiplications = 0
     acc = group.identity
-    for j in range(top, -1, -1):
-        if j < top:
-            acc = cg.square(acc)
-        col = columns[j]
-        if not any(col):
+    columns = list(joint.columns())
+    if columns:
+        top = columns.pop()
+        if top != zero:
+            entry = entries.get(top, _SPLIT)
+            if entry is _SPLIT:
+                first, rest = _split(top)
+                acc = mul(entries[first], entries[rest])
+                multiplications += 1
+            else:
+                acc = entry
+    for col in reversed(columns):
+        acc = mul(acc, acc)
+        squarings += 1
+        if col == zero:
             continue
-        if deep >> j & 1:
-            first = tuple(max(-1, min(1, d)) for d in col)
-            factors = [table[first], table[tuple(d - u for d, u in zip(col, first))]]
+        entry = entries.get(col, _SPLIT)
+        if entry is _SPLIT:
+            first, rest = _split(col)
+            acc = mul(acc, entries[first])
+            acc = mul(acc, entries[rest])
+            multiplications += 2
         else:
-            factors = [table[col]]
-        # The first factor of the top column is loaded, not multiplied.
-        if j == top:
-            acc = factors.pop(0)
-        for factor in factors:
-            acc = cg.multiply(acc, factor)
+            acc = mul(acc, entry)
+            multiplications += 1
+    counter = CostCounter(
+        squarings=squarings,
+        multiplications=multiplications,
+        inversions=table.inversions,
+        precomp_multiplications=table.precomp_multiplications,
+    )
     return acc, counter
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -405,6 +406,14 @@ def stationary_distribution(p: RationalMatrix) -> StateDistribution:
     return dist
 
 
+@cache
+def _double_naf_chain() -> tuple[Transducer, RationalMatrix]:
+    """The product machine and its chain, built once for zero_output_probability;
+    callers only read them."""
+    t = double_naf_transducer()
+    return t, transition_matrix(t)
+
+
 def zero_output_probability(k: int, method: str = "markov") -> Fraction:
     """Exact probability that output digit k of row 1 is zero.
 
@@ -418,8 +427,7 @@ def zero_output_probability(k: int, method: str = "markov") -> Fraction:
     if k < 0:
         raise ValueError("digit position must be non-negative")
     if method == "markov":
-        t = double_naf_transducer()
-        p = transition_matrix(t)
+        t, p = _double_naf_chain()
         dist = state_distribution(p, k + 1)
         total = Fraction(0)
         for label, weight in zip(dist.labels, dist.weights):

@@ -1,6 +1,7 @@
 """Group abstraction, precomputation, and the exact-counting evaluator."""
 
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -43,12 +44,29 @@ def test_modgroup_validation_and_arithmetic():
     assert g.element(203) == 1
     with pytest.raises(ValueError):
         g.element(202)
+    for x in (0, 101, -202):
+        with pytest.raises(ValueError, match="is not a unit modulo 101"):
+            g.invert(x)
     with pytest.raises(ValueError):
         ModGroup(100)
     with pytest.raises(ValueError):
         ModGroup(2)
     with pytest.raises(ValueError):
         ModGroup(9)
+
+
+def test_modgroup_invert_matches_fermat():
+    rng = random.Random(17)
+    for p in (101, MERSENNE61):
+        g = ModGroup(p)
+        with pytest.raises(ValueError, match=f"0 is not a unit modulo {p}"):
+            g.invert(0)
+        with pytest.raises(ValueError, match=f"{p} is not a unit modulo {p}"):
+            g.invert(p)
+        units = [1, p - 1] + [rng.randrange(1, p) for _ in range(200)]
+        for x in units:
+            assert g.invert(x) == pow(x, p - 2, p)
+            assert g.multiply(g.invert(x), x) == 1
 
 
 def test_additive_group():
@@ -173,6 +191,80 @@ def test_evaluate_counts_follow_the_expansion():
             top = 1 if any(row.digits[-1] for row in joint.rows) else 0
             assert counter.multiplications == joint.weight1() - top
             assert counter.squarings == len(joint) - 1
+
+
+def reference_evaluate(joint, table, group):
+    """Digit-by-digit evaluation through CountingGroup: square before every
+    column below the top, skip zero columns, split a column holding a
+    magnitude-2 digit into its clamped part and the remainder, and load
+    (not multiply) the top column's first factor."""
+    if table.group != group:
+        raise ValueError("table was precomputed for a different group")
+    if table.dimension != joint.dimension:
+        raise ValueError("table dimension does not match the joint expansion")
+    counter = CostCounter(precomp_multiplications=table.precomp_multiplications)
+    counter.inversions = table.inversions
+    cg = CountingGroup(group, counter)
+    columns = tuple(joint.columns())
+    top = len(columns) - 1
+    acc = group.identity
+    for j in range(top, -1, -1):
+        if j < top:
+            acc = cg.square(acc)
+        col = columns[j]
+        if not any(col):
+            continue
+        if any(abs(d) == 2 for d in col):
+            first = tuple(max(-1, min(1, d)) for d in col)
+            factors = [table[first], table[tuple(d - u for d, u in zip(col, first))]]
+        else:
+            factors = [table[col]]
+        if j == top:
+            acc = factors.pop(0)
+        for factor in factors:
+            acc = cg.multiply(acc, factor)
+    return acc, counter
+
+
+DIFFERENTIAL_GROUPS = (ModGroup(101), ModGroup(MERSENNE61), AdditiveGroup())
+
+
+def assert_same_evaluation(joint, table, group):
+    result, counter = evaluate(joint, table, group)
+    expected, expected_counter = reference_evaluate(joint, table, group)
+    assert result == expected
+    assert astuple(counter) == astuple(expected_counter)
+    return counter
+
+
+def test_evaluate_matches_the_digit_by_digit_reference():
+    rng = random.Random(23)
+    for group in DIFFERENTIAL_GROUPS:
+        for dimension in (1, 2, 3):
+            bases = [rng.randrange(2, 100) for _ in range(dimension)]
+            table = precompute(bases, group)
+            for length in (0, 1, 2):
+                zero = JointExpansion((Expansion((0,) * length),) * dimension)
+                counter = assert_same_evaluation(zero, table, group)
+                assert counter.multiplications == 0
+            for _ in range(60):
+                length = rng.randint(0, 64)
+                rows = tuple(
+                    Expansion(rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(length))
+                    for _ in range(dimension)
+                )
+                joint = JointExpansion(rows)
+                counter = assert_same_evaluation(joint, table, group)
+                assert counter.squarings == max(length - 1, 0)
+        for scheme in RecodingScheme:
+            for dimension in (2,) if scheme is RecodingScheme.SJSF else (1, 2, 3):
+                bases = [rng.randrange(2, 100) for _ in range(dimension)]
+                table = precompute(bases, group)
+                for _ in range(15):
+                    exps = [rng.getrandbits(rng.randint(1, 64)) for _ in range(dimension)]
+                    if not any(exps):
+                        continue
+                    assert_same_evaluation(recode_joint(exps, scheme), table, group)
 
 
 def test_square_and_multiply_frozen_example():

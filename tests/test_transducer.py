@@ -361,3 +361,27 @@ def test_zero_output_probability_bounds():
         zero_output_probability(3, "montecarlo")
     with pytest.raises(ValueError):
         zero_output_probability(-1)
+
+
+def test_zero_output_probability_builds_the_chain_once(monkeypatch):
+    import digitkit.transducer as td
+
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return double_naf_transducer()
+
+    monkeypatch.setattr(td, "double_naf_transducer", counted)
+    td._double_naf_chain.cache_clear()
+    try:
+        values = [zero_output_probability(k) for k in range(10)]
+        assert len(builds) == 1
+        assert values[3] == Fraction(2, 3) - Fraction(1, 6) * Fraction(-1, 2) ** 3
+    finally:
+        td._double_naf_chain.cache_clear()
+    machine, p = td._double_naf_chain()
+    assert double_naf_transducer() is not double_naf_transducer()
+    assert double_naf_transducer() is not machine
+    assert transition_matrix(machine) is not p
+    assert transition_matrix(machine) == p
