@@ -1,32 +1,48 @@
 """Radix-2 signed digit expansions and joint (multi-row) expansions.
 
-Digits are plain integers in {-2, -1, 0, 1, 2}.  An expansion is stored as
-its length and bit masks of its nonzero, negative and magnitude-2 digits,
-so weights and values are mask arithmetic.  The digit tuple, least
-significant first, is derived once, for display, JSON (most significant
-first) and column access.  Equality compares lengths and masks, so a
-zero-padded word is distinct from its trimmed form.  Producers that
-already hold masks, or columns (the transducers and the oracle
-witnesses), build expansions without a digit tuple.
+Digits are plain integers in {-2, -1, 0, 1, 2}, least significant first.
+An expansion is stored only as its length and bit masks of its nonzero,
+negative and magnitude-2 digits, so weights and values are mask
+arithmetic; one encoder and one decoder convert between digits and masks.
+Equality compares lengths and masks, so a zero-padded word is distinct
+from its trimmed form.  Display and JSON read most significant first.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 DIGIT_MIN = -2
 DIGIT_MAX = 2
 
 _DIGITS = frozenset(range(DIGIT_MIN, DIGIT_MAX + 1))
-# From digits packed as signed bytes to one "0"/"1" character per digit.
-_SUPPORT_CHARS = bytes.maketrans(b"\x00\x01\x02\xfe\xff", b"01111")
-_NEGATIVE_CHARS = bytes.maketrans(b"\x00\x01\x02\xfe\xff", b"00011")
-_TWO_CHARS = bytes.maketrans(b"\x00\x01\x02\xfe\xff", b"00110")
-# Octal digit support + 2 * negative + 4 * two of one position -> its digit.
-_DIGIT_OF_OCTAL = {"0": 0, "1": 1, "3": -1, "5": 2, "7": -2}
+# Octal code support + 2 * negative + 4 * two of a position -> its digit's byte.
+_BYTE_OF_OCTAL = bytes.maketrans(b"01357", b"\x00\x01\xff\x02\xfe")
+
+
+def _encode(digits: Sequence[int]) -> tuple[int, int, int]:
+    """The (support, negative, two) masks of digits in [-2, 2], not checked."""
+    support = negative = two = 0
+    bit = 1
+    for d in digits:
+        if d:
+            support |= bit
+            if d < 0:
+                negative |= bit
+            if not d & 1:
+                two |= bit
+        bit <<= 1
+    return support, negative, two
+
+
+def _decode(length: int, support: int, negative: int, two: int) -> tuple[int, ...]:
+    """The low `length` digits of the masks, least significant first."""
+    # Read in base 8, a mask's binary string puts one position per octal digit.
+    code = int(f"{support:b}", 8) + 2 * int(f"{negative:b}", 8) + 4 * int(f"{two:b}", 8)
+    octal = f"{code:0{length}o}".encode()[: -length - 1 : -1]
+    return struct.unpack(f"{length}b", octal.translate(_BYTE_OF_OCTAL))
 
 
 def _from_masks(
@@ -43,20 +59,11 @@ def _rows_from_columns(
 ) -> tuple[Expansion, ...]:
     """The rows of a column sequence, least significant column first, each
     column holding one digit in [-2, 2] per row; the digits are not checked."""
-    length = len(columns)
     rows = []
     for digits in zip(*columns) if columns else [()] * dimension:
-        support = negative = two = 0
-        bit = 1
-        for d in digits:
-            if d:
-                support |= bit
-                if d < 0:
-                    negative |= bit
-                if not d & 1:
-                    two |= bit
-            bit <<= 1
-        rows.append(_from_masks(length, support, negative, two))
+        # Unpacked by name: `_from_masks(n, *_encode(digits))` is slower.
+        support, negative, two = _encode(digits)
+        rows.append(_from_masks(len(columns), support, negative, two))
     return tuple(rows)
 
 
@@ -70,32 +77,22 @@ class Expansion:
     _two: int
 
     def __init__(self, digits: Iterable[int] = ()) -> None:
-        self.__dict__["digits"] = tuple(map(int, digits))
-        self.__post_init__()
+        self.__post_init__(tuple(map(int, digits)))
 
-    def __post_init__(self) -> None:
-        """Check the digits and derive the masks from them."""
-        digits = self.digits
+    def __post_init__(self, digits: tuple[int, ...]) -> None:
+        """Check the digits and store their masks."""
         if not _DIGITS.issuperset(digits):
             bad = next(d for d in digits if d not in _DIGITS)
             raise ValueError(f"digit {bad} outside [{DIGIT_MIN}, {DIGIT_MAX}]")
-        codes = struct.pack(f"{len(digits)}b", *reversed(digits))
+        support, negative, two = _encode(digits)
         self.__dict__.update(
-            _length=len(digits),
-            _support=int(b"0" + codes.translate(_SUPPORT_CHARS), 2),
-            _negative=int(b"0" + codes.translate(_NEGATIVE_CHARS), 2),
-            _two=int(b"0" + codes.translate(_TWO_CHARS), 2),
+            _length=len(digits), _support=support, _negative=negative, _two=two
         )
 
-    @cached_property
+    @property
     def digits(self) -> tuple[int, ...]:
         """The digits, least significant first."""
-        if not self._length:
-            return ()
-        # Read in base 8, a mask's binary string puts one position per octal digit.
-        s, n, t = (int(f"{m:b}", 8) for m in (self._support, self._negative, self._two))
-        octal = reversed(f"{s + 2 * n + 4 * t:0{self._length}o}")
-        return tuple(map(_DIGIT_OF_OCTAL.__getitem__, octal))
+        return _decode(self._length, self._support, self._negative, self._two)
 
     @classmethod
     def from_msb(cls, digits: Iterable[int]) -> "Expansion":
@@ -189,7 +186,10 @@ class JointExpansion:
         return len(self.rows[0])
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r.digits[j] for r in self.rows)
+        """Column j, indexed like a tuple of the columns."""
+        j = range(len(self))[j]
+        masks = ((r._support >> j, r._negative >> j, r._two >> j) for r in self.rows)
+        return tuple(_decode(1, *m)[0] for m in masks)
 
     def columns(self) -> Iterator[tuple[int, ...]]:
         """Columns least significant first."""

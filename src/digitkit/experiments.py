@@ -402,12 +402,8 @@ def _compare_chunk(args: tuple[int, int, int, int]) -> tuple[int, int]:
 def compare_schemes(
     length: int, samples: int, seed: int, workers: int = 1
 ) -> SchemeComparison:
-    if length < 1:
-        raise ValueError("length must be positive")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    # Checks seed, samples, length and workers as every run does.
+    RunConfig(seed, samples, (length,), RecodingScheme.WLLC, 2, workers)
     chunk_args = [
         (seed, length, a, b) for a, b in _chunk_bounds(samples, workers)
     ]

@@ -170,10 +170,6 @@ class CountingGroup:
         self.counter.multiplications += 1
         return self.group.multiply(x, y)
 
-    def invert(self, x: Element) -> Element:
-        self.counter.inversions += 1
-        return self.group.invert(x)
-
 
 @dataclass(frozen=True)
 class PrecompTable:

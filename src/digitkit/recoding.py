@@ -271,8 +271,10 @@ def reduce_digit2(joint: JointExpansion) -> JointExpansion:
 
     Repeatedly, at the highest column containing a |2|, split each digit
     as d = 2q + r with r in {0,1} and q in {-1,0,1}, keep r and carry q
-    into the next column.  Value is preserved; the result is a {-1,0,1}
-    word at most one column longer.
+    into the next column.  Values are preserved and every digit of the
+    result is in {-1,0,1}.  The result may be longer: one column at most
+    for a single WLLC row, two at most for two rows of up to three digits,
+    as rows (-2, -2) and (2, -1) reach.
     """
     rows = [list(r.digits) for r in joint.rows]
     length = len(joint)

@@ -340,36 +340,21 @@ def state_distribution(p: RationalMatrix, k: int) -> StateDistribution:
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a consistent (possibly overdetermined) exact linear system."""
-    m = len(rows)
-    n = len(rows[0])
-    aug = [rows[i] + [rhs[i]] for i in range(m)]
-    pivots: list[int] = []
-    r = 0
+    """Solve a square exact linear system by Gauss-Jordan elimination."""
+    n = len(rows)
+    aug = [row + [b] for row, b in zip(rows, rhs)]
     for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
         if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        scale = aug[r][c]
-        aug[r] = [x / scale for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
+            raise ValueError("singular linear system")
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        scale = aug[c][c]
+        aug[c] = [x / scale for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
                 factor = aug[i][c]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            raise ValueError("inconsistent linear system")
-    if len(pivots) != n:
-        raise ValueError("underdetermined linear system")
-    solution = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        solution[c] = aug[i][n]
-    return solution
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[c])]
+    return [row[n] for row in aug]
 
 
 def stationary_distribution(p: RationalMatrix) -> StateDistribution:
@@ -389,13 +374,14 @@ def stationary_distribution(p: RationalMatrix) -> StateDistribution:
         raise ValueError("recurrent class is not unique")
     support = sorted(recurrent[0])
     m = len(support)
-    # (P_sub^T - I) pi^T = 0 plus the normalization row sum(pi) = 1.
+    # (P_sub^T - I) pi^T = 0, whose last row the others imply, with the
+    # normalization row sum(pi) = 1 in its place.
     rows = [
         [p.entries[support[j]][support[i]] - (1 if i == j else 0) for j in range(m)]
-        for i in range(m)
+        for i in range(m - 1)
     ]
     rows.append([Fraction(1)] * m)
-    rhs = [Fraction(0)] * m + [Fraction(1)]
+    rhs = [Fraction(0)] * (m - 1) + [Fraction(1)]
     pi_sub = _solve_exact([[Fraction(x) for x in row] for row in rows], rhs)
     weights = [Fraction(0)] * p.size
     for idx, w in zip(support, pi_sub):

@@ -157,7 +157,7 @@ def check_cost_model(instances: int = 1000, seed: int = 0) -> CheckReport:
             else:
                 joint = recode_joint(exps, scheme)
             weight1 = joint.weight1()
-            top = 1 if any(row.digits[-1] for row in joint.rows) else 0
+            top = 1 if any(joint.column(len(joint) - 1)) else 0
             tag = f"scheme={scheme.value} exps={exps} length={length}"
 
             got, counter = evaluate(joint, table, mod)

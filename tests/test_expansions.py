@@ -20,9 +20,9 @@ def test_value_is_lsb_first():
 
 def test_digit_range_enforced():
     Expansion((2, -2, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^digit 3 outside \[-2, 2\]$"):
         Expansion((3,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^digit -3 outside \[-2, 2\]$"):
         Expansion((-3, 0))
 
 

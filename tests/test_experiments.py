@@ -328,6 +328,9 @@ def test_compare_schemes_rejects_invalid_arguments():
         ex.compare_schemes(length=0, samples=5, seed=1)
     with pytest.raises(ValueError):
         ex.compare_schemes(length=8, samples=5, seed=1, workers=0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            ex.compare_schemes(length=8, samples=3, seed=seed)
 
 
 def test_sjsf_reports_do_not_depend_on_workers():

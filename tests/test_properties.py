@@ -5,10 +5,11 @@ in test_experiments), the brute-force oracle and naf.
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from digitkit.expansions import Expansion, JointExpansion
+from digitkit.expansions import Expansion, JointExpansion, _rows_from_columns
 from digitkit.multiexp import MERSENNE61, AdditiveGroup, ModGroup, evaluate, precompute
 from digitkit.recoding import (
     _sjsf_weight_top,
@@ -25,6 +26,8 @@ from test_experiments import sjsf_digits
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 digit_lists = st.lists(st.integers(-2, 2), max_size=200)
+# An expansion's whole state: no digit tuple is stored beside the masks.
+MASK_KEYS = {"_length", "_support", "_negative", "_two"}
 
 
 @st.composite
@@ -43,9 +46,14 @@ wide_integers = st.integers(0, 2048).flatmap(
 
 @PROPERTY
 @given(digit_lists, st.integers(0, 40))
+@example([], 0)
+@example([-2], 1)
+@example([j % 5 - 2 for j in range(1025)], 3)
 def test_expansion_round_trips_and_matches_digit_formulas(digits, extra):
     e = Expansion(digits)
+    assert vars(e).keys() == MASK_KEYS
     assert e.digits == tuple(digits)
+    assert vars(e).keys() == MASK_KEYS
     assert Expansion(e.digits) == e
     assert Expansion.from_json(e.to_json()) == e
     assert e.value() == sum(d << j for j, d in enumerate(digits))
@@ -71,6 +79,13 @@ def test_joint_weights_match_digit_formulas(rows):
     columns = list(zip(*rows))
     assert list(joint.columns()) == columns
     assert [joint.column(j) for j in range(len(columns))] == columns
+    assert _rows_from_columns(columns, len(rows)) == joint.rows
+    length = len(columns)
+    for j in range(-length, length):
+        assert joint.column(j) == tuple(r.digits[j] for r in joint.rows)
+    for j in (-length - 1, length):
+        with pytest.raises(IndexError):
+            joint.column(j)
     assert joint.joint_weight() == sum(1 for col in columns if any(col))
     assert joint.weight1() == sum(max(abs(d) for d in col) for col in columns)
     assert joint.zeros() == sum(1 for col in columns if not any(col))

@@ -2,6 +2,7 @@
 digit-2 reduction, and the brute-force minimality oracles."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -137,6 +138,19 @@ def test_reduce_digit2_preserves_value_without_raising_weight1():
             assert all(d in (-1, 0, 1) for r in reduced.rows for d in r.digits)
             assert reduced.weight1() <= j.weight1()
             assert len(reduced) <= len(j) + 1
+    for length in range(1, 4):
+        for flat in product(range(-2, 3), repeat=2 * length):
+            j = JointExpansion((Expansion(flat[:length]), Expansion(flat[length:])))
+            reduced = reduce_digit2(j)
+            assert reduced.values() == j.values()
+            assert all(d in (-1, 0, 1) for r in reduced.rows for d in r.digits)
+            assert reduced.weight1() <= j.weight1()
+            assert len(reduced) <= len(j) + 2
+    j = JointExpansion((Expansion((-2, -2)), Expansion((2, -1))))
+    grown = reduce_digit2(j)
+    assert [r.digits for r in grown.rows] == [(0, 1, 0, -1), (0, 0, 0, 0)]
+    assert (j.values(), grown.values()) == ((-6, 0), (-6, 0))
+    assert (j.weight1(), grown.weight1()) == (4, 2)
 
 
 def test_naf_complement_weight_gap_bounded():

@@ -13,6 +13,7 @@ from digitkit.transducer import (
     RationalMatrix,
     StateDistribution,
     Transducer,
+    _solve_exact,
     double_naf_transducer,
     naf_transducer,
     sjsf_transducer,
@@ -302,6 +303,14 @@ def test_state_distribution_rejects_a_bad_matrix():
         state_distribution(signed, 1)
     with pytest.raises(ValueError, match="label mismatch"):
         state_distribution(signed, 0).times(RationalMatrix(("x", "y"), leaky.entries))
+
+
+def test_solve_exact_pivots_and_rejects_a_singular_system():
+    one, two = Fraction(1), Fraction(2)
+    # The first column's only nonzero entry is in the second row.
+    assert _solve_exact([[ZERO, one], [one, one]], [two, Fraction(3)]) == [one, two]
+    with pytest.raises(ValueError, match="singular"):
+        _solve_exact([[one, two], [two, Fraction(4)]], [one, two])
 
 
 def test_stationary_distribution():
