@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import logging
 import sys
 from fractions import Fraction
 
@@ -194,6 +193,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
             for length in args.length
         ]
     else:
+        # Imported here: the exhaustive branch and the other commands log nothing.
+        import logging
+
         logging.basicConfig(stream=sys.stderr, format="%(message)s")
         logging.getLogger("digitkit").setLevel(logging.INFO)
         config = RunConfig(

@@ -19,19 +19,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import random
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Callable, Iterable, Iterator
 
 from .recoding import RecodingScheme, _naf_support, _sjsf_weight_top, _wllc_support
-
-_LOG = logging.getLogger(__name__)
 
 _EXHAUSTIVE_BITS_BOUND = 24
 _BIT_PROBABILITY_LENGTH_BOUND = 16
@@ -198,11 +194,15 @@ def _map_chunks(
     """fn applied to every chunk, in order; pooled when workers and chunks are > 1.
 
     The pool is never larger than the chunk count: under the fork start
-    method it starts all of its workers at the first submit.
+    method it starts all of its workers at the first submit.  The pool
+    module is imported here, as it pulls in multiprocessing, which an
+    in-process run never needs.
     """
     pool_size = min(workers, len(chunk_args))
     if pool_size == 1:
         return [fn(args) for args in chunk_args]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
         return list(pool.map(fn, chunk_args))
 
@@ -279,7 +279,9 @@ def run_stats(config: RunConfig, experiment: str = "stats") -> Iterator[StatReco
         parts = _map_chunks(_stats_chunk, chunk_args, config.workers)
         sums = tuple(sum(values) for values in zip(*parts))
         if sums[7]:
-            _LOG.info(
+            import logging  # only a run that redrew has anything to log
+
+            logging.getLogger(__name__).info(
                 "length %d: redrew the all-zero exponent vector %d time(s)",
                 length,
                 sums[7],

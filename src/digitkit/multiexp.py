@@ -27,6 +27,8 @@ Element = Any
 MERSENNE61 = (1 << 61) - 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# A table holds 3^D entries, so each base past the cap would triple its cost.
+_PRECOMP_DIMENSION_CAP = 8
 
 
 def is_probable_prime(n: int, extra_rounds: int = 12) -> bool:
@@ -196,11 +198,14 @@ def precompute(bases: Sequence[Element], group: GroupOps) -> PrecompTable:
     their inverses; each remaining entry is the inverse of its negation,
     so the table always satisfies table[-v] = invert(table[v]).  Cost is
     independent of the exponent length: 2 multiplications for D = 2.
+    D is at most 8 (6561 entries); a larger D raises ValueError.
     """
-    base_list = tuple(group.element(b) for b in bases)
-    dim = len(base_list)
+    dim = len(bases)
     if dim < 1:
         raise ValueError("need at least one base")
+    if dim > _PRECOMP_DIMENSION_CAP:
+        raise ValueError(f"dimension {dim} exceeds its cap of {_PRECOMP_DIMENSION_CAP}")
+    base_list = tuple(group.element(b) for b in bases)
     mults = 0
     invs = 0
     inv_bases: dict[int, Element] = {}

@@ -23,7 +23,7 @@ import functools
 import heapq
 import struct
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -347,8 +347,23 @@ ORACLE_BOUND = 1 << 16
 
 @dataclass(frozen=True)
 class OracleResult:
+    """A minimal cost and a cheapest expansion that attains it.
+
+    The witness is rebuilt from the search's parent links on first read,
+    so a caller that needs only the cost never builds it.
+    """
+
     minimal_cost: int
-    witness: JointExpansion
+    _parent: dict = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def witness(self) -> JointExpansion:
+        return _witness(self._parent)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OracleResult):
+            return NotImplemented
+        return (self.minimal_cost, self.witness) == (other.minimal_cost, other.witness)
 
 
 def _check_oracle_input(m: int, n: int) -> None:
@@ -359,9 +374,10 @@ def _check_oracle_input(m: int, n: int) -> None:
 _ODD = (-1, 1)
 
 
-def _witness(parent, columns_end) -> JointExpansion:
+def _witness(parent) -> JointExpansion:
+    """The columns on the parent links from (0, 0) back to the source."""
     cols = []
-    node = columns_end
+    node = (0, 0)
     while parent[node] is not None:
         prev, col = parent[node]
         cols.append(col)
@@ -386,7 +402,7 @@ def min_weight1_oracle(m: int, n: int) -> OracleResult:
     while heap:
         cost, node = heapq.heappop(heap)
         if node == (0, 0):
-            return OracleResult(cost, _witness(parent, node))
+            return OracleResult(cost, parent)
         if cost > dist.get(node, cost):
             continue
         a, b = node
@@ -418,7 +434,7 @@ def min_joint_weight_oracle(m: int, n: int) -> OracleResult:
     while queue:
         cost, node = queue.popleft()
         if node == (0, 0):
-            return OracleResult(cost, _witness(parent, node))
+            return OracleResult(cost, parent)
         if cost > dist.get(node, cost):
             continue
         a, b = node

@@ -136,6 +136,14 @@ def test_multiexp_errors_exit_2(capsys):
     assert code == 2
     assert "group spec" in err
 
+    pairs = [arg for _ in range(9) for arg in ("--base", "2", "--n", "5")]
+    code, out, err = run_cli(
+        capsys, "multiexp", "--group", "modp:101", *pairs, "--scheme", "naf"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: dimension 9 exceeds its cap of 8\n"
+
 
 def test_stats_json_lines(capsys):
     code, out, _ = run_cli(
@@ -233,22 +241,51 @@ def test_verify_bounds_follow_check_signatures(capsys):
         assert "result: PASS" in out
 
 
-def test_cli_imports_only_the_standard_library():
+def run_fresh(*argv):
+    """A new interpreter that imports digitkit from this checkout."""
+    src = Path(digitkit.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+
+
+def modules_loaded_by_cli_import():
     probe = (
         "import sys; before = set(sys.modules); import digitkit.cli; "
         "print(*sorted(set(sys.modules) - before))"
     )
-    src = Path(digitkit.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    )
-    loaded = {name.split(".")[0] for name in done.stdout.split()}
+    return set(run_fresh("-c", probe).stdout.split())
+
+
+def test_cli_imports_only_the_standard_library():
+    loaded = {name.split(".")[0] for name in modules_loaded_by_cli_import()}
     assert "digitkit" in loaded
-    # multiprocessing registers the running script under the alias __mp_main__.
-    foreign = loaded - set(sys.stdlib_module_names) - {"digitkit", "__mp_main__"}
+    foreign = loaded - set(sys.stdlib_module_names) - {"digitkit"}
     assert not foreign, sorted(foreign)
+
+
+def test_cli_import_loads_no_process_pool_or_logging():
+    # A --workers 1 run never needs the pool, and most commands log nothing.
+    loaded = modules_loaded_by_cli_import()
+    assert "digitkit.cli" in loaded
+    assert not loaded & {"concurrent.futures", "multiprocessing", "logging"}
+
+
+def test_stats_logs_redraws_to_stderr():
+    # At length 1 and dimension 1, WLLC redraws every all-zero exponent.
+    done = run_fresh(
+        "-m", "digitkit", "stats", "--scheme", "wllc", "--length", "1",
+        "--dimension", "1", "--samples", "20",
+    )
+    assert done.stderr == "length 1: redrew the all-zero exponent vector 16 time(s)\n"
+    assert done.stdout == (
+        '{"experiment": "stats", "length": 1, "dimension": 1, "scheme": "wllc", '
+        '"samples": 20, "mean_weight": 2.0, "mean_weight1": 2.0, "mean_zeros": 0.0, '
+        '"mean_multiplications": 1.0, "mean_squarings": 1.0, "std_error": 0.0, '
+        '"seed": 0}\n'
+    )
 
 
 def test_markov_output(capsys):

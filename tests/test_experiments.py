@@ -247,7 +247,7 @@ def test_worker_pool_is_no_larger_than_the_chunk_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     base = dict(seed=5, samples=10, lengths=(16,), scheme=RecodingScheme.WLLC)
     pooled = list(ex.run_stats(ex.RunConfig(**base, workers=64)))
     assert pooled == list(ex.run_stats(ex.RunConfig(**base)))

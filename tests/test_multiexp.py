@@ -119,6 +119,17 @@ def test_precompute_single_base():
         precompute((), g)
 
 
+def test_precompute_dimension_cap():
+    g = ModGroup(101)
+    table = precompute((2,) * 8, g)
+    assert len(table.entries) == 3**8
+    # Nine bases, not more: without the cap a larger table could exhaust memory.
+    with pytest.raises(ValueError, match="dimension 9 exceeds its cap of 8"):
+        precompute((2,) * 9, g)
+    with pytest.raises(ValueError, match="dimension 9 exceeds its cap of 8"):
+        multiexp((2,) * 9, (5,) * 9, RecodingScheme.NAF, g)
+
+
 def test_evaluate_frozen_example():
     g = ModGroup(101)
     joint = recode_joint((5, 3), RecodingScheme.STACKED_NAF)
