@@ -77,7 +77,12 @@ class Expansion:
     _two: int
 
     def __init__(self, digits: Iterable[int] = ()) -> None:
-        self.__post_init__(tuple(map(int, digits)))
+        digits = tuple(digits)
+        ints = tuple(map(int, digits))
+        if ints != digits:
+            bad = next(d for d, i in zip(digits, ints) if d != i)
+            raise ValueError(f"digit {bad!r} is not an integer")
+        self.__post_init__(ints)
 
     def __post_init__(self, digits: tuple[int, ...]) -> None:
         """Check the digits and store their masks."""

@@ -296,7 +296,6 @@ def exhaustive_stats(
     scheme: RecodingScheme,
     length: int,
     dimension: int = 2,
-    experiment: str = "exhaustive",
 ) -> StatRecord:
     """Exact means over every exponent vector in [0, 2**length)**dimension.
 
@@ -318,7 +317,7 @@ def exhaustive_stats(
         if any(exps) or not skip_zero
     )
     sums = _accumulate(draws, length, scheme)
-    return _record(experiment, length, dimension, scheme, sums, seed=0, std_error=0.0)
+    return _record("exhaustive", length, dimension, scheme, sums, seed=0, std_error=0.0)
 
 
 # ---------------------------------------------------------------------------

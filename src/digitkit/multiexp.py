@@ -8,7 +8,7 @@ complement-assisted recoding can leave at digit 0; weight1 charges it
 two).  The counts are tallied per group operation as it is performed, so
 they are exact: squarings = length - 1 and multiplications = weight1 - 1
 when the top column is nonzero (its first factor is loaded, not
-multiplied).
+multiplied).  The square-and-multiply ladder is this loop on one binary row.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Any, Sequence
 
-from .expansions import JointExpansion
+from .expansions import JointExpansion, binary
 from .recoding import RecodingScheme, recode_joint
 
 Element = Any
@@ -27,11 +27,12 @@ Element = Any
 MERSENNE61 = (1 << 61) - 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXTRA_ROUNDS = 12  # random bases added where _MR_BASES are not a proof
 # A table holds 3^D entries, so each base past the cap would triple its cost.
 _PRECOMP_DIMENSION_CAP = 8
 
 
-def is_probable_prime(n: int, extra_rounds: int = 12) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin; deterministic for n below 3.3e24, randomized above."""
     if n < 2:
         return False
@@ -48,7 +49,7 @@ def is_probable_prime(n: int, extra_rounds: int = 12) -> bool:
     bases = list(_MR_BASES)
     if n >= 3_317_044_064_679_887_385_961_981:
         rng = random.Random(n)
-        bases += [rng.randrange(2, n - 1) for _ in range(extra_rounds)]
+        bases += [rng.randrange(2, n - 1) for _ in range(_MR_EXTRA_ROUNDS)]
     for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -135,7 +136,7 @@ class AdditiveGroup(GroupOps):
 
 @dataclass
 class CostCounter:
-    """Operation tally; monotone while an evaluation runs."""
+    """Operation counts of one evaluation, precomputation included."""
 
     squarings: int = 0
     multiplications: int = 0
@@ -151,26 +152,6 @@ class CostCounter:
         self.multiplications = 0
         self.inversions = 0
         self.precomp_multiplications = 0
-
-
-class CountingGroup:
-    """Wrap a group so squarings and multiplications are tallied apart.
-
-    Squaring is syntactic (the square() call), not a value check, so
-    coincidentally equal operands in multiply() never miscount.
-    """
-
-    def __init__(self, group: GroupOps, counter: CostCounter) -> None:
-        self.group = group
-        self.counter = counter
-
-    def square(self, x: Element) -> Element:
-        self.counter.squarings += 1
-        return self.group.multiply(x, x)
-
-    def multiply(self, x: Element, y: Element) -> Element:
-        self.counter.multiplications += 1
-        return self.group.multiply(x, y)
 
 
 @dataclass(frozen=True)
@@ -206,17 +187,11 @@ def precompute(bases: Sequence[Element], group: GroupOps) -> PrecompTable:
     if dim > _PRECOMP_DIMENSION_CAP:
         raise ValueError(f"dimension {dim} exceeds its cap of {_PRECOMP_DIMENSION_CAP}")
     base_list = tuple(group.element(b) for b in bases)
+    # A composed entry's leading digit is positive, so base 0 is never
+    # inverted; every later base k is, in the vector with 1 at 0 and -1 at k.
+    inverses = (None, *map(group.invert, base_list[1:]))
     mults = 0
-    invs = 0
-    inv_bases: dict[int, Element] = {}
-
-    def inverted_base(k: int) -> Element:
-        nonlocal invs
-        if k not in inv_bases:
-            invs += 1
-            inv_bases[k] = group.invert(base_list[k])
-        return inv_bases[k]
-
+    invs = dim - 1
     entries: dict[tuple[int, ...], Element] = {(0,) * dim: group.identity}
     vectors = [v for v in iter_product((-1, 0, 1), repeat=dim) if any(v)]
     positive = [v for v in vectors if next(d for d in v if d) > 0]
@@ -225,7 +200,7 @@ def precompute(bases: Sequence[Element], group: GroupOps) -> PrecompTable:
         for k, d in enumerate(v):
             if not d:
                 continue
-            factor = base_list[k] if d > 0 else inverted_base(k)
+            factor = base_list[k] if d > 0 else inverses[k]
             if acc is None:
                 acc = factor
             else:
@@ -310,20 +285,18 @@ def evaluate(
 
 
 def square_and_multiply(a: Element, n: int, group: GroupOps) -> tuple[Element, CostCounter]:
-    """Plain binary ladder for a single exponent; the baseline cost model."""
+    """Plain binary ladder for a single exponent; the baseline cost model.
+
+    It is `evaluate` on the binary row of n against the table {0: identity,
+    1: a}, which costs no precomputation; n = 0 returns before reading a.
+    """
     if n < 0:
         raise ValueError("exponent must be non-negative")
-    counter = CostCounter()
     if n == 0:
-        return group.identity, counter
-    cg = CountingGroup(group, counter)
-    a = group.element(a)
-    acc = a
-    for j in range(n.bit_length() - 2, -1, -1):
-        acc = cg.square(acc)
-        if (n >> j) & 1:
-            acc = cg.multiply(acc, a)
-    return acc, counter
+        return group.identity, CostCounter()
+    element = group.element(a)
+    table = PrecompTable(group, (element,), {(0,): group.identity, (1,): element}, 0, 0)
+    return evaluate(JointExpansion((binary(n, n.bit_length()),)), table, group)
 
 
 def multiexp(

@@ -24,6 +24,13 @@ def test_digit_range_enforced():
         Expansion((3,))
     with pytest.raises(ValueError, match=r"^digit -3 outside \[-2, 2\]$"):
         Expansion((-3, 0))
+    # A non-integer digit is refused, not truncated into the range.
+    for digits in ([1.5], [2.5]):
+        with pytest.raises(ValueError, match=r"is not an integer$"):
+            Expansion(digits)
+    with pytest.raises(ValueError, match=r"^digit 1.9 is not an integer$"):
+        JointExpansion.from_json([[1.9, 0], [0, 1]])
+    assert Expansion((True, False, 1.0)).digits == (1, 0, 1)
 
 
 def test_msb_round_trip():

@@ -10,7 +10,6 @@ from digitkit.multiexp import (
     MERSENNE61,
     AdditiveGroup,
     CostCounter,
-    CountingGroup,
     ModGroup,
     evaluate,
     is_probable_prime,
@@ -33,6 +32,9 @@ def test_is_probable_prime():
     small_primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
         assert is_probable_prime(n) == (n in small_primes)
+    # Above 3.3e24 the fixed bases are not a proof and random rounds run too.
+    assert is_probable_prime((1 << 89) - 1)
+    assert not is_probable_prime(MERSENNE61 * ((1 << 31) - 1))
 
 
 def test_modgroup_validation_and_arithmetic():
@@ -84,15 +86,6 @@ def test_cost_counter():
     assert (c.squarings, c.multiplications, c.inversions, c.precomp_multiplications) == (0, 0, 0, 0)
 
 
-def test_counting_group_distinguishes_square_from_multiply():
-    counter = CostCounter()
-    cg = CountingGroup(ModGroup(101), counter)
-    assert cg.square(10) == 100 % 101
-    assert cg.multiply(10, 10) == 100
-    assert counter.squarings == 1
-    assert counter.multiplications == 1
-
-
 def test_precompute_pair_table():
     g = ModGroup(101)
     table = precompute((2, 3), g)
@@ -117,6 +110,25 @@ def test_precompute_single_base():
     assert table.inversions == 1
     with pytest.raises(ValueError):
         precompute((), g)
+
+
+def test_precompute_counts_and_inverse_pairs():
+    # (precomp_multiplications, inversions, entries) for D = 1..6: D - 1 base
+    # inversions plus one per negated entry, (3^D - 1) / 2 of them.
+    pinned = [(0, 1, 3), (2, 5, 9), (14, 15, 27), (68, 43, 81), (284, 125, 243),
+              (1094, 369, 729)]
+    rng = random.Random(31)
+    for group in (ModGroup(MERSENNE61), AdditiveGroup()):
+        for dimension, counts in enumerate(pinned, start=1):
+            bases = [rng.randrange(2, 1 << 40) for _ in range(dimension)]
+            table = precompute(bases, group)
+            assert (table.precomp_multiplications, table.inversions,
+                    len(table.entries)) == counts
+            for v, entry in table.entries.items():
+                assert table[tuple(-d for d in v)] == group.invert(entry)
+            for k in range(dimension):
+                unit = tuple(int(i == k) for i in range(dimension))
+                assert table[unit] == group.element(bases[k])
 
 
 def test_precompute_dimension_cap():
@@ -205,23 +217,25 @@ def test_evaluate_counts_follow_the_expansion():
 
 
 def reference_evaluate(joint, table, group):
-    """Digit-by-digit evaluation through CountingGroup: square before every
-    column below the top, skip zero columns, split a column holding a
-    magnitude-2 digit into its clamped part and the remainder, and load
-    (not multiply) the top column's first factor."""
+    """Digit-by-digit evaluation, counting each group call where it is made:
+    square before every column below the top, skip zero columns, split a
+    column holding a magnitude-2 digit into its clamped part and the
+    remainder, and load (not multiply) the top column's first factor."""
     if table.group != group:
         raise ValueError("table was precomputed for a different group")
     if table.dimension != joint.dimension:
         raise ValueError("table dimension does not match the joint expansion")
-    counter = CostCounter(precomp_multiplications=table.precomp_multiplications)
-    counter.inversions = table.inversions
-    cg = CountingGroup(group, counter)
+    counter = CostCounter(
+        inversions=table.inversions,
+        precomp_multiplications=table.precomp_multiplications,
+    )
     columns = tuple(joint.columns())
     top = len(columns) - 1
     acc = group.identity
     for j in range(top, -1, -1):
         if j < top:
-            acc = cg.square(acc)
+            acc = group.multiply(acc, acc)
+            counter.squarings += 1
         col = columns[j]
         if not any(col):
             continue
@@ -233,7 +247,8 @@ def reference_evaluate(joint, table, group):
         if j == top:
             acc = factors.pop(0)
         for factor in factors:
-            acc = cg.multiply(acc, factor)
+            acc = group.multiply(acc, factor)
+            counter.multiplications += 1
     return acc, counter
 
 
@@ -291,17 +306,28 @@ def test_square_and_multiply_frozen_example():
         square_and_multiply(2, -1, g)
 
 
+def test_square_and_multiply_counts_by_position_not_value():
+    # Every operand is 1, so each squaring and each multiplication computes
+    # 1 * 1: a squaring is told apart by where it happens, not by its values.
+    result, counter = square_and_multiply(1, 13, ModGroup(101))
+    assert result == 1
+    assert (counter.squarings, counter.multiplications) == (3, 2)
+
+
 def test_square_and_multiply_matches_pow():
-    g = ModGroup(101)
     rng = random.Random(9)
-    for _ in range(100):
-        a = rng.randrange(1, 101)
-        n = rng.randrange(0, 1 << 20)
-        result, counter = square_and_multiply(a, n, g)
-        assert result == pow(a, n, 101)
-        if n:
-            assert counter.squarings == n.bit_length() - 1
-            assert counter.multiplications == bin(n).count("1") - 1
+    exponents = [1] + [1 << k for k in range(1, 21)]
+    exponents += [rng.randrange(0, 1 << 20) for _ in range(100)]
+    for g, power in ((ModGroup(101), lambda a, n: pow(a, n, 101)),
+                     (AdditiveGroup(), lambda a, n: n * a)):
+        for n in exponents:
+            a = rng.randrange(1, 101)
+            result, counter = square_and_multiply(a, n, g)
+            assert result == power(a, n)
+            assert counter.inversions == counter.precomp_multiplications == 0
+            if n:
+                assert counter.squarings == n.bit_length() - 1
+                assert counter.multiplications == bin(n).count("1") - 1
 
 
 def test_multiexp_schemes_agree():
