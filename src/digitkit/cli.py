@@ -268,7 +268,6 @@ def _falsify_slope(args: argparse.Namespace) -> int:
         samples=args.samples,
         seed=args.seed,
         workers=args.workers,
-        experiment=args.claim,
     )
     total_low = report.low.mean_multiplications + report.low.mean_squarings
     total_high = report.high.mean_multiplications + report.high.mean_squarings

@@ -22,6 +22,25 @@ _DIGITS = frozenset(range(DIGIT_MIN, DIGIT_MAX + 1))
 _BYTE_OF_OCTAL = bytes.maketrans(b"01357", b"\x00\x01\xff\x02\xfe")
 
 
+def _integers(what: str, values: Iterable) -> tuple[int, ...]:
+    """The values as ints.  Ints, bools and integral floats pass; any other
+    value raises ValueError rather than being truncated by int()."""
+    values = tuple(values)
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != values:
+        for v in values:
+            try:
+                if int(v) == v:
+                    continue
+            except (TypeError, ValueError, OverflowError):
+                pass
+            raise ValueError(f"{what} {v!r} is not an integer")
+    return ints
+
+
 def _encode(digits: Sequence[int]) -> tuple[int, int, int]:
     """The (support, negative, two) masks of digits in [-2, 2], not checked."""
     support = negative = two = 0
@@ -77,12 +96,7 @@ class Expansion:
     _two: int
 
     def __init__(self, digits: Iterable[int] = ()) -> None:
-        digits = tuple(digits)
-        ints = tuple(map(int, digits))
-        if ints != digits:
-            bad = next(d for d, i in zip(digits, ints) if d != i)
-            raise ValueError(f"digit {bad!r} is not an integer")
-        self.__post_init__(ints)
+        self.__post_init__(_integers("digit", digits))
 
     def __post_init__(self, digits: tuple[int, ...]) -> None:
         """Check the digits and store their masks."""

@@ -346,7 +346,6 @@ def cost_slope(
     seed: int,
     dimension: int = 2,
     workers: int = 1,
-    experiment: str = "slope",
 ) -> SlopeReport:
     config = RunConfig(
         seed=seed,
@@ -356,7 +355,7 @@ def cost_slope(
         dimension=dimension,
         workers=workers,
     )
-    low, high = tuple(run_stats(config, experiment))
+    low, high = tuple(run_stats(config, "slope"))
     total_low = low.mean_multiplications + low.mean_squarings
     total_high = high.mean_multiplications + high.mean_squarings
     return SlopeReport(

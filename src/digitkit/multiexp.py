@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Any, Sequence
 
-from .expansions import JointExpansion, binary
+from .expansions import JointExpansion, _integers, binary
 from .recoding import RecodingScheme, recode_joint
 
 Element = Any
@@ -106,7 +106,7 @@ class ModGroup(GroupOps):
             raise ValueError(f"{x} is not a unit modulo {self.modulus}") from None
 
     def element(self, x: Any) -> int:
-        r = int(x) % self.modulus
+        r = _integers("element", (x,))[0] % self.modulus
         if r == 0:
             raise ValueError(f"{x} is not a unit modulo {self.modulus}")
         return r
@@ -131,7 +131,7 @@ class AdditiveGroup(GroupOps):
         return -x
 
     def element(self, x: Any) -> int:
-        return int(x)
+        return _integers("element", (x,))[0]
 
 
 @dataclass
@@ -290,6 +290,7 @@ def square_and_multiply(a: Element, n: int, group: GroupOps) -> tuple[Element, C
     It is `evaluate` on the binary row of n against the table {0: identity,
     1: a}, which costs no precomputation; n = 0 returns before reading a.
     """
+    n = _integers("exponent", (n,))[0]
     if n < 0:
         raise ValueError("exponent must be non-negative")
     if n == 0:

@@ -14,21 +14,23 @@ _sjsf_column are what transducer builds its machines from.  The joint
 sparse form runs over a cached nibble table compiled from
 transducer.sjsf_transducer(): sjsf() reads the nonzero columns from the
 table and _sjsf_weight_top the column counts, both in time linear in the
-bit length.
+bit length.  Both oracles are one shortest-path search over residual
+pairs, _search, each reading its own column table (digits and column
+cost) built at import.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import struct
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 from typing import Sequence
 
 from .expansions import Expansion, JointExpansion, binary, ones_complement, stack
-from .expansions import _from_masks, _rows_from_columns
+from .expansions import _from_masks, _integers, _rows_from_columns
 
 
 class RecodingScheme(Enum):
@@ -312,7 +314,7 @@ def recode_joint(
     Exponents must be non-negative; a negative one raises ValueError, even
     for the schemes whose single-row recoders accept negative integers.
     """
-    exps = tuple(int(n) for n in exponents)
+    exps = _integers("exponent", exponents)
     if not exps:
         raise ValueError("need at least one exponent")
     if any(n < 0 for n in exps):
@@ -371,9 +373,6 @@ def _check_oracle_input(m: int, n: int) -> None:
         raise ValueError(f"oracle inputs limited to |x| <= {ORACLE_BOUND}")
 
 
-_ODD = (-1, 1)
-
-
 def _witness(parent) -> JointExpansion:
     """The columns on the parent links from (0, 0) back to the source."""
     cols = []
@@ -386,70 +385,69 @@ def _witness(parent) -> JointExpansion:
     return JointExpansion(_rows_from_columns(cols, 2))
 
 
-def min_weight1_oracle(m: int, n: int) -> OracleResult:
-    """Cheapest two-row {-2..2} expansion of (m, n) under the weight1 cost.
+def _column_table(even: tuple[int, ...], cost) -> tuple[tuple, ...]:
+    """table[(a & 1) << 1 | (b & 1)] holds the (cost, d1, d2, column) choices
+    for residuals (a, b): odd ones take digit -1 or 1, even ones `even`."""
+    digits = (even, (-1, 1))
+    return tuple(
+        tuple((cost(*c), *c, c) for c in product(digits[p >> 1], digits[p & 1]))
+        for p in range(4)
+    )
 
-    Shortest path over residual pairs: a column (d1, d2) with d_k matching
-    the parity of residual k costs max|d_k| and halves both residuals.
-    Residual magnitudes obey |r'| <= (|r| + 2) / 2, so the search stays in
-    a logarithmic window around (m, n) and terminates.
+
+_WEIGHT1_COLUMNS = _column_table((-2, 0, 2), lambda d1, d2: max(abs(d1), abs(d2)))
+_JOINT_WEIGHT_COLUMNS = _column_table((0,), lambda d1, d2: 1 if d1 or d2 else 0)
+
+
+def _search(m: int, n: int, table: tuple[tuple, ...]) -> OracleResult:
+    """Cheapest path from residuals (m, n) to (0, 0), where a column
+    (d1, d2) of `table` maps (a, b) to ((a - d1) / 2, (b - d2) / 2).
+
+    Dial's bucket queue: queues[c] holds the pairs reached at cost c, and a
+    free column's target goes to the front of the current queue, which on
+    costs 0 and 1 is 0-1 breadth-first search.  |r'| <= (|r| + 2) / 2 keeps
+    the search in a logarithmic window around (m, n), so it terminates.
     """
     _check_oracle_input(m, n)
     source = (m, n)
     dist = {source: 0}
     parent: dict = {source: None}
-    heap = [(0, source)]
-    while heap:
-        cost, node = heapq.heappop(heap)
-        if node == (0, 0):
-            return OracleResult(cost, parent)
-        if cost > dist.get(node, cost):
-            continue
-        a, b = node
-        c1 = _ODD if a & 1 else (-2, 0, 2)
-        c2 = _ODD if b & 1 else (-2, 0, 2)
-        for d1 in c1:
-            for d2 in c2:
-                step = cost + max(abs(d1), abs(d2))
-                succ = ((a - d1) >> 1, (b - d2) >> 1)
-                if step < dist.get(succ, step + 1):
-                    dist[succ] = step
-                    parent[succ] = (node, (d1, d2))
-                    heapq.heappush(heap, (step, succ))
-    raise RuntimeError("unreachable: (0, 0) is always reachable")
-
-
-def min_joint_weight_oracle(m: int, n: int) -> OracleResult:
-    """Fewest nonzero columns over two-row {-1,0,1} expansions of (m, n).
-
-    Same residual graph with digits capped at magnitude 1 (even residuals
-    are forced to digit 0) and unit cost per nonzero column, solved by
-    0-1 breadth-first search.
-    """
-    _check_oracle_input(m, n)
-    source = (m, n)
-    dist = {source: 0}
-    parent: dict = {source: None}
-    queue = deque([(0, source)])
-    while queue:
-        cost, node = queue.popleft()
-        if node == (0, 0):
-            return OracleResult(cost, parent)
-        if cost > dist.get(node, cost):
-            continue
-        a, b = node
-        c1 = _ODD if a & 1 else (0,)
-        c2 = _ODD if b & 1 else (0,)
-        for d1 in c1:
-            for d2 in c2:
-                edge = 1 if (d1 or d2) else 0
+    # A column costs at most 2, so queues[cost + 2] is the last one filled.
+    queues = [deque([source]), deque()]
+    cost = 0
+    while any(queues[cost:]):
+        queue = queues[cost]
+        queues.append(deque())
+        while queue:
+            node = queue.popleft()
+            if node == (0, 0):
+                return OracleResult(cost, parent)
+            if dist[node] < cost:
+                continue  # reached more cheaply since it was queued
+            a, b = node
+            for edge, d1, d2, column in table[(a & 1) << 1 | (b & 1)]:
                 step = cost + edge
                 succ = ((a - d1) >> 1, (b - d2) >> 1)
                 if step < dist.get(succ, step + 1):
                     dist[succ] = step
-                    parent[succ] = (node, (d1, d2))
+                    parent[succ] = (node, column)
                     if edge:
-                        queue.append((step, succ))
+                        queues[step].append(succ)
                     else:
-                        queue.appendleft((step, succ))
+                        queue.appendleft(succ)
+        cost += 1
     raise RuntimeError("unreachable: (0, 0) is always reachable")
+
+
+def min_weight1_oracle(m: int, n: int) -> OracleResult:
+    """Cheapest two-row {-2..2} expansion of (m, n) under the weight1 cost:
+    odd residuals take digit -1 or 1, even ones -2, 0 or 2, and a column
+    costs max|d_k|, the multiplications it takes."""
+    return _search(m, n, _WEIGHT1_COLUMNS)
+
+
+def min_joint_weight_oracle(m: int, n: int) -> OracleResult:
+    """Fewest nonzero columns over two-row {-1,0,1} expansions of (m, n):
+    odd residuals take digit -1 or 1, even ones only 0, and a column costs
+    1 when it is nonzero."""
+    return _search(m, n, _JOINT_WEIGHT_COLUMNS)

@@ -44,8 +44,13 @@ def test_modgroup_validation_and_arithmetic():
     assert g.multiply(g.invert(7), 7) == 1
     assert g.element(-1) == 100
     assert g.element(203) == 1
+    assert g.element(True) == g.element(1.0) == 1
     with pytest.raises(ValueError):
         g.element(202)
+    # A non-integer element is refused, not truncated by int().
+    for x in (2.5, "5"):
+        with pytest.raises(ValueError, match=f"^element {x!r} is not an integer$"):
+            g.element(x)
     for x in (0, 101, -202):
         with pytest.raises(ValueError, match="is not a unit modulo 101"):
             g.invert(x)
@@ -77,6 +82,8 @@ def test_additive_group():
     assert g.multiply(4, 5) == 9
     assert g.invert(4) == -4
     assert g.element(-3) == -3
+    with pytest.raises(ValueError, match=r"^element 2.5 is not an integer$"):
+        g.element(2.5)
 
 
 def test_cost_counter():
@@ -304,6 +311,12 @@ def test_square_and_multiply_frozen_example():
     assert counter.total_multiplications() == 0
     with pytest.raises(ValueError):
         square_and_multiply(2, -1, g)
+    # Bases and exponents that are not integers are refused, not truncated.
+    with pytest.raises(ValueError, match=r"^element 2.9 is not an integer$"):
+        square_and_multiply(2.9, 3, g)
+    with pytest.raises(ValueError, match=r"^exponent 2.5 is not an integer$"):
+        square_and_multiply(2, 2.5, g)
+    assert square_and_multiply(2.0, 13.0, g)[0] == 11
 
 
 def test_square_and_multiply_counts_by_position_not_value():
@@ -344,3 +357,5 @@ def test_multiexp_additive_oracle():
     assert result == 13
     result, _ = multiexp((5, 7), (13, 5), RecodingScheme.SJSF, g)
     assert result == 5 * 13 + 7 * 5
+    with pytest.raises(ValueError, match=r"^exponent 2.5 is not an integer$"):
+        multiexp((2,), (2.5,), RecodingScheme.NAF, g)

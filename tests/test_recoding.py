@@ -188,6 +188,11 @@ def test_recode_joint_validation():
         recode_joint((-1,), RecodingScheme.NAF)
     with pytest.raises(ValueError):
         recode_joint((1, 2, 3), RecodingScheme.SJSF)
+    # An exponent that is not an integer is refused, not truncated by int().
+    for exps in (("5", 3), (5.5, 3)):
+        with pytest.raises(ValueError, match=f"^exponent {exps[0]!r} is not an integer$"):
+            recode_joint(exps, RecodingScheme.WLLC)
+    assert recode_joint((5.0, True), RecodingScheme.WLLC).values() == (5, 1)
 
 
 def test_scheme_from_name():
@@ -233,6 +238,19 @@ def test_oracles_agree_with_sjsf_on_a_sample():
         j = sjsf(m, n)
         assert min_joint_weight_oracle(m, n).minimal_cost == j.joint_weight()
         assert min_weight1_oracle(m, n).minimal_cost == j.joint_weight()
+    # Every sign combination: negating a row negates its digits, so both
+    # minima equal the joint sparse form's weight of (|m|, |n|).
+    for m, n in product(range(-31, 32), repeat=2):
+        weight = sjsf(abs(m), abs(n)).joint_weight()
+        for oracle, cost, digits in (
+            (min_weight1_oracle, JointExpansion.weight1, (-2, -1, 0, 1, 2)),
+            (min_joint_weight_oracle, JointExpansion.joint_weight, (-1, 0, 1)),
+        ):
+            result = oracle(m, n)
+            assert result.minimal_cost == weight
+            assert result.witness.values() == (m, n)
+            assert cost(result.witness) == weight
+            assert all(d in digits for r in result.witness.rows for d in r.digits)
 
 
 def test_oracle_bound_enforced():
