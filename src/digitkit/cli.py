@@ -40,6 +40,8 @@ _CLAIMED_SLOPES = {"wllc-slope": 1.304, "sun-slope": 1.471}
 OUTPUT_FORMATS = ("json", "csv")
 # The most chain steps markov prints; the output grows quadratically with them.
 _MARKOV_STEPS_CAP = 1000
+# The widest recode prints; display decodes every column (about 80 bytes each).
+_RECODE_LENGTH_CAP = 1 << 16
 
 
 def _seed_value(text: str) -> int:
@@ -148,6 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_recode(args: argparse.Namespace) -> int:
+    if args.length is not None and args.length > _RECODE_LENGTH_CAP:
+        raise ValueError(f"length {args.length} exceeds its cap of {_RECODE_LENGTH_CAP}")
     joint = recode_joint(args.n, args.scheme, length=args.length)
     print(f"scheme: {args.scheme.value}")
     for k, row in enumerate(joint.rows):

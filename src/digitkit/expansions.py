@@ -18,8 +18,14 @@ DIGIT_MIN = -2
 DIGIT_MAX = 2
 
 _DIGITS = frozenset(range(DIGIT_MIN, DIGIT_MAX + 1))
-# Octal code support + 2 * negative + 4 * two of a position -> its digit's byte.
+# A position's code is support + 2 * negative + 4 * two (see `_octal_code`).
+_CODE_OF_DIGIT = {0: 0, 1: 1, -1: 3, 2: 5, -2: 7}
+# A code, as an ASCII octal digit or as a byte value -> its digit's byte.
 _BYTE_OF_OCTAL = bytes.maketrans(b"01357", b"\x00\x01\xff\x02\xfe")
+_BYTE_OF_CODE = bytes.maketrans(b"\x00\x01\x03\x05\x07", b"\x00\x01\xff\x02\xfe")
+_CODE_OF_ASCII = bytes.maketrans(b"01234567", bytes(range(8)))
+# The struct code of an unsigned int of each column key width, in bytes.
+_KEY_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _integers(what: str, values: Iterable) -> tuple[int, ...]:
@@ -56,12 +62,53 @@ def _encode(digits: Sequence[int]) -> tuple[int, int, int]:
     return support, negative, two
 
 
+def _octal_code(support: int, negative: int, two: int) -> int:
+    """The int whose octal digit j is position j's code, support + 2 * negative
+    + 4 * two: 0, 1, 3, 5, 7 for the digits 0, 1, -1, 2, -2."""
+    # Read in base 8, a mask's binary string puts one position per octal digit.
+    return int(f"{support:b}", 8) + 2 * int(f"{negative:b}", 8) + 4 * int(f"{two:b}", 8)
+
+
 def _decode(length: int, support: int, negative: int, two: int) -> tuple[int, ...]:
     """The low `length` digits of the masks, least significant first."""
-    # Read in base 8, a mask's binary string puts one position per octal digit.
-    code = int(f"{support:b}", 8) + 2 * int(f"{negative:b}", 8) + 4 * int(f"{two:b}", 8)
+    code = _octal_code(support, negative, two)
     octal = f"{code:0{length}o}".encode()[: -length - 1 : -1]
     return struct.unpack(f"{length}b", octal.translate(_BYTE_OF_OCTAL))
+
+
+def _column_keys(joint: JointExpansion) -> Sequence[int]:
+    """Every column's key, most significant column first.
+
+    Byte k of a key is row k's code (see `_octal_code`), so the all-zero
+    column is key 0 and a key holds a magnitude-2 digit exactly when one
+    of its bytes is 5 or 7.  Read from the masks; no digit is decoded.
+    """
+    length = len(joint)
+    if not length:
+        return ()
+    dimension = joint.dimension
+    width = 1 << (dimension - 1).bit_length()  # bytes per key: 1, 2, 4, 8, ...
+    keys = bytearray(length * width)
+    for k, r in enumerate(joint.rows):
+        code = _octal_code(r._support, r._negative, r._two)
+        keys[k::width] = f"{code:0{length}o}".encode().translate(_CODE_OF_ASCII)
+    if width <= 8:
+        return struct.unpack(f"<{length}{_KEY_FORMATS[width]}", keys)
+    return [int.from_bytes(keys[i : i + width], "little") for i in range(0, len(keys), width)]
+
+
+def _key_column(key: int, dimension: int) -> tuple[int, ...]:
+    """The column whose key is `key`, one digit per row."""
+    codes = key.to_bytes(dimension, "little")
+    return struct.unpack(f"{dimension}b", codes.translate(_BYTE_OF_CODE))
+
+
+def _column_key(column: Sequence[int]) -> int:
+    """The key of a column of digits in [-2, 2]; KeyError for another digit."""
+    key = 0
+    for d in reversed(column):
+        key = key << 8 | _CODE_OF_DIGIT[d]
+    return key
 
 
 def _from_masks(

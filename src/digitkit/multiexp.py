@@ -1,6 +1,8 @@
 """Interleaved multi-exponentiation with an exact operation count.
 
-The evaluator walks a joint expansion most significant column first.  It
+The evaluator walks a joint expansion most significant column first,
+reading each column as an integer key straight from the rows' masks (no
+digit tuple is built), and the table is looked up by the same keys.  It
 loads the top column's table entry, then squares once per lower column
 and multiplies by one precomputed table entry per nonzero column, or by
 two when the column holds a magnitude-2 digit (which the
@@ -14,12 +16,20 @@ multiplied).  The square-and-multiply ladder is this loop on one binary row.
 from __future__ import annotations
 
 import abc
+import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Any, Sequence
 
-from .expansions import JointExpansion, _integers, binary
+from .expansions import (
+    JointExpansion,
+    _column_key,
+    _column_keys,
+    _integers,
+    _key_column,
+    binary,
+)
 from .recoding import RecodingScheme, recode_joint
 
 Element = Any
@@ -156,13 +166,24 @@ class CostCounter:
 
 @dataclass(frozen=True)
 class PrecompTable:
-    """Products a1^d1 * ... * aD^dD for every digit vector in {-1,0,1}^D."""
+    """Products a1^d1 * ... * aD^dD for every digit vector in {-1,0,1}^D.
+
+    `entries` is keyed by digit tuples.  `evaluate` reads the same entries
+    by column key (see `expansions._column_keys`), a view derived once at
+    construction: a change to `entries` afterwards does not reach it.  A
+    table key that is not a column of D digits in [-2, 2] raises ValueError.
+    """
 
     group: GroupOps
     bases: tuple[Element, ...]
     entries: dict[tuple[int, ...], Element]
     precomp_multiplications: int
     inversions: int
+    _by_key: dict[int, Element] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        keys = _table_keys(tuple(self.entries), len(self.bases))
+        object.__setattr__(self, "_by_key", dict(zip(keys, self.entries.values())))
 
     @property
     def dimension(self) -> int:
@@ -170,6 +191,44 @@ class PrecompTable:
 
     def __getitem__(self, column: tuple[int, ...]) -> Element:
         return self.entries[column]
+
+
+@functools.lru_cache(maxsize=16)
+def _table_keys(columns: tuple[tuple[int, ...], ...], dimension: int) -> tuple[int, ...]:
+    """The column key of each table key; ValueError for a table key that is
+    not a column of `dimension` digits in [-2, 2]."""
+    keys = []
+    for column in columns:
+        try:
+            key = _column_key(column) if len(column) == dimension else None
+        except (KeyError, TypeError):
+            key = None
+        if key is None:
+            raise ValueError(
+                f"table key {column!r} is not a column of {dimension} digits in [-2, 2]"
+            )
+        keys.append(key)
+    return tuple(keys)
+
+
+@functools.cache
+def _layout(
+    dimension: int,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The table layout shared by every precomputation of one dimension.
+
+    The nonzero vectors of {-1,0,1}^D whose first nonzero digit is positive,
+    in product order; each one's factors, an index k < D for base k and
+    D + k for its inverse; and each one's negation.
+    """
+    vectors = [v for v in iter_product((-1, 0, 1), repeat=dimension) if any(v)]
+    positive = tuple(v for v in vectors if next(d for d in v if d) > 0)
+    factors = tuple(
+        tuple(k if d > 0 else dimension + k for k, d in enumerate(v) if d)
+        for v in positive
+    )
+    negated = tuple(tuple(-d for d in v) for v in positive)
+    return positive, factors, negated
 
 
 def precompute(bases: Sequence[Element], group: GroupOps) -> PrecompTable:
@@ -189,28 +248,21 @@ def precompute(bases: Sequence[Element], group: GroupOps) -> PrecompTable:
     base_list = tuple(group.element(b) for b in bases)
     # A composed entry's leading digit is positive, so base 0 is never
     # inverted; every later base k is, in the vector with 1 at 0 and -1 at k.
-    inverses = (None, *map(group.invert, base_list[1:]))
+    factor_of = (*base_list, None, *map(group.invert, base_list[1:]))
+    mul = group.multiply
+    positive, factors, negated = _layout(dim)
+    products = []
     mults = 0
-    invs = dim - 1
+    for first, *rest in factors:
+        acc = factor_of[first]
+        for k in rest:
+            acc = mul(acc, factor_of[k])
+            mults += 1
+        products.append(acc)
     entries: dict[tuple[int, ...], Element] = {(0,) * dim: group.identity}
-    vectors = [v for v in iter_product((-1, 0, 1), repeat=dim) if any(v)]
-    positive = [v for v in vectors if next(d for d in v if d) > 0]
-    for v in positive:
-        acc = None
-        for k, d in enumerate(v):
-            if not d:
-                continue
-            factor = base_list[k] if d > 0 else inverses[k]
-            if acc is None:
-                acc = factor
-            else:
-                acc = group.multiply(acc, factor)
-                mults += 1
-        entries[v] = acc
-    for v in positive:
-        neg = tuple(-d for d in v)
-        invs += 1
-        entries[neg] = group.invert(entries[v])
+    entries.update(zip(positive, products))
+    entries.update(zip(negated, map(group.invert, products)))
+    invs = dim - 1 + len(products)
     return PrecompTable(group, base_list, entries, mults, invs)
 
 
@@ -221,7 +273,7 @@ def _split(column: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return first, tuple(d - u for d, u in zip(column, first))
 
 
-# Marks a column with no table entry of its own, one holding a digit of
+# Marks a column key with no table entry of its own, one holding a digit of
 # magnitude 2.  Not None: a group may represent an element by None.
 _SPLIT = object()
 
@@ -235,40 +287,43 @@ def evaluate(
 
     Loads the top column's table entry, then, for each lower column, most
     significant first, squares once and multiplies by the column's table
-    entry if the column is nonzero.  Accepts digits in {-2,...,2}: a
-    column holding a magnitude-2 digit is applied as two table entries
-    (at the top, the first is loaded and the second multiplied).  Returns
-    the element and the operation counts, each tallied where its group
-    operation is performed (precomputation cost copied from the table).
+    entry if the column is nonzero.  Columns are read as integer keys from
+    the rows' masks, so no digit is decoded, and looked up in the table's
+    key view.  Accepts digits in {-2,...,2}: a column holding a
+    magnitude-2 digit has no key in the table; it is decoded and applied
+    as two table entries (at the top, the first is loaded and the second
+    multiplied).  Returns the element and the operation counts, each
+    tallied where its group operation is performed (precomputation cost
+    copied from the table).
     """
     if table.group != group:
         raise ValueError("table was precomputed for a different group")
-    if table.dimension != joint.dimension:
+    dimension = joint.dimension
+    if table.dimension != dimension:
         raise ValueError("table dimension does not match the joint expansion")
     mul = group.multiply
+    get = table._by_key.get
     entries = table.entries
-    zero = (0,) * joint.dimension
     squarings = multiplications = 0
     acc = group.identity
-    columns = list(joint.columns())
-    if columns:
-        top = columns.pop()
-        if top != zero:
-            entry = entries.get(top, _SPLIT)
-            if entry is _SPLIT:
-                first, rest = _split(top)
-                acc = mul(entries[first], entries[rest])
-                multiplications += 1
-            else:
-                acc = entry
-    for col in reversed(columns):
+    keys = iter(_column_keys(joint))
+    top = next(keys, 0)
+    if top:
+        entry = get(top, _SPLIT)
+        if entry is _SPLIT:
+            first, rest = _split(_key_column(top, dimension))
+            acc = mul(entries[first], entries[rest])
+            multiplications += 1
+        else:
+            acc = entry
+    for key in keys:
         acc = mul(acc, acc)
         squarings += 1
-        if col == zero:
+        if not key:
             continue
-        entry = entries.get(col, _SPLIT)
+        entry = get(key, _SPLIT)
         if entry is _SPLIT:
-            first, rest = _split(col)
+            first, rest = _split(_key_column(key, dimension))
             acc = mul(acc, entries[first])
             acc = mul(acc, entries[rest])
             multiplications += 2

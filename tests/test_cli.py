@@ -12,7 +12,7 @@ import pytest
 
 import digitkit
 from digitkit import cli
-from digitkit.cli import _MARKOV_STEPS_CAP, main
+from digitkit.cli import _MARKOV_STEPS_CAP, _RECODE_LENGTH_CAP, main
 from digitkit.experiments import STAT_FIELDS
 from digitkit.verification import _BOUND_CAPS, CHECKS
 
@@ -66,6 +66,27 @@ def test_recode_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "recode", "--scheme", "naf", "--n", "-4")
     assert code == 2
     assert "non-negative" in err
+
+
+def test_recode_length_is_capped_before_any_work(capsys, monkeypatch):
+    assert _RECODE_LENGTH_CAP == 1 << 16
+    code, out, _ = run_cli(
+        capsys, "recode", "--scheme", "binary", "--n", "5",
+        "--length", str(_RECODE_LENGTH_CAP),
+    )
+    assert code == 0
+    assert f"columns: {_RECODE_LENGTH_CAP}, joint weight: 2, weight1: 2" in out
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"recoded {args} {kwargs}")
+
+    monkeypatch.setattr(cli, "recode_joint", never)
+    for length in (_RECODE_LENGTH_CAP + 1, 10**8):
+        code, out, err = run_cli(
+            capsys, "recode", "--scheme", "binary", "--n", "5", "--length", str(length)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: length {length} exceeds its cap of {_RECODE_LENGTH_CAP}\n"
 
 
 def test_multiexp_modp(capsys):
@@ -271,6 +292,23 @@ def test_cli_import_loads_no_process_pool_or_logging():
     loaded = modules_loaded_by_cli_import()
     assert "digitkit.cli" in loaded
     assert not loaded & {"concurrent.futures", "multiprocessing", "logging"}
+
+
+def test_output_does_not_depend_on_optimize_flag():
+    # python -O strips assert statements; no result may rest on one.
+    commands = (
+        ("multiexp", "--group", "modp:101", "--base", "2", "--base", "3",
+         "--n", "5", "--n", "3", "--scheme", "stacked-naf"),
+        ("multiexp", "--group", "modp:1000003", "--base", "2", "--base", "3",
+         "--base", "5", "--n", "987654321", "--n", "123456789", "--n", "555555",
+         "--scheme", "wllc"),
+        ("verify", "cost-model", "--instances", "20"),
+    )
+    for argv in commands:
+        plain = run_fresh("-m", "digitkit", *argv).stdout
+        optimized = run_fresh("-O", "-m", "digitkit", *argv).stdout
+        assert "result: " in plain
+        assert optimized == plain, argv
 
 
 def test_stats_logs_redraws_to_stderr():

@@ -11,6 +11,7 @@ from digitkit.multiexp import (
     AdditiveGroup,
     CostCounter,
     ModGroup,
+    PrecompTable,
     evaluate,
     is_probable_prime,
     multiexp,
@@ -289,6 +290,18 @@ def test_evaluate_matches_the_digit_by_digit_reference():
                 joint = JointExpansion(rows)
                 counter = assert_same_evaluation(joint, table, group)
                 assert counter.squarings == max(length - 1, 0)
+        # Column keys are 1, 2, 4 or 8 bytes wide; dimensions 4-8 take the
+        # last two widths and the 8-byte one at its fullest.
+        for dimension, cases in ((4, 8), (5, 6), (6, 4), (7, 3), (8, 3)):
+            bases = [rng.randrange(2, 100) for _ in range(dimension)]
+            table = precompute(bases, group)
+            for _ in range(cases):
+                length = rng.randint(0, 70)
+                rows = tuple(
+                    Expansion(rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(length))
+                    for _ in range(dimension)
+                )
+                assert_same_evaluation(JointExpansion(rows), table, group)
         for scheme in RecodingScheme:
             for dimension in (2,) if scheme is RecodingScheme.SJSF else (1, 2, 3):
                 bases = [rng.randrange(2, 100) for _ in range(dimension)]
@@ -298,6 +311,68 @@ def test_evaluate_matches_the_digit_by_digit_reference():
                     if not any(exps):
                         continue
                     assert_same_evaluation(recode_joint(exps, scheme), table, group)
+
+
+def test_evaluate_decodes_no_digits(monkeypatch):
+    # evaluate reads column keys from the masks; a magnitude-2 column is
+    # decoded from its key alone.  Reading digits or columns here fails.
+    def refuse(*args):
+        raise AssertionError("evaluate decoded an expansion")
+
+    monkeypatch.setattr(Expansion, "digits", property(refuse))
+    monkeypatch.setattr(JointExpansion, "columns", refuse)
+    rng = random.Random(41)
+    p = MERSENNE61
+    for scheme in RecodingScheme:
+        for dimension in (2,) if scheme is RecodingScheme.SJSF else (1, 2, 3):
+            bases = [rng.randrange(2, 1000) for _ in range(dimension)]
+            table = precompute(bases, ModGroup(p))
+            for _ in range(10):
+                exps = [rng.getrandbits(rng.randint(1, 80)) for _ in range(dimension)]
+                if not any(exps):
+                    continue
+                expected = 1
+                for a, n in zip(bases, exps):
+                    expected = expected * pow(a, n, p) % p
+                joint = recode_joint(exps, scheme)
+                result, counter = evaluate(joint, table, ModGroup(p))
+                assert result == expected
+                top = any(len(r.trimmed()) == len(joint) for r in joint.rows)
+                assert counter.multiplications == joint.weight1() - top
+                assert counter.squarings == len(joint) - 1
+                assert multiexp(bases, exps, scheme, ModGroup(p)) == (result, counter)
+    # 6 = 2^3 - 2 recodes with a -2 digit at the bottom, here beside a second row.
+    joint = recode_joint((6, 5), RecodingScheme.WLLC, length=3)
+    assert joint.rows[0] == Expansion((-2, 0, 0, 1))
+    result, counter = evaluate(joint, precompute((7, 11), ModGroup(p)), ModGroup(p))
+    assert result == pow(7, 6, p) * pow(11, 5, p) % p
+    assert (counter.squarings, counter.multiplications) == (3, joint.weight1() - 1)
+
+
+def test_evaluate_reads_keys_wider_than_eight_bytes():
+    # precompute stops at 8 bases, but a hand-built table may have more.
+    g = ModGroup(101)
+    dimension = 9
+    zero = (0,) * dimension
+    entries = {zero: 1}
+    for k, a in enumerate((2, 3)):
+        for sign in (1, -1):
+            column = zero[:k] + (sign,) + zero[k + 1 :]
+            entries[column] = a if sign > 0 else g.invert(a)
+    table = PrecompTable(g, (2, 3) + (1,) * 7, entries, 0, 0)
+    # Values 13 and 6, never both rows nonzero in one column.
+    rows = (Expansion((1, 0, -1, 0, 1)), Expansion((0, -1, 0, 1, 0)))
+    rows += (Expansion((0,) * 5),) * 7
+    result, counter = evaluate(JointExpansion(rows), table, g)
+    assert result == pow(2, 13, 101) * pow(3, 6, 101) % 101
+    assert (counter.squarings, counter.multiplications) == (4, 4)
+
+
+def test_precompute_table_keys_must_be_columns():
+    g = ModGroup(101)
+    for key in ((1, 0), (3,), ("1",), 1):
+        with pytest.raises(ValueError, match="is not a column of 1 digits in"):
+            PrecompTable(g, (2,), {(0,): 1, key: 2}, 0, 0)
 
 
 def test_square_and_multiply_frozen_example():
