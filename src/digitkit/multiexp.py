@@ -193,8 +193,11 @@ class PrecompTable:
         return self.entries[column]
 
 
+_Vectors = tuple[tuple[int, ...], ...]
+
+
 @functools.lru_cache(maxsize=16)
-def _table_keys(columns: tuple[tuple[int, ...], ...], dimension: int) -> tuple[int, ...]:
+def _table_keys(columns: _Vectors, dimension: int) -> tuple[int, ...]:
     """The column key of each table key; ValueError for a table key that is
     not a column of `dimension` digits in [-2, 2]."""
     keys = []
@@ -212,9 +215,7 @@ def _table_keys(columns: tuple[tuple[int, ...], ...], dimension: int) -> tuple[i
 
 
 @functools.cache
-def _layout(
-    dimension: int,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+def _layout(dimension: int) -> tuple[_Vectors, _Vectors, _Vectors]:
     """The table layout shared by every precomputation of one dimension.
 
     The nonzero vectors of {-1,0,1}^D whose first nonzero digit is positive,
