@@ -40,8 +40,10 @@ _CLAIMED_SLOPES = {"wllc-slope": 1.304, "sun-slope": 1.471}
 OUTPUT_FORMATS = ("json", "csv")
 # The most chain steps markov prints; the output grows quadratically with them.
 _MARKOV_STEPS_CAP = 1000
-# The widest recode prints; display decodes every column (about 80 bytes each).
-_RECODE_LENGTH_CAP = 1 << 16
+# The widest length recode prints and stats or falsify samples: recode's
+# display decodes every column (about 80 bytes each), and a sample's cost
+# grows with its length.
+_LENGTH_CAP = 1 << 16
 
 
 def _seed_value(text: str) -> int:
@@ -56,6 +58,11 @@ def _positive(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("expected a positive integer")
     return value
+
+
+def _check_length(length: int, cap: int = _LENGTH_CAP) -> None:
+    if length > cap:
+        raise ValueError(f"length {length} exceeds its cap of {cap}")
 
 
 def _parse_group(spec: str) -> GroupOps:
@@ -150,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_recode(args: argparse.Namespace) -> int:
-    if args.length is not None and args.length > _RECODE_LENGTH_CAP:
-        raise ValueError(f"length {args.length} exceeds its cap of {_RECODE_LENGTH_CAP}")
+    if args.length is not None:
+        _check_length(args.length)
     joint = recode_joint(args.n, args.scheme, length=args.length)
     print(f"scheme: {args.scheme.value}")
     for k, row in enumerate(joint.rows):
@@ -191,6 +198,8 @@ def _print_records(records, output_format: str) -> None:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    for length in args.length:
+        _check_length(length)
     if args.exhaustive:
         records = [
             exhaustive_stats(args.scheme, length, args.dimension)
@@ -266,6 +275,7 @@ def cmd_markov(args: argparse.Namespace) -> int:
 def _falsify_slope(args: argparse.Namespace) -> int:
     claimed = _CLAIMED_SLOPES[args.claim]
     base_length = args.length if args.length is not None else 256
+    _check_length(base_length, _LENGTH_CAP // 2)  # the slope also samples twice it
     report = cost_slope(
         RecodingScheme.WLLC,
         base_length=base_length,

@@ -47,6 +47,11 @@ def _integers(what: str, values: Iterable) -> tuple[int, ...]:
     return ints
 
 
+def _integer(what: str, value) -> int:
+    """One value as an int, as _integers checks it; an int passes untouched."""
+    return value if type(value) is int else _integers(what, (value,))[0]
+
+
 def _encode(digits: Sequence[int]) -> tuple[int, int, int]:
     """The (support, negative, two) masks of digits in [-2, 2], not checked."""
     support = negative = two = 0
@@ -208,6 +213,8 @@ class Expansion:
 
 def binary(n: int, length: int) -> Expansion:
     """Standard binary expansion of n, zero-padded to exactly `length` digits."""
+    n = _integer("exponent", n)
+    length = _integer("length", length)
     if length < 0:
         raise ValueError("length must be non-negative")
     if n < 0 or n >= (1 << length):

@@ -25,12 +25,16 @@ import struct
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import product as iter_product
+from operator import add
 from typing import Callable, Iterable, Iterator
 
+from .expansions import _integer, _integers
 from .recoding import RecodingScheme, _naf_support, _sjsf_weight_top, _wllc_support
 
 _EXHAUSTIVE_BITS_BOUND = 24
 _BIT_PROBABILITY_LENGTH_BOUND = 16
+# Bytes of draws a run holds at once, whatever its lengths and dimension.
+_DRAW_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,9 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("seed", "samples", "dimension", "workers"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "lengths", _integers("length", self.lengths))
         if not 0 <= self.seed < (1 << 64):
             raise ValueError("seed must fit in 64 bits")
         if self.samples < 1:
@@ -132,6 +139,14 @@ def sample_exponents(
 
     With nonzero=True the all-zero vector is redrawn from the same stream;
     the second return value counts how often that happened.
+
+    This defines the sample stream.  CPython's Mersenne Twister fills
+    getrandbits(k) with 32-bit words, least significant first, so when
+    length is a multiple of 32, component j is bits [j*length,
+    (j+1)*length) of getrandbits(k) from the same seed, for any multiple of
+    32 k >= dimension * length.  run_stats reads its lengths that way
+    from one draw per index (see _sliced_draws); a length that is not a
+    multiple of 32, or a slice that needs a redraw, is sampled here.
     """
     rng = random.Random(derive_sample_seed(seed, index))
     exps = tuple(rng.getrandbits(length) for _ in range(dimension))
@@ -229,15 +244,66 @@ def _accumulate(
     return count, sum_w, sum_w1, sum_z, sum_m, sum_s, sum_w1_sq, redraws
 
 
-def _stats_chunk(args: tuple[int, str, int, int, int, int]) -> tuple[int, ...]:
-    seed, scheme_name, length, dimension, start, stop = args
+def _sliced_draws(
+    seed: int, indices: range, draws: list[bytes], length: int, dimension: int,
+    nonzero: bool,
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """sample_exponents(seed, index, length, dimension, nonzero) of every
+    index, read from draws: each index's draw at length or a longer one,
+    as little-endian bytes.
+
+    Exact when length is a multiple of 32 (see sample_exponents).  Each
+    component is read from its own bytes, so a vector costs time linear
+    in dimension * length.  An all-zero slice under the redraw rule is
+    sampled again from its seed, since the redraw continues that length's
+    stream.
+    """
+    size = length // 8
+    offsets = range(0, dimension * size, size)
+    from_bytes = int.from_bytes
+    for index, draw in zip(indices, draws):
+        exps = []
+        for k in offsets:
+            exps.append(from_bytes(draw[k:k + size], "little"))
+        if nonzero and not any(exps):
+            yield sample_exponents(seed, index, length, dimension, nonzero)
+        else:
+            yield tuple(exps), 0
+
+
+def _stats_chunk(
+    args: tuple[int, str, tuple[int, ...], int, int, int]
+) -> list[tuple[int, ...]]:
+    """_accumulate's sums at each length over the indices [start, stop),
+    drawn as run_stats describes.
+
+    Indices are taken in blocks of at most _DRAW_BLOCK_BYTES of draws (and
+    at least one index), so memory does not grow with the chunk.
+    """
+    seed, scheme_name, lengths, dimension, start, stop = args
     scheme = RecodingScheme(scheme_name)
     nonzero = scheme is RecodingScheme.WLLC
-    draws = (
-        sample_exponents(seed, index, length, dimension, nonzero)
-        for index in range(start, stop)
-    )
-    return _accumulate(draws, length, scheme)
+    bits = dimension * max((l for l in lengths if l % 32 == 0), default=0)
+    sums = [(0,) * 8 for _ in lengths]
+    block = max(1, 8 * _DRAW_BLOCK_BYTES // max(bits, 1))
+    for a in range(start, stop, block):
+        indices = range(a, min(a + block, stop))
+        draws = [
+            random.Random(derive_sample_seed(seed, i))
+            .getrandbits(bits)
+            .to_bytes(bits // 8, "little")
+            for i in indices
+        ] if bits else []
+        for k, length in enumerate(lengths):
+            if length % 32:
+                vectors = (
+                    sample_exponents(seed, i, length, dimension, nonzero)
+                    for i in indices
+                )
+            else:
+                vectors = _sliced_draws(seed, indices, draws, length, dimension, nonzero)
+            sums[k] = tuple(map(add, sums[k], _accumulate(vectors, length, scheme)))
+    return sums
 
 
 def _std_error(sums: tuple[int, ...]) -> float:
@@ -270,14 +336,23 @@ def _record(
 
 
 def run_stats(config: RunConfig, experiment: str = "stats") -> Iterator[StatRecord]:
-    """One StatRecord per configured length; deterministic given the seed."""
-    for length in config.lengths:
-        chunk_args = [
-            (config.seed, config.scheme.value, length, config.dimension, a, b)
-            for a, b in _chunk_bounds(config.samples, config.workers)
-        ]
-        parts = _map_chunks(_stats_chunk, chunk_args, config.workers)
-        sums = tuple(sum(values) for values in zip(*parts))
+    """One StatRecord per configured length; deterministic given the seed.
+
+    The run goes over the sample indices once for all lengths.  Each index
+    is seeded and drawn once, at the longest length that is a multiple of
+    32, and each such length reads its vector as a slice of that draw; a
+    length that is not a multiple of 32, and a slice that is all-zero under
+    the WLLC redraw rule, falls back to sample_exponents.  Either way
+    sample i at length L is sample_exponents(seed, i, L, dimension), so the
+    records do not depend on which lengths share the run, nor on workers.
+    """
+    chunk_args = [
+        (config.seed, config.scheme.value, config.lengths, config.dimension, a, b)
+        for a, b in _chunk_bounds(config.samples, config.workers)
+    ]
+    parts = _map_chunks(_stats_chunk, chunk_args, config.workers)
+    for length, per_chunk in zip(config.lengths, zip(*parts)):
+        sums = tuple(sum(values) for values in zip(*per_chunk))
         if sums[7]:
             import logging  # only a run that redrew has anything to log
 
@@ -302,6 +377,8 @@ def exhaustive_stats(
     The complement-aware scheme skips the all-zero vector (its common
     length is undefined there), matching the Monte Carlo redraw rule.
     """
+    length = _integer("length", length)
+    dimension = _integer("dimension", dimension)
     if length < 1 or dimension < 1:
         raise ValueError("length and dimension must be positive")
     if dimension * length > _EXHAUSTIVE_BITS_BOUND:
@@ -347,6 +424,13 @@ def cost_slope(
     dimension: int = 2,
     workers: int = 1,
 ) -> SlopeReport:
+    """Growth of the mean total cost per bit between base_length and twice it.
+
+    Both lengths are sampled in one run_stats pass, so each index is
+    seeded once.  When base_length is a multiple of 32 its vector is the
+    first dimension * base_length bits of the draw at 2 * base_length;
+    otherwise it is sampled on its own (see run_stats).
+    """
     config = RunConfig(
         seed=seed,
         samples=samples,
@@ -403,15 +487,17 @@ def compare_schemes(
     length: int, samples: int, seed: int, workers: int = 1
 ) -> SchemeComparison:
     # Checks seed, samples, length and workers as every run does.
-    RunConfig(seed, samples, (length,), RecodingScheme.WLLC, 2, workers)
+    config = RunConfig(seed, samples, (length,), RecodingScheme.WLLC, 2, workers)
+    (length,) = config.lengths
     chunk_args = [
-        (seed, length, a, b) for a, b in _chunk_bounds(samples, workers)
+        (config.seed, length, a, b)
+        for a, b in _chunk_bounds(config.samples, config.workers)
     ]
-    parts = _map_chunks(_compare_chunk, chunk_args, workers)
+    parts = _map_chunks(_compare_chunk, chunk_args, config.workers)
     return SchemeComparison(
         length=length,
-        samples=samples,
-        seed=seed,
+        samples=config.samples,
+        seed=config.seed,
         violations=sum(p[0] for p in parts),
         min_margin=min(p[1] for p in parts),
     )

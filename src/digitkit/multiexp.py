@@ -26,7 +26,7 @@ from .expansions import (
     JointExpansion,
     _column_key,
     _column_keys,
-    _integers,
+    _integer,
     _key_column,
     binary,
 )
@@ -116,7 +116,7 @@ class ModGroup(GroupOps):
             raise ValueError(f"{x} is not a unit modulo {self.modulus}") from None
 
     def element(self, x: Any) -> int:
-        r = _integers("element", (x,))[0] % self.modulus
+        r = _integer("element", x) % self.modulus
         if r == 0:
             raise ValueError(f"{x} is not a unit modulo {self.modulus}")
         return r
@@ -141,7 +141,7 @@ class AdditiveGroup(GroupOps):
         return -x
 
     def element(self, x: Any) -> int:
-        return _integers("element", (x,))[0]
+        return _integer("element", x)
 
 
 @dataclass
@@ -346,7 +346,7 @@ def square_and_multiply(a: Element, n: int, group: GroupOps) -> tuple[Element, C
     It is `evaluate` on the binary row of n against the table {0: identity,
     1: a}, which costs no precomputation; n = 0 returns before reading a.
     """
-    n = _integers("exponent", (n,))[0]
+    n = _integer("exponent", n)
     if n < 0:
         raise ValueError("exponent must be non-negative")
     if n == 0:

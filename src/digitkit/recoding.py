@@ -30,7 +30,7 @@ from itertools import product
 from typing import Sequence
 
 from .expansions import Expansion, JointExpansion, binary, ones_complement, stack
-from .expansions import _from_masks, _integers, _rows_from_columns
+from .expansions import _from_masks, _integer, _integers, _rows_from_columns
 
 
 class RecodingScheme(Enum):
@@ -232,6 +232,8 @@ def wllc_recode(n: int, length: int) -> Expansion:
     just take the NAF of n.  Digits land in {-1,0,1} except digit 0,
     which may reach -2, and the top digit, which stays in {0,1}.
     """
+    n = _integer("exponent", n)
+    length = _integer("length", length)
     if length < 1:
         raise ValueError("length must be at least 1")
     if n < 0 or n >= (1 << length):
@@ -319,6 +321,8 @@ def recode_joint(
         raise ValueError("need at least one exponent")
     if any(n < 0 for n in exps):
         raise ValueError("exponents must be non-negative")
+    if length is not None:
+        length = _integer("length", length)
     if scheme is RecodingScheme.BINARY:
         width = max(n.bit_length() for n in exps) if length is None else length
         return JointExpansion(tuple(binary(n, width) for n in exps))

@@ -12,7 +12,7 @@ import pytest
 
 import digitkit
 from digitkit import cli
-from digitkit.cli import _MARKOV_STEPS_CAP, _RECODE_LENGTH_CAP, main
+from digitkit.cli import _LENGTH_CAP, _MARKOV_STEPS_CAP, main
 from digitkit.experiments import STAT_FIELDS
 from digitkit.verification import _BOUND_CAPS, CHECKS
 
@@ -69,24 +69,51 @@ def test_recode_errors_exit_2(capsys):
 
 
 def test_recode_length_is_capped_before_any_work(capsys, monkeypatch):
-    assert _RECODE_LENGTH_CAP == 1 << 16
+    assert _LENGTH_CAP == 1 << 16
     code, out, _ = run_cli(
         capsys, "recode", "--scheme", "binary", "--n", "5",
-        "--length", str(_RECODE_LENGTH_CAP),
+        "--length", str(_LENGTH_CAP),
     )
     assert code == 0
-    assert f"columns: {_RECODE_LENGTH_CAP}, joint weight: 2, weight1: 2" in out
+    assert f"columns: {_LENGTH_CAP}, joint weight: 2, weight1: 2" in out
 
     def never(*args, **kwargs):
         raise AssertionError(f"recoded {args} {kwargs}")
 
     monkeypatch.setattr(cli, "recode_joint", never)
-    for length in (_RECODE_LENGTH_CAP + 1, 10**8):
+    for length in (_LENGTH_CAP + 1, 10**8):
         code, out, err = run_cli(
             capsys, "recode", "--scheme", "binary", "--n", "5", "--length", str(length)
         )
         assert (code, out) == (2, "")
-        assert err == f"error: length {length} exceeds its cap of {_RECODE_LENGTH_CAP}\n"
+        assert err == f"error: length {length} exceeds its cap of {_LENGTH_CAP}\n"
+
+
+def test_sampled_lengths_are_capped_before_any_work(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        capsys, "stats", "--scheme", "binary", "--length", str(_LENGTH_CAP),
+        "--samples", "1", "--dimension", "1",
+    )
+    assert code == 0
+    assert f'"length": {_LENGTH_CAP}' in out
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"sampled {args} {kwargs}")
+
+    for name in ("run_stats", "exhaustive_stats", "cost_slope"):
+        monkeypatch.setattr(cli, name, never)
+    over = _LENGTH_CAP + 1
+    half = _LENGTH_CAP // 2
+    for argv, length, cap in (
+        (("stats", "--scheme", "naf", "--length", "8", "--length", over), over, _LENGTH_CAP),
+        (("stats", "--scheme", "naf", "--length", over, "--exhaustive"), over, _LENGTH_CAP),
+        # A slope samples twice its length, so falsify caps it at half.
+        (("falsify", "wllc-slope", "--length", half + 1), half + 1, half),
+        (("falsify", "sun-slope", "--length", over), over, half),
+    ):
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert (code, out) == (2, "")
+        assert err == f"error: length {length} exceeds its cap of {cap}\n"
 
 
 def test_multiexp_modp(capsys):

@@ -206,6 +206,20 @@ def test_run_config_validation():
         ex.RunConfig(**{**good, "workers": 0})
     with pytest.raises(ValueError):
         ex.RunConfig(**{**good, "dimension": 0})
+    # A field that is not an integer is refused, not left to fail in a run.
+    for field, value in (
+        ("seed", 0.5), ("samples", 10.5), ("lengths", (256.5,)), ("dimension", "2"),
+        ("workers", 1.5),
+    ):
+        what = "length" if field == "lengths" else field
+        shown = value[0] if field == "lengths" else value
+        with pytest.raises(ValueError, match=f"^{what} {shown!r} is not an integer$"):
+            ex.RunConfig(**{**good, field: value})
+    config = ex.RunConfig(
+        seed=1.0, samples=10.0, lengths=[8.0, True], scheme=RecodingScheme.NAF,
+        dimension=2.0, workers=True,
+    )
+    assert config == ex.RunConfig(1, 10, (8, 1), RecodingScheme.NAF, 2, 1)
 
 
 def test_run_stats_is_deterministic_and_consistent():
@@ -261,6 +275,80 @@ def test_worker_pool_is_no_larger_than_the_chunk_count(monkeypatch):
     assert sizes == [10, 3]
 
 
+def reference_record(config, length):
+    """run_stats's record at one length, summed over sample_exponents."""
+    nonzero = config.scheme is RecodingScheme.WLLC
+    draws = (
+        ex.sample_exponents(config.seed, i, length, config.dimension, nonzero)
+        for i in range(config.samples)
+    )
+    sums = ex._accumulate(draws, length, config.scheme)
+    return ex._record(
+        "stats", length, config.dimension, config.scheme, sums, config.seed,
+        ex._std_error(sums),
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_multi_length_runs_match_one_length_runs(monkeypatch, workers):
+    # Blocks of 100 bytes hold 1 to 12 draws here, so block edges are crossed.
+    monkeypatch.setattr(ex, "_DRAW_BLOCK_BYTES", 100)
+    for scheme in RecodingScheme:
+        dims = (2,) if scheme is RecodingScheme.SJSF else (1, 2, 3)
+        for dimension in dims:
+            for lengths in ((32, 64), (256, 512), (96, 160, 320), (24, 64)):
+                config = ex.RunConfig(17, 40, lengths, scheme, dimension, workers)
+                records = list(ex.run_stats(config))
+                for record, length in zip(records, lengths, strict=True):
+                    one = ex.RunConfig(17, 40, (length,), scheme, dimension)
+                    assert [record] == list(ex.run_stats(one))
+                    assert record == reference_record(one, length)
+
+
+def test_all_zero_slice_falls_back_to_sample_exponents(monkeypatch, caplog):
+    class ZeroFirst(random.Random):
+        """A stream whose first draw reads as 0, so every slice is all-zero."""
+
+        def seed(self, *args, **kwargs):
+            super().seed(*args, **kwargs)
+            self.drawn = False
+
+        def getrandbits(self, k):
+            bits = super().getrandbits(k)
+            first, self.drawn = not self.drawn, True
+            return 0 if first else bits
+
+    monkeypatch.setattr(ex.random, "Random", ZeroFirst)
+    caplog.set_level("INFO", logger=ex.__name__)
+    for dimension in (1, 2):
+        caplog.clear()
+        config = ex.RunConfig(9, 20, (32, 64), RecodingScheme.WLLC, dimension)
+        for record, length in zip(ex.run_stats(config), (32, 64), strict=True):
+            assert record == reference_record(config, length)
+        # sample_exponents redraws only where its own first vector is all-zero:
+        # at dimension 1 every index, at dimension 2 none (component 1 is drawn).
+        redrew = [r.getMessage() for r in caplog.records]
+        assert redrew == (
+            [f"length {n}: redrew the all-zero exponent vector 20 time(s)" for n in (32, 64)]
+            if dimension == 1 else []
+        )
+
+
+def test_cost_slope_seeds_each_index_once(monkeypatch):
+    seeded = []
+    derive = ex.derive_sample_seed
+
+    def counting(seed, index):
+        seeded.append(index)
+        return derive(seed, index)
+
+    monkeypatch.setattr(ex, "derive_sample_seed", counting)
+    for scheme in (RecodingScheme.WLLC, RecodingScheme.SJSF):
+        seeded.clear()
+        ex.cost_slope(scheme, 256, 30, 4)
+        assert sorted(seeded) == list(range(30))
+
+
 def test_run_stats_matches_direct_sample_loop():
     config = ex.RunConfig(
         seed=21, samples=300, lengths=(12,), scheme=RecodingScheme.NAF, dimension=1
@@ -300,6 +388,13 @@ def test_exhaustive_stats_bounds():
         ex.exhaustive_stats(RecodingScheme.SJSF, 4, dimension=3)
     with pytest.raises(ValueError):
         ex.exhaustive_stats(RecodingScheme.NAF, 0)
+    with pytest.raises(ValueError, match=r"^length 4.5 is not an integer$"):
+        ex.exhaustive_stats(RecodingScheme.NAF, 4.5)
+    with pytest.raises(ValueError, match=r"^dimension 1.5 is not an integer$"):
+        ex.exhaustive_stats(RecodingScheme.NAF, 4, 1.5)
+    assert ex.exhaustive_stats(RecodingScheme.NAF, 4.0, 2.0) == ex.exhaustive_stats(
+        RecodingScheme.NAF, 4
+    )
 
 
 def test_cost_slope_reports_both_lengths():
@@ -331,6 +426,9 @@ def test_compare_schemes_rejects_invalid_arguments():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             ex.compare_schemes(length=8, samples=3, seed=seed)
+    with pytest.raises(ValueError, match=r"^length 8.5 is not an integer$"):
+        ex.compare_schemes(length=8.5, samples=3, seed=1)
+    assert ex.compare_schemes(8.0, 3.0, 1.0) == ex.compare_schemes(8, 3, 1)
 
 
 def test_sjsf_reports_do_not_depend_on_workers():

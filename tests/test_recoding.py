@@ -193,6 +193,17 @@ def test_recode_joint_validation():
         with pytest.raises(ValueError, match=f"^exponent {exps[0]!r} is not an integer$"):
             recode_joint(exps, RecodingScheme.WLLC)
     assert recode_joint((5.0, True), RecodingScheme.WLLC).values() == (5, 1)
+    # So is a length that is not an integer, in each recoder that takes one.
+    for scheme in RecodingScheme:
+        with pytest.raises(ValueError, match=r"^length 4.5 is not an integer$"):
+            recode_joint((5, 3), scheme, length=4.5)
+        assert len(recode_joint((5, 3), scheme, length=5.0)) in (5, 6)
+    for recoder in (wllc_recode, binary):
+        with pytest.raises(ValueError, match=r"^length 4.5 is not an integer$"):
+            recoder(5, 4.5)
+        with pytest.raises(ValueError, match=r"^exponent 5.5 is not an integer$"):
+            recoder(5.5, 4)
+        assert recoder(5.0, 4.0).value() == 5
 
 
 def test_scheme_from_name():
