@@ -17,7 +17,6 @@ nonzero] and squarings = width - 1 per sample.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -30,6 +29,13 @@ from typing import Callable, Iterable, Iterator
 
 from .expansions import _integer, _integers
 from .recoding import RecodingScheme, _naf_support, _sjsf_weight_top, _wllc_support
+
+try:
+    # hashlib's blake2b comes from _blake2; importing hashlib itself also
+    # loads the OpenSSL-backed _hashlib, a few ms of every CLI start.
+    from _blake2 import blake2b
+except ImportError:  # an interpreter without the private module
+    from hashlib import blake2b
 
 _EXHAUSTIVE_BITS_BOUND = 24
 _BIT_PROBABILITY_LENGTH_BOUND = 16
@@ -122,7 +128,7 @@ def record_to_csv_row(record: StatRecord) -> str:
 
 def derive_sample_seed(seed: int, index: int) -> int:
     """Stable 64-bit stream seed for one sample, independent of worker layout."""
-    digest = hashlib.blake2b(
+    digest = blake2b(
         struct.pack("<QQ", seed, index), digest_size=8
     ).digest()
     return int.from_bytes(digest, "little")
@@ -442,12 +448,13 @@ def cost_slope(
     low, high = tuple(run_stats(config, "slope"))
     total_low = low.mean_multiplications + low.mean_squarings
     total_high = high.mean_multiplications + high.mean_squarings
+    base_length = config.lengths[0]
     return SlopeReport(
         scheme=scheme.value,
-        dimension=dimension,
+        dimension=config.dimension,
         base_length=base_length,
-        samples=samples,
-        seed=seed,
+        samples=config.samples,
+        seed=config.seed,
         low=low,
         high=high,
         slope=(total_high - total_low) / base_length,

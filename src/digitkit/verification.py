@@ -3,6 +3,12 @@
 Each check re-runs an invariant the library modules already promise,
 over a desk-scale input window, and reports pass/fail with verbatim
 counterexamples.  No new mathematics lives here.
+
+The three checks that enumerate every binary word (thm2, transducer and
+wllc-vs-naf) spend one step per word on bit masks, not on expansion
+objects: thm2 and wllc-vs-naf compare popcounts of the recoders' masks,
+and transducer walks the product machine over the prefix tree of the
+words, so each word costs one transition and one flush from its prefix.
 """
 
 from __future__ import annotations
@@ -10,23 +16,24 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
-from .expansions import JointExpansion, binary
+from .expansions import _encode, binary
 from .multiexp import AdditiveGroup, MERSENNE61, ModGroup, evaluate, precompute
 from .recoding import (
     RecodingScheme,
     is_sjsf,
     min_joint_weight_oracle,
     min_weight1_oracle,
-    naf,
-    naf_complement_weight_gap,
     recode_joint,
     sjsf,
-    wllc_recode,
+    _naf_support,
+    _wllc_support,
 )
 from .transducer import (
+    OutputWord,
     RationalMatrix,
+    Transducer,
     _walk,
     double_naf_transducer,
     state_distribution,
@@ -72,6 +79,12 @@ def check_weight1_minimality(max_n: int = 63) -> CheckReport:
     return _report("thm1", cases, details, bad)
 
 
+def _complement_gap(value: int, length: int) -> int:
+    """naf_complement_weight_gap(binary(value, length)), from the NAF masks."""
+    full = (1 << length) - 1
+    return _naf_support(value).bit_count() - _naf_support(full ^ value).bit_count()
+
+
 def check_complement_weight_gap(max_length: int = 14) -> CheckReport:
     """|weight(naf(v)) - weight(naf(complement v))| is at most 2 over all
     binary words up to the given length; the observed maximum and one
@@ -79,18 +92,18 @@ def check_complement_weight_gap(max_length: int = 14) -> CheckReport:
     bad: list[str] = []
     cases = 0
     max_gap = -1
-    witness = ""
+    witness = None
     for length in range(1, max_length + 1):
+        cases += 1 << length
         for value in range(1 << length):
-            cases += 1
-            word = binary(value, length)
-            gap = abs(naf_complement_weight_gap(word))
+            gap = abs(_complement_gap(value, length))
             if gap > max_gap:
                 max_gap = gap
-                witness = str(word)
+                witness = (value, length)
             if gap > 2:
-                bad.append(f"word={word} gap={gap}")
-    details = f"max gap {max_gap} (witness {witness}) over {cases} words"
+                bad.append(f"word={binary(value, length)} gap={gap}")
+    shown = binary(*witness) if witness else ""
+    details = f"max gap {max_gap} (witness {shown}) over {cases} words"
     return _report("thm2", cases, details, bad)
 
 
@@ -198,6 +211,63 @@ def _expected_transition_matrix() -> RationalMatrix:
     return RationalMatrix(tuple(str(i) for i in range(1, 7)), rows)
 
 
+# A row's (support, negative, two) masks.
+_Masks = tuple[int, int, int]
+
+
+def _naf_masks(n: int) -> _Masks:
+    """The masks of naf(n), as recoding._row sets them."""
+    support = _naf_support(n)
+    return support, (support - n) >> 1, 0
+
+
+def _flushed_outputs(
+    machine: Transducer, max_length: int
+) -> Iterator[tuple[int, int, _Masks, _Masks]]:
+    """(length, value, first row, second row) for every binary word of length
+    1..max_length: the (support, negative, two) masks of the two rows that
+    machine.run emits on the word's bits, least significant first.
+
+    The walk goes depth first over the prefix tree of the words with an
+    explicit stack.  A word is its prefix plus one top letter, so it costs
+    one transition and one flush from the prefix's masks, and the stack
+    holds at most max_length + 1 prefixes.
+    """
+
+    def encoded(word: OutputWord) -> tuple[int, ...]:
+        """The word's width, then each row's masks, its first column at bit 0."""
+        first, second = zip(*word) if word else ((), ())
+        return (len(word), *_encode(first), *_encode(second))
+
+    steps = {
+        state: [
+            (target, *encoded(word))
+            for target, word in (machine.transitions[(state, b)] for b in (0, 1))
+        ]
+        for state in machine.states
+    }
+    flush = {state: encoded(word) for state, word in machine.flush.items()}
+    # (prefix length, state, value, output width, the six row masks)
+    stack = [(0, machine.initial, 0, 0, 0, 0, 0, 0, 0, 0)] if max_length > 0 else []
+    while stack:
+        depth, state, value, at, s1, n1, t1, s2, n2, t2 = stack.pop()
+        top = 1 << depth
+        depth += 1
+        for b, (target, width, a1, b1, c1, a2, b2, c2) in enumerate(steps[state]):
+            v, end = value | top * b, at + width
+            x1, y1, z1 = s1 | a1 << at, n1 | b1 << at, t1 | c1 << at
+            x2, y2, z2 = s2 | a2 << at, n2 | b2 << at, t2 | c2 << at
+            _, f1, g1, h1, f2, g2, h2 = flush[target]
+            yield (
+                depth,
+                v,
+                (x1 | f1 << end, y1 | g1 << end, z1 | h1 << end),
+                (x2 | f2 << end, y2 | g2 << end, z2 | h2 << end),
+            )
+            if depth < max_length:
+                stack.append((depth, target, v, end, x1, y1, z1, x2, y2, z2))
+
+
 def check_transducer(max_length: int = 14) -> CheckReport:
     """The product machine's transition matrix, state distributions, and
     stationary distribution match their exact rational values, and its
@@ -229,20 +299,26 @@ def check_transducer(max_length: int = 14) -> CheckReport:
             k, "exhaustive"
         ):
             bad.append(f"k={k}: chain and enumeration disagree")
-    for length in range(1, max_length + 1):
+    mismatches = []
+    for length, value, first, second in _flushed_outputs(machine, max_length):
+        cases += 1
         full = (1 << length) - 1
-        for value in range(1 << length):
-            cases += 1
-            bits = tuple((value >> i) & 1 for i in range(length))
-            out = machine.run(bits)
-            first, second = (row.trimmed() for row in out.rows)
-            if first != naf(value) or second != naf(full - value):
-                bad.append(f"length={length} value={value}: output mismatch")
+        if first != _naf_masks(value) or second != _naf_masks(full - value):
+            mismatches.append((length, value))
+    # The walk meets the words depth first; report them by length, then value.
+    for length, value in sorted(mismatches):
+        bad.append(f"length={length} value={value}: output mismatch")
     details = (
         f"matrix, distributions, and recoded outputs over words up to "
         f"length {max_length} ({cases} cases)"
     )
     return _report("transducer", cases, details, bad)
+
+
+def _wllc_weight1(n: int, length: int) -> int:
+    """JointExpansion((wllc_recode(n, length),)).weight1(), from the masks."""
+    support, two = _wllc_support(n, length)
+    return support.bit_count() + two.bit_count()
 
 
 def check_wllc_vs_naf(max_length: int = 14) -> CheckReport:
@@ -251,11 +327,10 @@ def check_wllc_vs_naf(max_length: int = 14) -> CheckReport:
     bad: list[str] = []
     cases = 0
     for length in range(1, max_length + 1):
+        cases += 1 << length
         for n in range(1 << length):
-            cases += 1
-            row = wllc_recode(n, length)
-            weight1 = JointExpansion((row,)).weight1()
-            reference = naf(n).weight()
+            weight1 = _wllc_weight1(n, length)
+            reference = _naf_support(n).bit_count()
             if weight1 < reference:
                 bad.append(
                     f"length={length} n={n} weight1={weight1} naf={reference}"

@@ -12,7 +12,7 @@ import pytest
 
 import digitkit
 from digitkit import cli
-from digitkit.cli import _LENGTH_CAP, _MARKOV_STEPS_CAP, main
+from digitkit.cli import _DRAW_BITS_CAP, _LENGTH_CAP, _MARKOV_STEPS_CAP, main
 from digitkit.experiments import STAT_FIELDS
 from digitkit.verification import _BOUND_CAPS, CHECKS
 
@@ -114,6 +114,34 @@ def test_sampled_lengths_are_capped_before_any_work(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *map(str, argv))
         assert (code, out) == (2, "")
         assert err == f"error: length {length} exceeds its cap of {cap}\n"
+
+
+def test_sampled_vector_bits_are_capped_before_any_work(capsys, monkeypatch):
+    # The widest vector at the longest length fills one draw block exactly.
+    dimension = _DRAW_BITS_CAP // _LENGTH_CAP
+    code, out, _ = run_cli(
+        capsys, "stats", "--scheme", "binary", "--length", str(_LENGTH_CAP),
+        "--dimension", str(dimension), "--samples", "1",
+    )
+    assert code == 0
+    assert f'"dimension": {dimension}' in out
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"sampled {args} {kwargs}")
+
+    monkeypatch.setattr(cli, "run_stats", never)
+    bits = (dimension + 1) * _LENGTH_CAP
+    longest = ("--length", str(_LENGTH_CAP))
+    for lengths in (longest, ("--length", "8", *longest)):
+        code, out, err = run_cli(
+            capsys, "stats", "--scheme", "naf", *lengths,
+            "--dimension", str(dimension + 1),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: dimension {dimension + 1} x length {_LENGTH_CAP} = {bits} "
+            f"bits exceeds the {_DRAW_BITS_CAP} bits of one draw block\n"
+        )
 
 
 def test_multiexp_modp(capsys):
@@ -319,6 +347,14 @@ def test_cli_import_loads_no_process_pool_or_logging():
     loaded = modules_loaded_by_cli_import()
     assert "digitkit.cli" in loaded
     assert not loaded & {"concurrent.futures", "multiprocessing", "logging"}
+
+
+def test_cli_import_loads_no_openssl_hashes():
+    # Sample seeds take blake2b from _blake2; hashlib would also load _hashlib.
+    pytest.importorskip("_blake2")
+    loaded = modules_loaded_by_cli_import()
+    assert "digitkit.cli" in loaded
+    assert not loaded & {"hashlib", "_hashlib"}
 
 
 def test_output_does_not_depend_on_optimize_flag():

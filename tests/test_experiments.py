@@ -1,7 +1,9 @@
 """Sampling engine: per-sample seeding, fast metric paths, aggregation."""
 
+import hashlib
 import json
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,16 @@ def test_derive_sample_seed_is_stable():
     assert ex.derive_sample_seed(0, 0) == ex.derive_sample_seed(0, 0)
     assert ex.derive_sample_seed(0, 1) != ex.derive_sample_seed(1, 0)
     assert 0 <= ex.derive_sample_seed(2**64 - 1, 2**64 - 1) < 2**64
+
+
+def test_derive_sample_seed_matches_hashlib_blake2b():
+    # The seed stream is BLAKE2b, whichever module supplies it.
+    pairs = ((0, 0), (0, 1), (1, 0), (42, 99_999), (2**64 - 1, 2**64 - 1))
+    for seed, index in pairs:
+        digest = hashlib.blake2b(
+            struct.pack("<QQ", seed, index), digest_size=8
+        ).digest()
+        assert ex.derive_sample_seed(seed, index) == int.from_bytes(digest, "little")
 
 
 def test_sample_exponents_deterministic():
@@ -407,6 +419,14 @@ def test_cost_slope_reports_both_lengths():
     high_total = report.high.mean_multiplications + report.high.mean_squarings
     assert report.slope == pytest.approx((high_total - low_total) / 24)
     assert 1.3 < report.slope < 1.8
+
+
+def test_cost_slope_reports_normalized_arguments():
+    report = ex.cost_slope(RecodingScheme.WLLC, 24.0, 10, 1.0)
+    assert (report.base_length, report.seed, report.samples) == (24, 1, 10)
+    assert type(report.base_length) is int and type(report.seed) is int
+    assert report.base_length == report.low.length
+    assert report.seed == report.low.seed
 
 
 def test_compare_schemes_never_favors_the_complement_form():

@@ -1,14 +1,23 @@
 """Invariant check suites at desk-scale bounds, plus report plumbing."""
 
+import dataclasses
 import inspect
+import tracemalloc
 
 import pytest
 
+from digitkit import verification
+from digitkit.expansions import JointExpansion, binary
+from digitkit.recoding import naf, naf_complement_weight_gap, wllc_recode
+from digitkit.transducer import double_naf_transducer
 from digitkit.verification import (
     CHECKS,
     CheckReport,
     _BOUND_CAPS,
+    _complement_gap,
+    _flushed_outputs,
     _report,
+    _wllc_weight1,
     check_complement_weight_gap,
     check_cost_model,
     check_sjsf_optimality,
@@ -95,3 +104,82 @@ def test_report_caps_counterexamples():
     clean = _report("demo", 30, "base details", [])
     assert clean.passed
     assert clean.details == "base details"
+
+
+def mutant_machines():
+    """The product machine with one fault each, every state still reachable
+    and one recurrent class, so the chain checks run to the end."""
+    machine = double_naf_transducer()
+    transitions, flush = dict(machine.transitions), dict(machine.flush)
+    flipped = dict(transitions)
+    flipped[("6", 0)] = ("4", ((-1, -1),))  # was (1, -1)
+    short = dict(flush)
+    short["4"] = ((0, 0),)  # was ((0, 0), (0, 1))
+    misrouted = dict(transitions)
+    misrouted[("4", 1)] = ("5", ((0, 0),))  # was state 6
+    return {
+        "flipped digit": dataclasses.replace(machine, transitions=flipped),
+        "dropped flush column": dataclasses.replace(machine, flush=short),
+        "wrong target": dataclasses.replace(machine, transitions=misrouted),
+    }
+
+
+def masks(row):
+    return row._support, row._negative, row._two
+
+
+@pytest.mark.parametrize(
+    "machine", [double_naf_transducer(), *mutant_machines().values()]
+)
+def test_flushed_outputs_equal_transducer_runs(machine):
+    seen = set()
+    for length, value, first, second in _flushed_outputs(machine, 8):
+        rows = machine.run([(value >> i) & 1 for i in range(length)]).rows
+        assert (first, second) == tuple(map(masks, rows)), (length, value)
+        seen.add((length, value))
+    assert seen == {(l, v) for l in range(1, 9) for v in range(1 << l)}
+    assert list(_flushed_outputs(machine, 0)) == []
+
+
+def test_mask_gap_and_weight1_equal_the_recoders():
+    for length in range(1, 11):
+        for value in range(1 << length):
+            word = binary(value, length)
+            assert _complement_gap(value, length) == naf_complement_weight_gap(word)
+            row = wllc_recode(value, length)
+            assert _wllc_weight1(value, length) == JointExpansion((row,)).weight1()
+
+
+@pytest.mark.parametrize("fault", sorted(mutant_machines()))
+def test_mutant_machines_fail_with_words_in_order(fault, monkeypatch):
+    machine = mutant_machines()[fault]
+    monkeypatch.setattr(verification, "double_naf_transducer", lambda: machine)
+    report = check_transducer(max_length=8)
+    assert not report.passed
+    # Every word, run from the start, in the order length then value.
+    words = []
+    for length in range(1, 9):
+        full = (1 << length) - 1
+        for value in range(1 << length):
+            out = machine.run([(value >> i) & 1 for i in range(length)])
+            first, second = (row.trimmed() for row in out.rows)
+            if first != naf(value) or second != naf(full - value):
+                words.append(f"length={length} value={value}: output mismatch")
+    assert words
+    chain = [c for c in report.counterexamples if not c.startswith("length=")]
+    assert (fault == "wrong target") == bool(chain)
+    bad = chain + words
+    assert report == _report("transducer", 31 + 510, report.details.split(";")[0], bad)
+
+
+def test_transducer_walk_memory_does_not_grow_with_the_words():
+    check_transducer(max_length=2)  # the cached chain is built outside the trace
+    tracemalloc.start()
+    try:
+        report = check_transducer(max_length=12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.cases == 31 + 8190
+    # Holding even one int per word of length 12 would take over 200 KB.
+    assert peak < 64 * 1024
