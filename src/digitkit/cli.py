@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 
 from .experiments import (
-    _DRAW_BLOCK_BYTES,
     RunConfig,
+    _check_draw_bits,
     complement_bit_probabilities,
     cost_slope,
     csv_header,
@@ -45,9 +45,6 @@ _MARKOV_STEPS_CAP = 1000
 # display decodes every column (about 80 bytes each), and a sample's cost
 # grows with its length.
 _LENGTH_CAP = 1 << 16
-# The most bits one sampled stats vector (dimension x length) may hold:
-# one draw block, the draws a run holds in memory at once.
-_DRAW_BITS_CAP = 8 * _DRAW_BLOCK_BYTES
 
 
 def _seed_value(text: str) -> int:
@@ -210,13 +207,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             for length in args.length
         ]
     else:
-        length = max(args.length)
-        bits = args.dimension * length
-        if bits > _DRAW_BITS_CAP:
-            raise ValueError(
-                f"dimension {args.dimension} x length {length} = {bits} bits "
-                f"exceeds the {_DRAW_BITS_CAP} bits of one draw block"
-            )
+        _check_draw_bits(args.dimension, max(args.length))
         # Imported here: the exhaustive branch and the other commands log nothing.
         import logging
 

@@ -17,6 +17,10 @@ nonzero] and squarings = width - 1 per sample.
 
 from __future__ import annotations
 
+# hashlib's blake2b comes from _blake2 (never from OpenSSL); importing
+# hashlib itself also loads the OpenSSL-backed _hashlib, a few ms of every
+# CLI start.
+from _blake2 import blake2b
 import json
 import math
 import random
@@ -30,17 +34,22 @@ from typing import Callable, Iterable, Iterator
 from .expansions import _integer, _integers
 from .recoding import RecodingScheme, _naf_support, _sjsf_weight_top, _wllc_support
 
-try:
-    # hashlib's blake2b comes from _blake2; importing hashlib itself also
-    # loads the OpenSSL-backed _hashlib, a few ms of every CLI start.
-    from _blake2 import blake2b
-except ImportError:  # an interpreter without the private module
-    from hashlib import blake2b
-
 _EXHAUSTIVE_BITS_BOUND = 24
 _BIT_PROBABILITY_LENGTH_BOUND = 16
 # Bytes of draws a run holds at once, whatever its lengths and dimension.
 _DRAW_BLOCK_BYTES = 1 << 20
+# The most bits one sampled vector (dimension x length) may hold: one block.
+_DRAW_BITS_CAP = 8 * _DRAW_BLOCK_BYTES
+
+
+def _check_draw_bits(dimension: int, length: int) -> None:
+    """Reject a sampled vector wider than one draw block."""
+    bits = dimension * length
+    if bits > _DRAW_BITS_CAP:
+        raise ValueError(
+            f"dimension {dimension} x length {length} = {bits} bits "
+            f"exceeds the {_DRAW_BITS_CAP} bits of one draw block"
+        )
 
 
 @dataclass(frozen=True)

@@ -65,9 +65,15 @@ def _naf_support(n: int) -> int:
 
 
 def _row(length: int, support: int, value: int, two: int = 0) -> Expansion:
-    """The recoded row with these masks and value.  The recoders leave only
-    negative digits of magnitude 2, so value = support - 2 * negative - two."""
-    return _from_masks(length, support, (support - two - value) >> 1, two)
+    """The recoded row with these masks and value."""
+    return _from_masks(length, support, _negative_mask(support, value, two), two)
+
+
+def _negative_mask(support: int, value: int, two: int = 0) -> int:
+    """The negative-digit mask of a recoded row with these masks and value.
+    The recoders leave only negative digits of magnitude 2, so
+    value = support - 2 * negative - two."""
+    return (support - two - value) >> 1
 
 
 def is_naf(e: Expansion) -> bool:

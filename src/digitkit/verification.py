@@ -9,6 +9,10 @@ wllc-vs-naf) spend one step per word on bit masks, not on expansion
 objects: thm2 and wllc-vs-naf compare popcounts of the recoders' masks,
 and transducer walks the product machine over the prefix tree of the
 words, so each word costs one transition and one flush from its prefix.
+So these checks test the recoders' masks (_naf_support, _wllc_support and
+the _negative_mask that naf and wllc_recode build their rows with), not
+the expansions; the tests tie those masks to naf, wllc_recode,
+naf_complement_weight_gap and JointExpansion.weight1 word by word.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .recoding import (
     recode_joint,
     sjsf,
     _naf_support,
+    _negative_mask,
     _wllc_support,
 )
 from .transducer import (
@@ -218,7 +223,7 @@ _Masks = tuple[int, int, int]
 def _naf_masks(n: int) -> _Masks:
     """The masks of naf(n), as recoding._row sets them."""
     support = _naf_support(n)
-    return support, (support - n) >> 1, 0
+    return support, _negative_mask(support, n), 0
 
 
 def _flushed_outputs(

@@ -12,8 +12,8 @@ import pytest
 
 import digitkit
 from digitkit import cli
-from digitkit.cli import _DRAW_BITS_CAP, _LENGTH_CAP, _MARKOV_STEPS_CAP, main
-from digitkit.experiments import STAT_FIELDS
+from digitkit.cli import _LENGTH_CAP, _MARKOV_STEPS_CAP, main
+from digitkit.experiments import _DRAW_BITS_CAP, STAT_FIELDS
 from digitkit.verification import _BOUND_CAPS, CHECKS
 
 VERIFY_FLAGS = {
@@ -351,7 +351,6 @@ def test_cli_import_loads_no_process_pool_or_logging():
 
 def test_cli_import_loads_no_openssl_hashes():
     # Sample seeds take blake2b from _blake2; hashlib would also load _hashlib.
-    pytest.importorskip("_blake2")
     loaded = modules_loaded_by_cli_import()
     assert "digitkit.cli" in loaded
     assert not loaded & {"hashlib", "_hashlib"}

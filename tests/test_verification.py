@@ -16,6 +16,7 @@ from digitkit.verification import (
     _BOUND_CAPS,
     _complement_gap,
     _flushed_outputs,
+    _naf_masks,
     _report,
     _wllc_weight1,
     check_complement_weight_gap,
@@ -142,12 +143,18 @@ def test_flushed_outputs_equal_transducer_runs(machine):
 
 
 def test_mask_gap_and_weight1_equal_the_recoders():
-    for length in range(1, 11):
+    for length in range(1, 13):
         for value in range(1 << length):
             word = binary(value, length)
+            assert _naf_masks(value) == masks(naf(value))
             assert _complement_gap(value, length) == naf_complement_weight_gap(word)
             row = wllc_recode(value, length)
             assert _wllc_weight1(value, length) == JointExpansion((row,)).weight1()
+
+
+def test_naf_masks_equal_naf_on_negative_integers():
+    for n in range(-(1 << 10), 0):
+        assert _naf_masks(n) == masks(naf(n))
 
 
 @pytest.mark.parametrize("fault", sorted(mutant_machines()))
