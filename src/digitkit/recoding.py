@@ -14,16 +14,14 @@ _sjsf_column are what transducer builds its machines from.  The joint
 sparse form runs over a cached nibble table compiled from
 transducer.sjsf_transducer(): sjsf() reads the nonzero columns from the
 table and _sjsf_weight_top the column counts, both in time linear in the
-bit length.  Both oracles are one shortest-path search over residual
-pairs, _search, each reading its own column table (digits and column
-cost) built at import.
+bit length.  Both oracles run one min-plus DP over carry pairs, _CarryDP,
+on their own column rules, caching each step on first use.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
@@ -359,18 +357,14 @@ ORACLE_BOUND = 1 << 16
 
 @dataclass(frozen=True)
 class OracleResult:
-    """A minimal cost and a cheapest expansion that attains it.
-
-    The witness is rebuilt from the search's parent links on first read,
-    so a caller that needs only the cost never builds it.
-    """
+    """A minimal cost and a cheapest expansion attaining it, built on first read."""
 
     minimal_cost: int
-    _parent: dict = field(repr=False, compare=False)
+    _witness: functools.partial = field(repr=False, compare=False)
 
     @functools.cached_property
     def witness(self) -> JointExpansion:
-        return _witness(self._parent)
+        return self._witness()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OracleResult):
@@ -378,86 +372,92 @@ class OracleResult:
         return (self.minimal_cost, self.witness) == (other.minimal_cost, other.witness)
 
 
-def _check_oracle_input(m: int, n: int) -> None:
+class _CarryDP(dict):
+    """Forward min-plus DP over carry pairs for one column digit rule.
+
+    Read least significant bit first in two's complement, the residuals
+    after k columns are (m >> k) + c1 and (n >> k) + c2 for carries (c1, c2);
+    column (d1, d2) takes carry c under bit b to (b + c - d) / 2.  A state
+    is the vector of least costs per carry pair less its minimum, None
+    where that exceeds `spread`: cost-to-go never differs by more between
+    carry pairs, so such an entry is on no cheapest path.  The dict maps
+    state << 2 | (bit of m) | (bit of n) << 1 to (cost added, next state),
+    each entry built on first use.
+    """
+
+    tail = 2  # past both tops, residuals in [-2, 2] end within 2 columns
+
+    def __init__(self, even: tuple[int, ...], cost, carries: range, spread: int):
+        # table[(a & 1) << 1 | (b & 1)]: the (cost, d1, d2) for residuals (a, b).
+        digits = (even, (-1, 1))
+        self.table = tuple(
+            tuple((cost(*c), *c) for c in product(digits[p >> 1], digits[p & 1]))
+            for p in range(4)
+        )
+        self.carries = tuple(product(carries, repeat=2))
+        self.spread = spread
+        self.vectors = [tuple(0 if c == (0, 0) else None for c in self.carries)]
+
+    def __missing__(self, key: int) -> tuple[int, int]:
+        best: dict[tuple[int, int], int] = {}
+        for base, (c1, c2) in zip(self.vectors[key >> 2], self.carries):
+            if base is not None:
+                a, b = (key & 1) + c1, (key >> 1 & 1) + c2
+                for cost, d1, d2 in self.table[(a & 1) << 1 | (b & 1)]:
+                    succ = ((a - d1) >> 1, (b - d2) >> 1)
+                    best[succ] = min(base + cost, best.get(succ, base + cost))
+        low = min(best.values())
+        gaps = [best.get(c, low + self.spread + 1) - low for c in self.carries]
+        vector = tuple(g if g <= self.spread else None for g in gaps)
+        if vector not in self.vectors:
+            self.vectors.append(vector)
+        self[key] = low, self.vectors.index(vector)
+        return self[key]
+
+    def cost(self, m: int, n: int) -> int:
+        """The minimal cost of (m, n), for integers of any size."""
+        total = state = 0
+        for _ in range(max(m.bit_length(), n.bit_length()) + self.tail):
+            cost, state = self[state << 2 | (m & 1) | (n & 1) << 1]
+            total += cost
+            m >>= 1
+            n >>= 1
+        # m and n are now their signs, so carries (-m, -n) zero the residuals.
+        return total + self.vectors[state][self.carries.index((-m, -n))]
+
+    def witness(self, m: int, n: int) -> JointExpansion:
+        """A cheapest expansion of (m, n), one column at a time: a column
+        whose cost plus the rest's minimum is the current minimum."""
+        columns, total = [], self.cost(m, n)
+        while m or n:
+            for cost, d1, d2 in self.table[(m & 1) << 1 | (n & 1)]:
+                rest = self.cost((m - d1) >> 1, (n - d2) >> 1)
+                if cost + rest == total:
+                    break
+            columns.append((d1, d2))
+            total, m, n = rest, (m - d1) >> 1, (n - d2) >> 1
+        return JointExpansion(_rows_from_columns(columns, 2))
+
+
+_WEIGHT1 = _CarryDP((-2, 0, 2), lambda d1, d2: max(abs(d1), abs(d2)), range(-1, 3), 2)
+_JOINT_WEIGHT = _CarryDP((0,), lambda d1, d2: 1 if d1 or d2 else 0, range(2), 1)
+
+
+def _oracle(dp: _CarryDP, m: int, n: int) -> OracleResult:
     if abs(m) > ORACLE_BOUND or abs(n) > ORACLE_BOUND:
         raise ValueError(f"oracle inputs limited to |x| <= {ORACLE_BOUND}")
-
-
-def _witness(parent) -> JointExpansion:
-    """The columns on the parent links from (0, 0) back to the source."""
-    cols = []
-    node = (0, 0)
-    while parent[node] is not None:
-        prev, col = parent[node]
-        cols.append(col)
-        node = prev
-    cols.reverse()
-    return JointExpansion(_rows_from_columns(cols, 2))
-
-
-def _column_table(even: tuple[int, ...], cost) -> tuple[tuple, ...]:
-    """table[(a & 1) << 1 | (b & 1)] holds the (cost, d1, d2, column) choices
-    for residuals (a, b): odd ones take digit -1 or 1, even ones `even`."""
-    digits = (even, (-1, 1))
-    return tuple(
-        tuple((cost(*c), *c, c) for c in product(digits[p >> 1], digits[p & 1]))
-        for p in range(4)
-    )
-
-
-_WEIGHT1_COLUMNS = _column_table((-2, 0, 2), lambda d1, d2: max(abs(d1), abs(d2)))
-_JOINT_WEIGHT_COLUMNS = _column_table((0,), lambda d1, d2: 1 if d1 or d2 else 0)
-
-
-def _search(m: int, n: int, table: tuple[tuple, ...]) -> OracleResult:
-    """Cheapest path from residuals (m, n) to (0, 0), where a column
-    (d1, d2) of `table` maps (a, b) to ((a - d1) / 2, (b - d2) / 2).
-
-    Dial's bucket queue: queues[c] holds the pairs reached at cost c, and a
-    free column's target goes to the front of the current queue, which on
-    costs 0 and 1 is 0-1 breadth-first search.  |r'| <= (|r| + 2) / 2 keeps
-    the search in a logarithmic window around (m, n), so it terminates.
-    """
-    _check_oracle_input(m, n)
-    source = (m, n)
-    dist = {source: 0}
-    parent: dict = {source: None}
-    # A column costs at most 2, so queues[cost + 2] is the last one filled.
-    queues = [deque([source]), deque()]
-    cost = 0
-    while any(queues[cost:]):
-        queue = queues[cost]
-        queues.append(deque())
-        while queue:
-            node = queue.popleft()
-            if node == (0, 0):
-                return OracleResult(cost, parent)
-            if dist[node] < cost:
-                continue  # reached more cheaply since it was queued
-            a, b = node
-            for edge, d1, d2, column in table[(a & 1) << 1 | (b & 1)]:
-                step = cost + edge
-                succ = ((a - d1) >> 1, (b - d2) >> 1)
-                if step < dist.get(succ, step + 1):
-                    dist[succ] = step
-                    parent[succ] = (node, column)
-                    if edge:
-                        queues[step].append(succ)
-                    else:
-                        queue.appendleft(succ)
-        cost += 1
-    raise RuntimeError("unreachable: (0, 0) is always reachable")
+    return OracleResult(dp.cost(m, n), functools.partial(dp.witness, m, n))
 
 
 def min_weight1_oracle(m: int, n: int) -> OracleResult:
     """Cheapest two-row {-2..2} expansion of (m, n) under the weight1 cost:
     odd residuals take digit -1 or 1, even ones -2, 0 or 2, and a column
     costs max|d_k|, the multiplications it takes."""
-    return _search(m, n, _WEIGHT1_COLUMNS)
+    return _oracle(_WEIGHT1, m, n)
 
 
 def min_joint_weight_oracle(m: int, n: int) -> OracleResult:
     """Fewest nonzero columns over two-row {-1,0,1} expansions of (m, n):
     odd residuals take digit -1 or 1, even ones only 0, and a column costs
     1 when it is nonzero."""
-    return _search(m, n, _JOINT_WEIGHT_COLUMNS)
+    return _oracle(_JOINT_WEIGHT, m, n)

@@ -17,12 +17,13 @@ naf_complement_weight_gap and JointExpansion.weight1 word by word.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .expansions import _encode, binary
+from .expansions import _encode, _integer, binary
 from .multiexp import AdditiveGroup, MERSENNE61, ModGroup, evaluate, precompute
 from .recoding import (
     RecodingScheme,
@@ -31,6 +32,7 @@ from .recoding import (
     min_weight1_oracle,
     recode_joint,
     sjsf,
+    _JOINT_WEIGHT,
     _naf_support,
     _negative_mask,
     _wllc_support,
@@ -131,6 +133,8 @@ def check_sjsf_optimality(
                 bad.append(
                     f"m={m} n={n} weight={joint.joint_weight()} oracle={minimal}"
                 )
+    # The random pairs are past ORACLE_BOUND: their optimum comes from the
+    # carry DP behind min_joint_weight_oracle, which takes any size.
     rng = random.Random(seed)
     for _ in range(random_pairs):
         m, n = rng.getrandbits(64), rng.getrandbits(64)
@@ -138,9 +142,13 @@ def check_sjsf_optimality(
         joint = sjsf(m, n)
         if joint.values() != (m, n) or not is_sjsf(joint):
             bad.append(f"m={m} n={n}: round-trip or syntax failure")
+            continue
+        minimal = _JOINT_WEIGHT.cost(m, n)
+        if joint.joint_weight() != minimal:
+            bad.append(f"m={m} n={n} weight={joint.joint_weight()} optimum={minimal}")
     details = (
-        f"optimality on {(max_n + 1) ** 2} pairs, "
-        f"round-trip on {random_pairs} random 64-bit pairs"
+        f"optimality on {(max_n + 1) ** 2} pairs and {random_pairs} random "
+        f"64-bit pairs, round-trip on the random pairs"
     )
     return _report("sjsf", cases, details, bad)
 
@@ -360,12 +368,22 @@ _BOUND_CAPS = {"max_n": 511, "max_length": 20, "random_pairs": 10**6, "instances
 
 
 def run_check(name: str, **bounds: int) -> CheckReport:
+    """Run one check.  Each bound must be one the check takes and a
+    non-negative integer within its cap; otherwise ValueError."""
     try:
         check = CHECKS[name]
     except KeyError:
         raise ValueError(f"unknown check {name!r}") from None
+    allowed = inspect.signature(check).parameters
     for bound, value in bounds.items():
+        if bound not in allowed:
+            raise ValueError(f"check {name!r} does not take {bound}")
         cap = _BOUND_CAPS.get(bound)
-        if cap is not None and value > cap:
+        if cap is None:
+            continue
+        value = bounds[bound] = _integer(bound, value)
+        if value < 0:
+            raise ValueError(f"{bound} = {value} is negative")
+        if value > cap:
             raise ValueError(f"{bound} = {value} exceeds its cap of {cap}")
     return check(**bounds)

@@ -1,11 +1,17 @@
 """Recoders: non-adjacent form, joint sparse form, complement-aware form,
 digit-2 reduction, and the brute-force minimality oracles."""
 
+import os
 import random
+import subprocess
+import sys
+from collections import deque
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from digitkit import recoding
 from digitkit.expansions import Expansion, JointExpansion, binary
 from digitkit.recoding import (
     ORACLE_BOUND,
@@ -21,6 +27,8 @@ from digitkit.recoding import (
     sjsf,
     wllc_joint,
     wllc_recode,
+    _JOINT_WEIGHT,
+    _WEIGHT1,
 )
 
 
@@ -269,3 +277,185 @@ def test_oracle_bound_enforced():
         min_weight1_oracle(ORACLE_BOUND + 1, 0)
     with pytest.raises(ValueError):
         min_joint_weight_oracle(0, -(ORACLE_BOUND + 1))
+
+
+def _search(m, n, table):
+    """The minimal cost by a shortest-path search over residual pairs, where
+    a column (d1, d2) of `table` maps (a, b) to ((a - d1) / 2, (b - d2) / 2).
+
+    Dial's bucket queue: queues[c] holds the pairs reached at cost c, and a
+    free column's target goes to the front of the current queue, which on
+    costs 0 and 1 is 0-1 breadth-first search.  |r'| <= (|r| + 2) / 2 keeps
+    the search in a logarithmic window around (m, n), so it terminates.
+    This is the oracles' former algorithm, kept as the reference for the
+    carry DP.
+    """
+    source = (m, n)
+    dist = {source: 0}
+    # A column costs at most 2, so queues[cost + 2] is the last one filled.
+    queues = [deque([source]), deque()]
+    cost = 0
+    while any(queues[cost:]):
+        queue = queues[cost]
+        queues.append(deque())
+        while queue:
+            node = queue.popleft()
+            if node == (0, 0):
+                return cost
+            if dist[node] < cost:
+                continue  # reached more cheaply since it was queued
+            a, b = node
+            for edge, d1, d2 in table[(a & 1) << 1 | (b & 1)]:
+                step = cost + edge
+                succ = ((a - d1) >> 1, (b - d2) >> 1)
+                if step < dist.get(succ, step + 1):
+                    dist[succ] = step
+                    if edge:
+                        queues[step].append(succ)
+                    else:
+                        queue.appendleft(succ)
+        cost += 1
+    raise RuntimeError("unreachable: (0, 0) is always reachable")
+
+
+# Each oracle's carry DP with the largest spread of its cost-to-go.
+DPS = ((min_weight1_oracle, _WEIGHT1, 2), (min_joint_weight_oracle, _JOINT_WEIGHT, 1))
+
+
+def test_carry_dp_equals_the_search_on_every_small_pair():
+    for oracle, dp, _ in DPS:
+        for m, n in product(range(-63, 64), repeat=2):
+            assert oracle(m, n).minimal_cost == _search(m, n, dp.table), (m, n)
+
+
+def test_carry_dp_equals_the_search_on_a_seeded_sample():
+    rng = random.Random(16)
+    pairs = [
+        (rng.randint(-ORACLE_BOUND, ORACLE_BOUND), rng.randint(-ORACLE_BOUND, ORACLE_BOUND))
+        for _ in range(500)
+    ]
+    pairs += [(ORACLE_BOUND, -ORACLE_BOUND), (-ORACLE_BOUND, ORACLE_BOUND - 1)]
+    for oracle, dp, _ in DPS:
+        for m, n in pairs:
+            assert oracle(m, n).minimal_cost == _search(m, n, dp.table), (m, n)
+
+
+def test_carry_dp_tail_ends_a_cheapest_expansion():
+    # Past both bit lengths the residuals lie in [-2, 2]; from each such
+    # pair some cheapest expansion ends within dp.tail columns.
+    for _, dp, _ in DPS:
+        for start in product(range(-2, 3), repeat=2):
+            reach, least = {start: 0}, float("inf")
+            for _ in range(dp.tail):
+                step = {}
+                for (a, b), base in reach.items():
+                    for cost, d1, d2 in dp.table[(a & 1) << 1 | (b & 1)]:
+                        succ = ((a - d1) >> 1, (b - d2) >> 1)
+                        step[succ] = min(step.get(succ, base + cost), base + cost)
+                reach = step
+                least = min(least, reach.get((0, 0), least))
+            assert least == _search(*start, dp.table), start
+
+
+def _unpruned(m, n, dp):
+    """The minimal cost by a plain min-plus loop over every carry pair, with
+    no normalising, no pruning and no cache."""
+    dist = {(0, 0): 0}
+    for _ in range(max(m.bit_length(), n.bit_length()) + dp.tail):
+        step = {}
+        for (c1, c2), base in dist.items():
+            a, b = (m & 1) + c1, (n & 1) + c2
+            for cost, d1, d2 in dp.table[(a & 1) << 1 | (b & 1)]:
+                succ = ((a - d1) >> 1, (b - d2) >> 1)
+                step[succ] = min(step.get(succ, base + cost), base + cost)
+        dist = step
+        m >>= 1
+        n >>= 1
+    return dist[(-m, -n)]
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_pruned_carry_dp_equals_the_unpruned_loop(bits):
+    rng = random.Random(bits)
+    for _ in range(8):
+        m, n = (rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(2))
+        for _, dp, _ in DPS:
+            assert dp.cost(m, n) == _unpruned(m, n, dp), (m, n)
+
+
+def _cost_to_go_closure(dp):
+    """Every normalised cost-to-go vector over the carry pairs: from each
+    sign-extended end, closed under one more letter read below."""
+
+    def back(letter, ctg):
+        b1, b2 = letter & 1, letter >> 1
+        out = {}
+        for c1, c2 in dp.carries:
+            a, b = b1 + c1, b2 + c2
+            out[(c1, c2)] = min(
+                cost + ctg[((a - d1) >> 1, (b - d2) >> 1)]
+                for cost, d1, d2 in dp.table[(a & 1) << 1 | (b & 1)]
+            )
+        return out
+
+    def normalised(ctg):
+        low = min(ctg.values())
+        return tuple(ctg[c] - low for c in dp.carries)
+
+    todo = []
+    for s1, s2 in product((0, 1), repeat=2):
+        # Reading the sign bits (s1, s2) forever; the residuals are zero
+        # when the carries cancel the signs.
+        ctg = {c: 0 if c == (s1, s2) else float("inf") for c in dp.carries}
+        while (before := back(s1 | s2 << 1, ctg)) != ctg:
+            ctg = before
+        todo.append(normalised(ctg))
+    seen = set()
+    while todo:
+        vector = todo.pop()
+        if vector not in seen:
+            seen.add(vector)
+            ctg = dict(zip(dp.carries, vector))
+            todo.extend(normalised(back(letter, ctg)) for letter in range(4))
+    return seen
+
+
+def test_cost_to_go_never_spreads_past_the_pruning_bound():
+    for (_, dp, spread), count in zip(DPS, (160, 11)):
+        closure = _cost_to_go_closure(dp)
+        assert len(closure) == count
+        assert max(max(vector) for vector in closure) == spread == dp.spread
+
+
+def test_carry_dp_step_cache_stays_bounded():
+    rng = random.Random(1024)
+    for (_, dp, _), count in zip(DPS, (42, 25)):
+        for _ in range(10):
+            dp.cost(rng.getrandbits(1024) - (1 << 1023), rng.getrandbits(1024))
+        filled = len(dp)
+        # Every state reachable from the start under every letter.
+        states, todo = {0}, [0]
+        while todo:
+            state = todo.pop()
+            for letter in range(4):
+                _, succ = dp[state << 2 | letter]
+                if succ not in states:
+                    states.add(succ)
+                    todo.append(succ)
+        assert len(states) == len(dp.vectors) == count
+        assert filled <= len(dp) == 4 * count
+
+
+def test_import_builds_no_carry_dp_step():
+    code = (
+        "import digitkit\n"
+        "from digitkit.recoding import _JOINT_WEIGHT, _WEIGHT1\n"
+        "print(len(_JOINT_WEIGHT), len(_WEIGHT1), len(_JOINT_WEIGHT.vectors), len(_WEIGHT1.vectors))"
+    )
+    src = Path(recoding.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.split() == ["0", "0", "1", "1"]

@@ -2,13 +2,22 @@
 
 import dataclasses
 import inspect
+import random
 import tracemalloc
 
 import pytest
 
 from digitkit import verification
 from digitkit.expansions import JointExpansion, binary
-from digitkit.recoding import naf, naf_complement_weight_gap, wllc_recode
+from digitkit.recoding import (
+    RecodingScheme,
+    _JOINT_WEIGHT,
+    naf,
+    naf_complement_weight_gap,
+    recode_joint,
+    sjsf,
+    wllc_recode,
+)
 from digitkit.transducer import double_naf_transducer
 from digitkit.verification import (
     CHECKS,
@@ -53,6 +62,24 @@ def test_sjsf_optimality_small():
     assert_clean(report, "sjsf", 256 + 50)
 
 
+def test_sjsf_optimality_reads_the_random_pairs_optimum():
+    report = check_sjsf_optimality(max_n=3, random_pairs=50, seed=3)
+    assert report.details == (
+        "optimality on 16 pairs and 50 random 64-bit pairs, "
+        "round-trip on the random pairs"
+    )
+    # Negative control on the same pairs: the optimum the check compares
+    # with is below stacked NAF's joint weight somewhere, and SJSF meets it.
+    rng = random.Random(3)
+    pairs = [(rng.getrandbits(64), rng.getrandbits(64)) for _ in range(50)]
+    optima = [_JOINT_WEIGHT.cost(m, n) for m, n in pairs]
+    stacked = [
+        recode_joint(p, RecodingScheme.STACKED_NAF).joint_weight() for p in pairs
+    ]
+    assert any(o < w for o, w in zip(optima, stacked))
+    assert optima == [sjsf(m, n).joint_weight() for m, n in pairs]
+
+
 def test_cost_model_small():
     report = check_cost_model(instances=20, seed=1)
     assert_clean(report, "cost-model", 100)
@@ -92,6 +119,21 @@ def test_run_check_caps_its_bounds():
         run_check("thm2", max_length=21)
     with pytest.raises(ValueError, match="max_n = 512 exceeds its cap of 511"):
         run_check("sjsf", max_n=512, random_pairs=1)
+
+
+def test_run_check_rejects_bad_bounds():
+    for name, bounds, message in (
+        ("sjsf", {"max_n": 3, "random_pairs": -4}, "random_pairs = -4 is negative"),
+        ("thm1", {"max_n": -1}, "max_n = -1 is negative"),
+        ("thm1", {"max_n": 3.5}, "max_n 3.5 is not an integer"),
+        ("thm2", {"max_length": "3"}, "max_length '3' is not an integer"),
+        ("thm1", {"max_length": 3}, "check 'thm1' does not take max_length"),
+        ("cost-model", {"max_n": 3}, "check 'cost-model' does not take max_n"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_check(name, **bounds)
+    # An integral float is taken as its integer, as elsewhere.
+    assert run_check("thm1", max_n=3.0) == run_check("thm1", max_n=3)
 
 
 def test_report_caps_counterexamples():
