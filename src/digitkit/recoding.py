@@ -352,7 +352,7 @@ def recode_joint(
 # ---------------------------------------------------------------------------
 # Brute-force minimal-cost oracles.
 
-ORACLE_BOUND = 1 << 16
+ORACLE_BOUND = 1 << 16  # the public oracles' input check; _CarryDP takes any size
 
 
 @dataclass(frozen=True)

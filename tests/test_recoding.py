@@ -287,8 +287,8 @@ def _search(m, n, table):
     free column's target goes to the front of the current queue, which on
     costs 0 and 1 is 0-1 breadth-first search.  |r'| <= (|r| + 2) / 2 keeps
     the search in a logarithmic window around (m, n), so it terminates.
-    This is the oracles' former algorithm, kept as the reference for the
-    carry DP.
+    It shares only the column table with the carry DP, so the tests hold
+    the DP to it.
     """
     source = (m, n)
     dist = {source: 0}
