@@ -9,7 +9,6 @@ an unrefuted claim, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from fractions import Fraction
 
@@ -34,7 +33,7 @@ from .transducer import (
     stationary_distribution,
     transition_matrix,
 )
-from .verification import CHECKS, run_check
+from .verification import CHECKS, bound_names, run_check
 
 _TARGET_SLOPE = 14 / 9
 _CLAIMED_SLOPES = {"wllc-slope": 1.304, "sun-slope": 1.471}
@@ -227,7 +226,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    allowed = inspect.signature(CHECKS[args.check]).parameters
+    allowed = bound_names(args.check)
     bounds = {}
     for name in ("max_n", "max_length", "random_pairs", "instances"):
         value = getattr(args, name)

@@ -6,7 +6,10 @@ and chunking: the multiset of samples for a given seed is always the
 same.  Per-sample metrics build no expansion objects and state no
 digit rule: the NAF, complement-aware and joint sparse form metrics take
 their position masks and column counts from the private helpers in
-recoding that naf, wllc_recode and sjsf are built on.
+recoding that naf, wllc_recode and sjsf are built on.  Exhaustive
+statistics count over the same helpers instead of enumerating vectors:
+per row position for the union schemes, and over the joint sparse
+form's nibble table.
 
 Column statistics use a fixed width: signed schemes are measured at
 length+1 columns (their maximum), the binary scheme at length columns.
@@ -25,14 +28,22 @@ import json
 import math
 import random
 import struct
+import sys
+from array import array
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import repeat
 from operator import add
 from typing import Callable, Iterable, Iterator
 
 from .expansions import _integer, _integers
-from .recoding import RecodingScheme, _naf_support, _sjsf_weight_top, _wllc_support
+from .recoding import (
+    RecodingScheme,
+    _naf_support,
+    _sjsf_nibble_table,
+    _sjsf_weight_top,
+    _wllc_support,
+)
 
 _EXHAUSTIVE_BITS_BOUND = 24
 _BIT_PROBABILITY_LENGTH_BOUND = 16
@@ -40,6 +51,8 @@ _BIT_PROBABILITY_LENGTH_BOUND = 16
 _DRAW_BLOCK_BYTES = 1 << 20
 # The most bits one sampled vector (dimension x length) may hold: one block.
 _DRAW_BITS_CAP = 8 * _DRAW_BLOCK_BYTES
+# Rows an exhaustive count holds at once, whatever its length.
+_COUNT_BLOCK_ROWS = 1 << 16
 
 
 def _check_draw_bits(dimension: int, length: int) -> None:
@@ -382,6 +395,98 @@ def run_stats(config: RunConfig, experiment: str = "stats") -> Iterator[StatReco
         )
 
 
+def _position_counts(masks: Iterable[int], width: int) -> list[int]:
+    """counts[j]: how many of the masks have bit j set, for j < width.
+
+    The masks lie side by side in one integer, a 32-bit field each (the
+    exhaustive cap keeps them narrower), so a position costs one shift,
+    mask and popcount over all of them, not a loop over the masks.
+    """
+    fields = array("I", masks)
+    words = int.from_bytes(fields, sys.byteorder)
+    one = (1).to_bytes(fields.itemsize, sys.byteorder)
+    ones = int.from_bytes(one * len(fields), sys.byteorder)
+    return [(words >> j & ones).bit_count() for j in range(width)]
+
+
+def _sjsf_counts(length: int) -> tuple[int, int]:
+    """(summed joint weight, summed top flag) of the joint sparse form
+    over every pair in [0, 2**length)**2.
+
+    A counting walk over the nibble table _sjsf_weight_top reads: each
+    reachable row keeps how many pairs reach it and their summed weight,
+    and each nibble admits only the bit values that the padding and the
+    length leave free (see _sjsf_bytes).  As in _sjsf_weight_top, the top
+    column is nonzero exactly where the walk ends off the start row.
+    """
+    start = _sjsf_nibble_table()
+    nbytes = (length + 8) >> 3
+    free = ((1 << length) - 1) << (8 * nbytes - 1 - length)
+    states = {id(start): (start, 1, 0)}
+    for shift in range(0, 8 * nbytes, 4):
+        nibbles = [x for x in range(16) if not x & ~(free >> shift)]
+        letters = [x1 << 4 | x2 for x1 in nibbles for x2 in nibbles]
+        after: dict[int, tuple[list, int, int]] = {}
+        for row, pairs, weight in states.values():
+            for letter in letters:
+                w, _, target = row[letter]
+                _, p, s = after.get(id(target), (target, 0, 0))
+                after[id(target)] = (target, p + pairs, s + weight + w * pairs)
+        states = after
+    top = sum(pairs for row, pairs, _ in states.values() if row is not start)
+    weight = sum(weight for _, _, weight in states.values())
+    return weight + top, top
+
+
+def _exhaustive_sums(
+    scheme: RecodingScheme, length: int, dimension: int
+) -> tuple[int, int, int, int, int, int]:
+    """_accumulate's first six sums (count, weight, weight1, zeros,
+    multiplications, squarings) over every vector in [0, 2**length)**dimension,
+    counted without enumerating the vectors; WLLC leaves out the all-zero one.
+
+    Outside SJSF the columns are the union of independent row supports, so
+    with N = 2**length rows and c rows having bit j set, N**D - (N - c)**D
+    vectors have bit j in their union.  Summed over j that is the weight;
+    the magnitude-2 masks give the deep columns and bit width - 1 the top.
+    The all-zero vector has an empty union, so dropping it changes only the
+    count.
+    """
+    width = length if scheme is RecodingScheme.BINARY else length + 1
+    vectors = 1 << dimension * length
+    if scheme is RecodingScheme.SJSF:
+        weight, top = _sjsf_counts(length)
+        weight1 = weight
+    else:
+        rows = 1 << length
+        counts = deep = [0] * width
+        for start in range(0, rows, _COUNT_BLOCK_ROWS):
+            block = range(start, min(start + _COUNT_BLOCK_ROWS, rows))
+            twos: Iterable[int] = ()
+            if scheme is RecodingScheme.WLLC:
+                supports, twos = zip(*map(_wllc_support, block, repeat(length)))
+            elif scheme is RecodingScheme.BINARY:
+                supports = block
+            elif scheme in (RecodingScheme.NAF, RecodingScheme.STACKED_NAF):
+                supports = map(_naf_support, block)
+            else:
+                raise ValueError(f"unknown scheme {scheme!r}")
+            counts = list(map(add, counts, _position_counts(supports, width)))
+            deep = list(map(add, deep, _position_counts(filter(None, twos), width)))
+
+        def covered(c: int) -> int:
+            return vectors - (rows - c) ** dimension
+
+        weight = sum(map(covered, counts))
+        weight1 = weight + sum(map(covered, deep))
+        top = covered(counts[-1])
+    count = vectors - (scheme is RecodingScheme.WLLC)
+    return (
+        count, weight, weight1, count * width - weight, weight1 - top,
+        count * (width - 1),
+    )
+
+
 def exhaustive_stats(
     scheme: RecodingScheme,
     length: int,
@@ -391,6 +496,12 @@ def exhaustive_stats(
 
     The complement-aware scheme skips the all-zero vector (its common
     length is undefined there), matching the Monte Carlo redraw rule.
+
+    The sums are counted, not enumerated, and equal those of running the
+    per-sample metrics on every vector.  The union schemes (binary, NAF,
+    stacked NAF, WLLC) go over the 2**length rows once and count, per
+    position, the rows whose support has it; SJSF runs a counting walk
+    over its nibble table, in time linear in length.
     """
     length = _integer("length", length)
     dimension = _integer("dimension", dimension)
@@ -402,13 +513,7 @@ def exhaustive_stats(
         )
     if scheme is RecodingScheme.SJSF and dimension != 2:
         raise ValueError("the joint sparse form is two-dimensional")
-    skip_zero = scheme is RecodingScheme.WLLC
-    draws = (
-        (exps, 0)
-        for exps in iter_product(range(1 << length), repeat=dimension)
-        if any(exps) or not skip_zero
-    )
-    sums = _accumulate(draws, length, scheme)
+    sums = _exhaustive_sums(scheme, length, dimension)
     return _record("exhaustive", length, dimension, scheme, sums, seed=0, std_error=0.0)
 
 

@@ -367,14 +367,20 @@ CHECKS: dict[str, Callable[..., CheckReport]] = {
 _BOUND_CAPS = {"max_n": 511, "max_length": 20, "random_pairs": 10**6, "instances": 10**6}
 
 
-def run_check(name: str, **bounds: int) -> CheckReport:
-    """Run one check.  Each bound must be one the check takes and a
-    non-negative integer within its cap; otherwise ValueError."""
+def bound_names(name: str) -> tuple[str, ...]:
+    """The bounds check `name` takes: its parameters, in order.
+    ValueError for an unknown check."""
     try:
         check = CHECKS[name]
     except KeyError:
         raise ValueError(f"unknown check {name!r}") from None
-    allowed = inspect.signature(check).parameters
+    return tuple(inspect.signature(check).parameters)
+
+
+def run_check(name: str, **bounds: int) -> CheckReport:
+    """Run one check.  Each bound must be one the check takes and a
+    non-negative integer within its cap; otherwise ValueError."""
+    allowed = bound_names(name)
     for bound, value in bounds.items():
         if bound not in allowed:
             raise ValueError(f"check {name!r} does not take {bound}")
@@ -386,4 +392,4 @@ def run_check(name: str, **bounds: int) -> CheckReport:
             raise ValueError(f"{bound} = {value} is negative")
         if value > cap:
             raise ValueError(f"{bound} = {value} exceeds its cap of {cap}")
-    return check(**bounds)
+    return CHECKS[name](**bounds)

@@ -5,6 +5,7 @@ import json
 import random
 import struct
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -407,6 +408,77 @@ def test_exhaustive_stats_bounds():
     assert ex.exhaustive_stats(RecodingScheme.NAF, 4.0, 2.0) == ex.exhaustive_stats(
         RecodingScheme.NAF, 4
     )
+
+
+def enumerated_sums(scheme, length, dimension, skip_zero=None):
+    """exhaustive_stats's six sums by enumeration: _accumulate over every
+    vector in [0, 2**length)**dimension, WLLC skipping the all-zero one."""
+    if skip_zero is None:
+        skip_zero = scheme is RecodingScheme.WLLC
+    draws = (
+        (exps, 0)
+        for exps in product(range(1 << length), repeat=dimension)
+        if any(exps) or not skip_zero
+    )
+    return ex._accumulate(draws, length, scheme)[:6]
+
+
+def exhaustive_cases(max_bits):
+    for scheme in RecodingScheme:
+        for dimension in (2,) if scheme is RecodingScheme.SJSF else (1, 2, 3):
+            for length in range(1, max_bits // dimension + 1):
+                yield scheme, length, dimension
+
+
+def test_exhaustive_sums_equal_enumeration():
+    for scheme, length, dimension in exhaustive_cases(12):
+        case = (scheme, length, dimension)
+        sums = ex._exhaustive_sums(scheme, length, dimension)
+        assert all(type(v) is int for v in sums), case
+        assert sums == enumerated_sums(*case), case
+        assert ex.exhaustive_stats(*case) == ex._record(
+            "exhaustive", length, dimension, scheme, sums, seed=0, std_error=0.0
+        )
+
+
+def test_exhaustive_wllc_drops_only_the_zero_vector():
+    for length, dimension in ((1, 1), (5, 1), (12, 1), (3, 2), (6, 2), (2, 3), (4, 3)):
+        counted = ex._exhaustive_sums(RecodingScheme.WLLC, length, dimension)
+        zero = ex._scheme_metrics((0,) * dimension, length, RecodingScheme.WLLC)
+        # The all-zero vector has no nonzero column.
+        assert zero[:2] == (0, 0)
+        every = enumerated_sums(RecodingScheme.WLLC, length, dimension, skip_zero=False)
+        assert counted[0] == every[0] - 1 == (1 << dimension * length) - 1
+        assert counted[1:] == tuple(e - z for e, z in zip(every[1:], zero))
+
+
+def test_exhaustive_counts_cross_row_blocks(monkeypatch):
+    # Blocks of 5 rows: every length above 2 ends on a partial block.
+    monkeypatch.setattr(ex, "_COUNT_BLOCK_ROWS", 5)
+    for scheme, length, dimension in exhaustive_cases(8):
+        case = (scheme, length, dimension)
+        assert ex._exhaustive_sums(*case) == enumerated_sums(*case), case
+
+
+def test_exhaustive_stats_counts_rows_not_vectors(monkeypatch):
+    # The union schemes recode each of the 2**length rows once, whatever
+    # the dimension; SJSF never runs the per-pair metric.
+    calls = []
+    wllc_support = ex._wllc_support
+
+    def counting(n, length):
+        calls.append(n)
+        return wllc_support(n, length)
+
+    def per_pair(*args):
+        raise AssertionError("exhaustive SJSF ran the per-pair metric")
+
+    monkeypatch.setattr(ex, "_wllc_support", counting)
+    monkeypatch.setattr(ex, "_sjsf_weight_top", per_pair)
+    record = ex.exhaustive_stats(RecodingScheme.WLLC, 8, dimension=3)
+    assert sorted(calls) == list(range(256))
+    assert record.samples == (1 << 24) - 1
+    assert ex.exhaustive_stats(RecodingScheme.SJSF, 12).samples == 1 << 24
 
 
 def test_cost_slope_reports_both_lengths():

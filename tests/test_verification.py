@@ -106,6 +106,14 @@ def test_run_check_dispatch():
         run_check("entropy")
 
 
+def test_bound_names_follow_check_signatures():
+    for name, check in CHECKS.items():
+        assert verification.bound_names(name) == tuple(inspect.signature(check).parameters)
+    assert verification.bound_names("sjsf") == ("max_n", "random_pairs", "seed")
+    with pytest.raises(ValueError, match="^unknown check 'entropy'$"):
+        verification.bound_names("entropy")
+
+
 def test_run_check_caps_its_bounds():
     # The defaults and the acceptance windows all fit under the caps.
     for check in CHECKS.values():
