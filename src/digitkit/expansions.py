@@ -11,6 +11,8 @@ from its trimmed form.  Display and JSON read most significant first.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -26,6 +28,8 @@ _BYTE_OF_CODE = bytes.maketrans(b"\x00\x01\x03\x05\x07", b"\x00\x01\xff\x02\xfe"
 _CODE_OF_ASCII = bytes.maketrans(b"01234567", bytes(range(8)))
 # The struct code of an unsigned int of each column key width, in bytes.
 _KEY_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# The width of one field of a packed integer (see `_packed`).
+_FIELD_BITS = 8 * array("I").itemsize
 
 
 def _integers(what: str, values: Iterable) -> tuple[int, ...]:
@@ -302,9 +306,38 @@ class JointExpansion:
         return " / ".join(str(r) for r in self.rows)
 
 
+def _joint(rows: tuple[Expansion, ...]) -> JointExpansion:
+    """A joint expansion of one or more equal-length rows, not checked."""
+    joint = object.__new__(JointExpansion)
+    joint.__dict__["rows"] = rows
+    return joint
+
+
 def stack(rows: Sequence[Expansion]) -> JointExpansion:
     """Stack expansions into a joint expansion, padding to the longest row."""
     if not rows:
         raise ValueError("nothing to stack")
     length = max(len(r) for r in rows)
-    return JointExpansion(tuple(r.padded(length) for r in rows))
+    return _joint(tuple(r.padded(length) for r in rows))
+
+
+def _packed(masks: Iterable[int]) -> tuple[int, int]:
+    """(words, ones): the masks side by side in one integer, a field of
+    _FIELD_BITS bits each, the first mask lowest, and the integer with bit
+    0 of every field set.  Then (words >> j & ones).bit_count() counts the
+    masks with bit j set: one shift, mask and popcount over all of them."""
+    fields = array("I", masks)
+    one = (1).to_bytes(fields.itemsize, sys.byteorder)
+    ones = int.from_bytes(one * len(fields), sys.byteorder)
+    return int.from_bytes(fields, sys.byteorder), ones
+
+
+def _packed_range(count: int) -> tuple[int, int]:
+    """_packed(range(count)) for a power of two count, built by doubling:
+    the fields c..2c-1 are the fields 0..c-1 plus c."""
+    words, ones, filled = 0, 1, 1
+    while filled < count:
+        words |= (words + filled * ones) << _FIELD_BITS * filled
+        ones |= ones << _FIELD_BITS * filled
+        filled *= 2
+    return words, ones

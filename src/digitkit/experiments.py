@@ -28,15 +28,13 @@ import json
 import math
 import random
 import struct
-import sys
-from array import array
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import repeat
 from operator import add
 from typing import Callable, Iterable, Iterator
 
-from .expansions import _integer, _integers
+from .expansions import _integer, _integers, _packed
 from .recoding import (
     RecodingScheme,
     _naf_support,
@@ -398,14 +396,11 @@ def run_stats(config: RunConfig, experiment: str = "stats") -> Iterator[StatReco
 def _position_counts(masks: Iterable[int], width: int) -> list[int]:
     """counts[j]: how many of the masks have bit j set, for j < width.
 
-    The masks lie side by side in one integer, a 32-bit field each (the
-    exhaustive cap keeps them narrower), so a position costs one shift,
-    mask and popcount over all of them, not a loop over the masks.
+    The masks are packed side by side in one integer (the exhaustive cap
+    keeps them narrower than a field), so a position costs one shift, mask
+    and popcount over all of them, not a loop over the masks.
     """
-    fields = array("I", masks)
-    words = int.from_bytes(fields, sys.byteorder)
-    one = (1).to_bytes(fields.itemsize, sys.byteorder)
-    ones = int.from_bytes(one * len(fields), sys.byteorder)
+    words, ones = _packed(masks)
     return [(words >> j & ones).bit_count() for j in range(width)]
 
 
@@ -641,6 +636,7 @@ class ComplementBitReport:
 
 
 def complement_bit_probabilities(length: int) -> ComplementBitReport:
+    length = _integer("length", length)
     if not 1 <= length <= _BIT_PROBABILITY_LENGTH_BOUND:
         raise ValueError(
             f"exhaustive bit probabilities capped at length "

@@ -16,7 +16,10 @@ transducer.sjsf_transducer(): sjsf() reads the nonzero columns from the
 table and _sjsf_weight_top the column counts, both in time linear in the
 bit length, and experiments.exhaustive_stats counts pairs over it.  Both
 oracles run one min-plus DP over carry pairs, _CarryDP, on their own
-column rules, caching each step on first use.
+column rules, caching each step on first use and reading a nibble pair
+per step.  The recoders build their joint expansions unchecked, as their
+rows have equal length by construction; integer arguments are checked
+before any bit is read.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from itertools import product
 from typing import Sequence
 
 from .expansions import Expansion, JointExpansion, binary, ones_complement, stack
-from .expansions import _from_masks, _integer, _integers, _rows_from_columns
+from .expansions import _from_masks, _integer, _integers, _joint, _rows_from_columns
 
 
 class RecodingScheme(Enum):
@@ -52,6 +55,7 @@ def naf(n: int) -> Expansion:
     odd steps take d = 2 - (n mod 4) so the successor is divisible by 4.
     naf(0) is empty; for n < 0 the top digit is -1.
     """
+    n = _integer("exponent", n)
     support = _naf_support(n)
     return _row(support.bit_length(), support, n)
 
@@ -132,7 +136,8 @@ def _sjsf_nibble_table() -> list[tuple[int, int, list]]:
 
 
 def _sjsf_bytes(m: int, n: int, length: int) -> tuple[bytes, bytes, int]:
-    """(lo, hi, pad): positions 0..length of m and n as table indices.
+    """(lo, hi, pad): positions 0..length of m and n, in two's complement,
+    as nibble-pair letters x1 << 4 | x2 (table indices).
 
     Zero bits prepended below position 0 pad the read to whole bytes: from
     the start state they emit zero columns and stay there.  Byte k of lo
@@ -195,6 +200,7 @@ def sjsf(m: int, n: int) -> JointExpansion:
     position max bit length, which the carries may still fill.  Digit
     signs then follow from the values.
     """
+    m, n = _integer("exponent", m), _integer("exponent", n)
     if m < 0 or n < 0:
         raise ValueError("sjsf requires non-negative inputs")
     lo, hi, pad = _sjsf_bytes(m, n, max(m.bit_length(), n.bit_length()))
@@ -212,7 +218,7 @@ def sjsf(m: int, n: int) -> JointExpansion:
     s2 = int.from_bytes(packed[1::2], "little") >> (pad + 1)
     # The last column of the form is nonzero, so the support sets the width.
     width = (s1 | s2).bit_length()
-    return JointExpansion((_row(width, s1, m), _row(width, s2, n)))
+    return _joint((_row(width, s1, m), _row(width, s2, n)))
 
 
 def is_sjsf(joint: JointExpansion) -> bool:
@@ -330,13 +336,13 @@ def recode_joint(
         length = _integer("length", length)
     if scheme is RecodingScheme.BINARY:
         width = max(n.bit_length() for n in exps) if length is None else length
-        return JointExpansion(tuple(binary(n, width) for n in exps))
+        return _joint(tuple(binary(n, width) for n in exps))
     if scheme is RecodingScheme.WLLC:
         if length is None:
             if not any(exps):
                 raise ValueError("all-zero exponent vector cannot be recoded")
             length = max(exps).bit_length()
-        return JointExpansion(tuple(wllc_recode(n, length) for n in exps))
+        return _joint(tuple(wllc_recode(n, length) for n in exps))
     if scheme in (RecodingScheme.NAF, RecodingScheme.STACKED_NAF):
         joint = stack([naf(n) for n in exps])
     elif scheme is RecodingScheme.SJSF:
@@ -346,7 +352,7 @@ def recode_joint(
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     if length is not None:
-        joint = JointExpansion(tuple(r.padded(length) for r in joint.rows))
+        joint = _joint(tuple(r.padded(length) for r in joint.rows))
     return joint
 
 
@@ -383,7 +389,8 @@ class _CarryDP(dict):
     where that exceeds `spread`: cost-to-go never differs by more between
     carry pairs, so such an entry is on no cheapest path.  The dict maps
     state << 2 | (bit of m) | (bit of n) << 1 to (cost added, next state),
-    each entry built on first use.
+    each entry built on first use.  cost() reads a nibble pair per step
+    from `nibbles`, four of these steps composed.
     """
 
     tail = 2  # past both tops, residuals in [-2, 2] end within 2 columns
@@ -398,6 +405,7 @@ class _CarryDP(dict):
         self.carries = tuple(product(carries, repeat=2))
         self.spread = spread
         self.vectors = [tuple(0 if c == (0, 0) else None for c in self.carries)]
+        self.nibbles = _NibbleSteps(self)
 
     def __missing__(self, key: int) -> tuple[int, int]:
         best: dict[tuple[int, int], int] = {}
@@ -416,15 +424,26 @@ class _CarryDP(dict):
         return self[key]
 
     def cost(self, m: int, n: int) -> int:
-        """The minimal cost of (m, n), for integers of any size."""
+        """The minimal cost of (m, n), for integers of any size.
+
+        Reads positions 0..top, whole bytes so _sjsf_bytes pads nothing,
+        at least `tail` positions past both tops.  Past the tops every letter is the sign
+        bits, and carries that cancel the signs keep the residuals zero at
+        no cost, so reading further leaves the answer alone.
+        """
+        top = (max(m.bit_length(), n.bit_length()) + self.tail - 1) | 7
+        lo, hi, _ = _sjsf_bytes(m, n, top)
+        steps = self.nibbles
         total = state = 0
-        for _ in range(max(m.bit_length(), n.bit_length()) + self.tail):
-            cost, state = self[state << 2 | (m & 1) | (n & 1) << 1]
+        for x, y in zip(lo, hi):
+            cost, state = steps[state << 8 | x]
             total += cost
-            m >>= 1
-            n >>= 1
-        # m and n are now their signs, so carries (-m, -n) zero the residuals.
-        return total + self.vectors[state][self.carries.index((-m, -n))]
+            cost, state = steps[state << 8 | y]
+            total += cost
+        # m and n shifted past the read are their signs, so carries of the
+        # opposite signs zero the residuals.
+        signs = (-(m >> top + 1), -(n >> top + 1))
+        return total + self.vectors[state][self.carries.index(signs)]
 
     def witness(self, m: int, n: int) -> JointExpansion:
         """A cheapest expansion of (m, n), one column at a time: a column
@@ -440,11 +459,29 @@ class _CarryDP(dict):
         return JointExpansion(_rows_from_columns(columns, 2))
 
 
+class _NibbleSteps(dict):
+    """Maps state << 8 | x1 << 4 | x2 to (cost added, next state) of a
+    _CarryDP reading nibble x1 of m and x2 of n, least significant bit
+    first: four bit steps composed, each entry built on first use."""
+
+    def __init__(self, bits: _CarryDP):
+        self.bits = bits
+
+    def __missing__(self, key: int) -> tuple[int, int]:
+        bits, total, state = self.bits, 0, key >> 8
+        for i in range(4):
+            cost, state = bits[state << 2 | (key >> 4 + i & 1) | (key >> i & 1) << 1]
+            total += cost
+        self[key] = total, state
+        return self[key]
+
+
 _WEIGHT1 = _CarryDP((-2, 0, 2), lambda d1, d2: max(abs(d1), abs(d2)), range(-1, 3), 2)
 _JOINT_WEIGHT = _CarryDP((0,), lambda d1, d2: 1 if d1 or d2 else 0, range(2), 1)
 
 
 def _oracle(dp: _CarryDP, m: int, n: int) -> OracleResult:
+    m, n = _integer("oracle input", m), _integer("oracle input", n)
     if abs(m) > ORACLE_BOUND or abs(n) > ORACLE_BOUND:
         raise ValueError(f"oracle inputs limited to |x| <= {ORACLE_BOUND}")
     return OracleResult(dp.cost(m, n), functools.partial(dp.witness, m, n))

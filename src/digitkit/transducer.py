@@ -14,7 +14,9 @@ straight into bit masks, with no digit tuple per row.
 The chain tools accept any of the machines.  Everything downstream of the
 machines is exact: distributions walk integer numerators over a common
 denominator and become rationals only when returned; no floating point
-enters here.
+enters here.  The exhaustive zero-output count checks the chain from
+outside: every input goes into one packed integer, and one product,
+exclusive or and shift give the NAF supports of all of them.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .expansions import (
     DIGIT_MAX,
     DIGIT_MIN,
     JointExpansion,
+    _integer,
+    _packed_range,
     _rows_from_columns,
 )
 from .recoding import _naf_column, _naf_support, _sjsf_column
@@ -328,6 +332,7 @@ def _ratios(numerators: Iterable[int], denominator: int) -> tuple[Fraction, ...]
 
 def state_distribution(p: RationalMatrix, k: int) -> StateDistribution:
     """Exact distribution after k steps, started in the first-labelled state."""
+    k = _integer("step count", k)
     if k < 0:
         raise ValueError("step count must be non-negative")
     start = StateDistribution(
@@ -406,10 +411,16 @@ def zero_output_probability(k: int, method: str = "markov") -> Fraction:
     Row 1 is the recoding of the input value itself; the input is uniform
     over binary words long enough to determine digit k (k+2 positions).
     "markov" evaluates the chain of the product machine; "exhaustive"
-    enumerates all inputs arithmetically and is capped at k = 20.  Both
-    agree exactly.  The result differs from the limit 2/3 by at most
-    2**-k times ZERO_PROBABILITY_ERROR_CONSTANT.
+    counts all inputs and is capped at k = 20.  Both agree exactly.  The
+    result differs from the limit 2/3 by at most 2**-k times
+    ZERO_PROBABILITY_ERROR_CONSTANT.
+
+    The exhaustive count packs every input into one integer, a field each
+    (expansions._packed_range), and takes the NAF support of all of them
+    at once: under the cap 3n fits its field, so no carry crosses one, and
+    bit 0 of 3n ^ n is always 0, so the shift takes no bit across either.
     """
+    k = _integer("digit position", k)
     if k < 0:
         raise ValueError("digit position must be non-negative")
     if method == "markov":
@@ -433,7 +444,8 @@ def zero_output_probability(k: int, method: str = "markov") -> Fraction:
             raise ValueError(
                 f"exhaustive enumeration capped at k = {_EXHAUSTIVE_POSITION_BOUND}"
             )
-        width = k + 2
-        count = sum(_naf_support(n) >> k & 1 == 0 for n in range(1 << width))
-        return Fraction(count, 1 << width)
+        inputs = 1 << k + 2
+        words, ones = _packed_range(inputs)
+        nonzero = (_naf_support(words) >> k & ones).bit_count()
+        return Fraction(inputs - nonzero, inputs)
     raise ValueError(f"unknown method {method!r}")

@@ -6,6 +6,8 @@ from digitkit.expansions import (
     Expansion,
     JointExpansion,
     binary,
+    _packed,
+    _packed_range,
     ones_complement,
     stack,
 )
@@ -132,3 +134,13 @@ def test_stack_pads_to_longest():
     assert j.values() == (1, 6)
     with pytest.raises(ValueError):
         stack([])
+
+
+def test_packed_range_equals_packing_the_range():
+    for count in (1, 2, 4, 8, 256, 4096):
+        words, ones = _packed_range(count)
+        assert (words, ones) == _packed(range(count))
+        # Bit j of field i is bit j of i.
+        assert [(words >> j & ones).bit_count() for j in range(13)] == [
+            sum(i >> j & 1 for i in range(count)) for j in range(13)
+        ]

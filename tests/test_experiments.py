@@ -586,6 +586,10 @@ def test_complement_bit_probabilities_bounds():
         ex.complement_bit_probabilities(0)
     with pytest.raises(ValueError):
         ex.complement_bit_probabilities(17)
+    for bad in (4.5, "4"):
+        with pytest.raises(ValueError, match=f"^length {bad!r} is not an integer$"):
+            ex.complement_bit_probabilities(bad)
+    assert ex.complement_bit_probabilities(4.0) == ex.complement_bit_probabilities(4)
 
 
 def test_json_serialization_shape():

@@ -99,6 +99,26 @@ def test_sjsf_rejects_negative():
         sjsf(3, -1)
 
 
+def test_integer_arguments_are_checked_before_any_read():
+    # Integral floats and bools pass as their ints; anything else is refused.
+    assert sjsf(3.0, True) == sjsf(3, 1)
+    assert naf(-3.0) == naf(-3)
+    for oracle in (min_weight1_oracle, min_joint_weight_oracle):
+        assert oracle(3.0, 1).minimal_cost == oracle(3, 1).minimal_cost
+        for bad in (2.5, "3"):
+            with pytest.raises(ValueError, match=f"^oracle input {bad!r} is not an integer$"):
+                oracle(bad, 1)
+            with pytest.raises(ValueError, match=f"^oracle input {bad!r} is not an integer$"):
+                oracle(1, bad)
+    for bad in (2.5, "3"):
+        with pytest.raises(ValueError, match=f"^exponent {bad!r} is not an integer$"):
+            sjsf(bad, 1)
+        with pytest.raises(ValueError, match=f"^exponent {bad!r} is not an integer$"):
+            sjsf(1, bad)
+        with pytest.raises(ValueError, match=f"^exponent {bad!r} is not an integer$"):
+            naf(bad)
+
+
 def test_is_sjsf_rejects_non_minimal_pattern():
     j = JointExpansion((Expansion((1, 1)), Expansion((1, 0))))
     assert not is_sjsf(j)
@@ -187,6 +207,29 @@ def test_recode_joint_dispatch():
     w = recode_joint(exps, RecodingScheme.WLLC, length=6)
     assert len(w) == 7
     assert w.values() == exps
+
+
+def test_recoded_joints_pass_the_public_checks():
+    # The recoders build their joints unchecked; each must be one the
+    # checked constructor accepts and equals.
+    rng = random.Random(18)
+    vectors = [(0, 0), (1, 0), (13, 5), (255, 256)]
+    vectors += [(rng.getrandbits(bits), rng.getrandbits(bits)) for bits in (7, 64, 300)]
+    for scheme in RecodingScheme:
+        for dimension in (1, 2, 3) if scheme is not RecodingScheme.SJSF else (2,):
+            for vector in vectors:
+                exps = (vector * 2)[:dimension]
+                if scheme is RecodingScheme.WLLC and not any(exps):
+                    continue
+                width = max(exps).bit_length() + 2
+                for length in (None, width):
+                    joint = recode_joint(exps, scheme, length)
+                    assert joint == JointExpansion(joint.rows), (scheme, exps, length)
+                    assert type(joint.rows) is tuple
+                    assert joint.values() == exps
+    for m, n in vectors:
+        joint = sjsf(m, n)
+        assert joint == JointExpansion(joint.rows)
 
 
 def test_recode_joint_validation():
@@ -427,12 +470,28 @@ def test_cost_to_go_never_spreads_past_the_pruning_bound():
         assert max(max(vector) for vector in closure) == spread == dp.spread
 
 
+@pytest.mark.parametrize("bits", range(1, 13))
+def test_nibble_stepped_cost_equals_the_unpruned_loop_at_every_short_length(bits):
+    # The read ends at the first byte boundary at least dp.tail bits past
+    # the top, so these lengths cover both sides of a boundary.
+    rng = random.Random(bits)
+    top = 1 << (bits - 1)
+    for s1, s2 in product((1, -1), repeat=2):
+        for _ in range(20):
+            m = s1 * (top | rng.getrandbits(bits - 1))
+            n = s2 * rng.randrange(2 * top)
+            for _, dp, _ in DPS:
+                assert dp.cost(m, n) == _unpruned(m, n, dp), (m, n)
+                assert dp.cost(n, m) == _unpruned(n, m, dp), (n, m)
+
+
 def test_carry_dp_step_cache_stays_bounded():
     rng = random.Random(1024)
     for (_, dp, _), count in zip(DPS, (42, 25)):
         for _ in range(10):
             dp.cost(rng.getrandbits(1024) - (1 << 1023), rng.getrandbits(1024))
         filled = len(dp)
+        nibbles = dict(dp.nibbles)
         # Every state reachable from the start under every letter.
         states, todo = {0}, [0]
         while todo:
@@ -444,13 +503,24 @@ def test_carry_dp_step_cache_stays_bounded():
                     todo.append(succ)
         assert len(states) == len(dp.vectors) == count
         assert filled <= len(dp) == 4 * count
+        # A nibble step per reachable state and nibble pair at most, each
+        # four bit steps composed.
+        assert len(nibbles) <= 256 * count
+        for key, (cost, state) in nibbles.items():
+            assert key >> 8 in states
+            total, succ = 0, key >> 8
+            for i in range(4):
+                step, succ = dp[succ << 2 | (key >> 4 + i & 1) | (key >> i & 1) << 1]
+                total += step
+            assert (cost, state) == (total, succ)
 
 
 def test_import_builds_no_carry_dp_step():
     code = (
         "import digitkit\n"
         "from digitkit.recoding import _JOINT_WEIGHT, _WEIGHT1\n"
-        "print(len(_JOINT_WEIGHT), len(_WEIGHT1), len(_JOINT_WEIGHT.vectors), len(_WEIGHT1.vectors))"
+        "print(len(_JOINT_WEIGHT), len(_WEIGHT1), len(_JOINT_WEIGHT.vectors), len(_WEIGHT1.vectors),"
+        " len(_JOINT_WEIGHT.nibbles), len(_WEIGHT1.nibbles))"
     )
     src = Path(recoding.__file__).resolve().parents[1]
     out = subprocess.run(
@@ -458,4 +528,4 @@ def test_import_builds_no_carry_dp_step():
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.split() == ["0", "0", "1", "1"]
+    assert out.stdout.split() == ["0", "0", "1", "1", "0", "0"]

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from digitkit.recoding import naf
+from digitkit.recoding import _naf_support, naf
 from test_properties import MACHINES, run_by_digits, sjsf_machine_matches
 from digitkit.transducer import (
     TERMINAL,
@@ -357,10 +357,35 @@ def test_zero_output_probability_closed_form():
 
 
 def test_zero_output_probability_methods_agree():
-    for k in range(9):
+    for k in range(21):
         assert zero_output_probability(k, "markov") == zero_output_probability(
             k, "exhaustive"
         )
+
+
+def zero_output_by_inputs(k):
+    """The exhaustive probability by a loop over the inputs, one NAF
+    support per input word of k + 2 bits."""
+    inputs = 1 << k + 2
+    return Fraction(sum(_naf_support(n) >> k & 1 == 0 for n in range(inputs)), inputs)
+
+
+def test_packed_zero_count_equals_the_per_input_loop():
+    for k in range(13):
+        assert zero_output_probability(k, "exhaustive") == zero_output_by_inputs(k), k
+
+
+def test_chain_arguments_must_be_integers():
+    p = transition_matrix(double_naf_transducer())
+    for method in ("markov", "exhaustive"):
+        for bad in (3.5, "3"):
+            with pytest.raises(ValueError, match=f"^digit position {bad!r} is not an integer$"):
+                zero_output_probability(bad, method)
+        assert zero_output_probability(3.0, method) == zero_output_probability(3, method)
+    for bad in (2.5, "2"):
+        with pytest.raises(ValueError, match=f"^step count {bad!r} is not an integer$"):
+            state_distribution(p, bad)
+    assert state_distribution(p, 2.0) == state_distribution(p, 2)
 
 
 def test_zero_output_probability_bounds():
