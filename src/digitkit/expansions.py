@@ -22,9 +22,8 @@ DIGIT_MAX = 2
 _DIGITS = frozenset(range(DIGIT_MIN, DIGIT_MAX + 1))
 # A position's code is support + 2 * negative + 4 * two (see `_octal_code`).
 _CODE_OF_DIGIT = {0: 0, 1: 1, -1: 3, 2: 5, -2: 7}
-# A code, as an ASCII octal digit or as a byte value -> its digit's byte.
+# A code, as an ASCII octal digit -> its digit's byte.
 _BYTE_OF_OCTAL = bytes.maketrans(b"01357", b"\x00\x01\xff\x02\xfe")
-_BYTE_OF_CODE = bytes.maketrans(b"\x00\x01\x03\x05\x07", b"\x00\x01\xff\x02\xfe")
 _CODE_OF_ASCII = bytes.maketrans(b"01234567", bytes(range(8)))
 # The struct code of an unsigned int of each column key width, in bytes.
 _KEY_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -104,12 +103,6 @@ def _column_keys(joint: JointExpansion) -> Sequence[int]:
     if width <= 8:
         return struct.unpack(f"<{length}{_KEY_FORMATS[width]}", keys)
     return [int.from_bytes(keys[i : i + width], "little") for i in range(0, len(keys), width)]
-
-
-def _key_column(key: int, dimension: int) -> tuple[int, ...]:
-    """The column whose key is `key`, one digit per row."""
-    codes = key.to_bytes(dimension, "little")
-    return struct.unpack(f"{dimension}b", codes.translate(_BYTE_OF_CODE))
 
 
 def _column_key(column: Sequence[int]) -> int:

@@ -7,9 +7,9 @@ same.  Per-sample metrics build no expansion objects and state no
 digit rule: the NAF, complement-aware and joint sparse form metrics take
 their position masks and column counts from the private helpers in
 recoding that naf, wllc_recode and sjsf are built on.  Exhaustive
-statistics count over the same helpers instead of enumerating vectors:
-per row position for the union schemes, and over the joint sparse
-form's nibble table.
+statistics count instead of enumerating vectors: per row position over
+the same helpers for the union schemes, and per output column over the
+chain of the joint sparse form's transducer (transducer._column_counts).
 
 Column statistics use a fixed width: signed schemes are measured at
 length+1 columns (their maximum), the binary scheme at length columns.
@@ -32,16 +32,11 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import repeat
 from operator import add
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, get_type_hints
 
 from .expansions import _integer, _integers, _packed
-from .recoding import (
-    RecodingScheme,
-    _naf_support,
-    _sjsf_nibble_table,
-    _sjsf_weight_top,
-    _wllc_support,
-)
+from .recoding import RecodingScheme, _naf_support, _sjsf_weight_top, _wllc_support
+from .transducer import _column_counts, sjsf_transducer
 
 _EXHAUSTIVE_BITS_BOUND = 24
 _BIT_PROBABILITY_LENGTH_BOUND = 16
@@ -112,13 +107,8 @@ class StatRecord:
 
 STAT_FIELDS = tuple(f.name for f in fields(StatRecord))
 
-_FLOAT_FIELDS = (
-    "mean_weight",
-    "mean_weight1",
-    "mean_zeros",
-    "mean_multiplications",
-    "mean_squarings",
-    "std_error",
+_FLOAT_FIELDS = frozenset(
+    name for name, kind in get_type_hints(StatRecord).items() if kind is float
 )
 
 
@@ -404,35 +394,6 @@ def _position_counts(masks: Iterable[int], width: int) -> list[int]:
     return [(words >> j & ones).bit_count() for j in range(width)]
 
 
-def _sjsf_counts(length: int) -> tuple[int, int]:
-    """(summed joint weight, summed top flag) of the joint sparse form
-    over every pair in [0, 2**length)**2.
-
-    A counting walk over the nibble table _sjsf_weight_top reads: each
-    reachable row keeps how many pairs reach it and their summed weight,
-    and each nibble admits only the bit values that the padding and the
-    length leave free (see _sjsf_bytes).  As in _sjsf_weight_top, the top
-    column is nonzero exactly where the walk ends off the start row.
-    """
-    start = _sjsf_nibble_table()
-    nbytes = (length + 8) >> 3
-    free = ((1 << length) - 1) << (8 * nbytes - 1 - length)
-    states = {id(start): (start, 1, 0)}
-    for shift in range(0, 8 * nbytes, 4):
-        nibbles = [x for x in range(16) if not x & ~(free >> shift)]
-        letters = [x1 << 4 | x2 for x1 in nibbles for x2 in nibbles]
-        after: dict[int, tuple[list, int, int]] = {}
-        for row, pairs, weight in states.values():
-            for letter in letters:
-                w, _, target = row[letter]
-                _, p, s = after.get(id(target), (target, 0, 0))
-                after[id(target)] = (target, p + pairs, s + weight + w * pairs)
-        states = after
-    top = sum(pairs for row, pairs, _ in states.values() if row is not start)
-    weight = sum(weight for _, _, weight in states.values())
-    return weight + top, top
-
-
 def _exhaustive_sums(
     scheme: RecodingScheme, length: int, dimension: int
 ) -> tuple[int, int, int, int, int, int]:
@@ -445,13 +406,15 @@ def _exhaustive_sums(
     vectors have bit j in their union.  Summed over j that is the weight;
     the magnitude-2 masks give the deep columns and bit width - 1 the top.
     The all-zero vector has an empty union, so dropping it changes only the
-    count.
+    count.  SJSF reads its nonzero columns per position from the chain of
+    sjsf_transducer(), whose column `length` is the top.
     """
     width = length if scheme is RecodingScheme.BINARY else length + 1
     vectors = 1 << dimension * length
     if scheme is RecodingScheme.SJSF:
-        weight, top = _sjsf_counts(length)
-        weight1 = weight
+        columns = _column_counts(sjsf_transducer, length, any)
+        weight = weight1 = sum(columns)
+        top = columns[length]
     else:
         rows = 1 << length
         counts = deep = [0] * width
@@ -495,8 +458,8 @@ def exhaustive_stats(
     The sums are counted, not enumerated, and equal those of running the
     per-sample metrics on every vector.  The union schemes (binary, NAF,
     stacked NAF, WLLC) go over the 2**length rows once and count, per
-    position, the rows whose support has it; SJSF runs a counting walk
-    over its nibble table, in time linear in length.
+    position, the rows whose support has it; SJSF sums the nonzero
+    columns of its transducer over the chain, in time linear in length.
     """
     length = _integer("length", length)
     dimension = _integer("dimension", dimension)

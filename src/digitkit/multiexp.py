@@ -22,14 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Any, Sequence
 
-from .expansions import (
-    JointExpansion,
-    _column_key,
-    _column_keys,
-    _integer,
-    _key_column,
-    binary,
-)
+from .expansions import JointExpansion, _column_key, _column_keys, _integer, binary
 from .recoding import RecodingScheme, recode_joint
 
 Element = Any
@@ -267,13 +260,6 @@ def precompute(bases: Sequence[Element], group: GroupOps) -> PrecompTable:
     return PrecompTable(group, base_list, entries, mults, invs)
 
 
-def _split(column: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Two table keys in {-1,0,1}^D that sum to a column with a digit of
-    magnitude 2: the column clamped to [-1, 1], and the remainder."""
-    first = tuple(max(-1, min(1, d)) for d in column)
-    return first, tuple(d - u for d, u in zip(column, first))
-
-
 # Marks a column key with no table entry of its own, one holding a digit of
 # magnitude 2.  Not None: a group may represent an element by None.
 _SPLIT = object()
@@ -291,9 +277,9 @@ def evaluate(
     entry if the column is nonzero.  Columns are read as integer keys from
     the rows' masks, so no digit is decoded, and looked up in the table's
     key view.  Accepts digits in {-2,...,2}: a column holding a
-    magnitude-2 digit has no key in the table; it is decoded and applied
-    as two table entries (at the top, the first is loaded and the second
-    multiplied).  Returns the element and the operation counts, each
+    magnitude-2 digit has no key in the table; its key is split into two
+    table keys, applied as their entries (at the top, the first is loaded
+    and the second multiplied).  Returns the element and the operation counts, each
     tallied where its group operation is performed (precomputation cost
     copied from the table).
     """
@@ -303,8 +289,12 @@ def evaluate(
     if table.dimension != dimension:
         raise ValueError("table dimension does not match the joint expansion")
     mul = group.multiply
-    get = table._by_key.get
-    entries = table.entries
+    by_key = table._by_key
+    get = by_key.get
+    # A magnitude-2 key splits into two table keys: `first` keeps each
+    # code's sign and support bits (the column clamped to [-1, 1]), and
+    # `rest` repeats them on the rows whose code has the magnitude-2 bit.
+    ones = (1 << 8 * dimension) // 255  # byte value 1 per row
     squarings = multiplications = 0
     acc = group.identity
     keys = iter(_column_keys(joint))
@@ -312,8 +302,9 @@ def evaluate(
     if top:
         entry = get(top, _SPLIT)
         if entry is _SPLIT:
-            first, rest = _split(_key_column(top, dimension))
-            acc = mul(entries[first], entries[rest])
+            first = top & 3 * ones
+            rest = first & (top >> 2 & ones) * 3
+            acc = mul(by_key[first], by_key[rest])
             multiplications += 1
         else:
             acc = entry
@@ -324,9 +315,10 @@ def evaluate(
             continue
         entry = get(key, _SPLIT)
         if entry is _SPLIT:
-            first, rest = _split(_key_column(key, dimension))
-            acc = mul(acc, entries[first])
-            acc = mul(acc, entries[rest])
+            first = key & 3 * ones
+            rest = first & (key >> 2 & ones) * 3
+            acc = mul(acc, by_key[first])
+            acc = mul(acc, by_key[rest])
             multiplications += 2
         else:
             acc = mul(acc, entry)

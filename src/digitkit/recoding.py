@@ -14,8 +14,7 @@ _sjsf_column are what transducer builds its machines from.  The joint
 sparse form runs over a cached nibble table compiled from
 transducer.sjsf_transducer(): sjsf() reads the nonzero columns from the
 table and _sjsf_weight_top the column counts, both in time linear in the
-bit length, and experiments.exhaustive_stats counts pairs over it.  Both
-oracles run one min-plus DP over carry pairs, _CarryDP, on their own
+bit length.  Both oracles run one min-plus DP over carry pairs, _CarryDP, on their own
 column rules, caching each step on first use and reading a nibble pair
 per step.  The recoders build their joint expansions unchecked, as their
 rows have equal length by construction; integer arguments are checked

@@ -14,9 +14,12 @@ straight into bit masks, with no digit tuple per row.
 The chain tools accept any of the machines.  Everything downstream of the
 machines is exact: distributions walk integer numerators over a common
 denominator and become rationals only when returned; no floating point
-enters here.  The exhaustive zero-output count checks the chain from
-outside: every input goes into one packed integer, and one product,
-exclusive or and shift give the NAF supports of all of them.
+enters here.  One walk also sums a reward of each output column over
+every input of a length (_column_counts): the zero-digit probability and
+the joint sparse form's exhaustive statistics are such sums.  The
+exhaustive zero-output count checks the chain from outside: every input
+goes into one packed integer, and one product, exclusive or and shift
+give the NAF supports of all of them.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice
+from operator import mul
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .expansions import (
@@ -398,11 +402,52 @@ def stationary_distribution(p: RationalMatrix) -> StateDistribution:
 
 
 @cache
-def _double_naf_chain() -> tuple[Transducer, RationalMatrix]:
-    """The product machine and its chain, built once for zero_output_probability;
-    callers only read them."""
-    t = double_naf_transducer()
+def _chain(build: Callable[[], Transducer]) -> tuple[Transducer, RationalMatrix]:
+    """The machine build() returns and its chain, built once per builder;
+    callers only read them.  The machine must have the layout
+    _column_counts reads, as the builders' machines do, or ValueError: a
+    letter emits no column from the initial state, which no letter
+    re-enters, and one column from every other state."""
+    t = build()
+    for (state, _), (target, word) in t.transitions.items():
+        if target == t.initial or len(word) != (0 if state == t.initial else 1):
+            raise ValueError("machine does not emit one column per letter after the first")
     return t, transition_matrix(t)
+
+
+def _column_counts(
+    build: Callable[[], Transducer], length: int, reward: Callable[[Column], int]
+) -> list[int]:
+    """columns[j]: reward(column j) summed over every input of length >= 1
+    letters; an input whose output ends before column j adds nothing.
+
+    Letter k emits column k - 1 (the layout _chain checks): letters
+    1 .. length - 1 emit columns 0 .. length - 2, and the flush emits the
+    rest, as many as the longest flush word.  One _walk gives the share
+    of the inputs in each state after 1 .. length letters.  Column k - 1
+    sums, over the states after k letters, the state's inputs times its
+    reward summed over the next letter, times the choices of the letters
+    after; a flush column sums the inputs ending in each state times the
+    reward of that state's flush column.
+    """
+    t, p = _chain(build)
+    alphabet = len(t.letters)
+    emitted = [
+        sum(reward(column) for b in t.letters for column in t.transitions[(s, b)][1])
+        for s in t.states
+    ]
+    walk = _walk(p, [Fraction(s == t.initial) for s in t.states])
+    inputs = alphabet ** (length - 1)
+    columns = [
+        sum(map(mul, numerators, emitted)) * inputs // denominator
+        for numerators, denominator in islice(walk, length - 1)
+    ]
+    numerators, denominator = next(walk)
+    flushed = [0] * max(map(len, t.flush.values()))
+    for v, s in zip(numerators, t.states):
+        for j, column in enumerate(t.flush[s]):
+            flushed[j] += v * reward(column)
+    return columns + [f * inputs * alphabet // denominator for f in flushed]
 
 
 def zero_output_probability(k: int, method: str = "markov") -> Fraction:
@@ -410,7 +455,8 @@ def zero_output_probability(k: int, method: str = "markov") -> Fraction:
 
     Row 1 is the recoding of the input value itself; the input is uniform
     over binary words long enough to determine digit k (k+2 positions).
-    "markov" evaluates the chain of the product machine; "exhaustive"
+    "markov" counts the inputs whose column k has a zero row-1 digit over
+    the chain of the product machine (_column_counts); "exhaustive"
     counts all inputs and is capped at k = 20.  Both agree exactly.  The
     result differs from the limit 2/3 by at most 2**-k times
     ZERO_PROBABILITY_ERROR_CONSTANT.
@@ -424,21 +470,8 @@ def zero_output_probability(k: int, method: str = "markov") -> Fraction:
     if k < 0:
         raise ValueError("digit position must be non-negative")
     if method == "markov":
-        t, p = _double_naf_chain()
-        dist = state_distribution(p, k + 1)
-        total = Fraction(0)
-        for label, weight in zip(dist.labels, dist.weights):
-            if weight == 0:
-                continue
-            zero_inputs = 0
-            for b in (0, 1):
-                word = t.transitions[(label, b)][1]
-                if not word:
-                    raise RuntimeError("support reached the silent initial state")
-                if word[0][0] == 0:
-                    zero_inputs += 1
-            total += weight * Fraction(zero_inputs, 2)
-        return total
+        zeros = _column_counts(double_naf_transducer, k + 2, lambda c: c[0] == 0)
+        return Fraction(zeros[k], 1 << k + 2)
     if method == "exhaustive":
         if k > _EXHAUSTIVE_POSITION_BOUND:
             raise ValueError(

@@ -28,11 +28,10 @@ from .multiexp import AdditiveGroup, MERSENNE61, ModGroup, evaluate, precompute
 from .recoding import (
     RecodingScheme,
     is_sjsf,
-    min_joint_weight_oracle,
-    min_weight1_oracle,
     recode_joint,
     sjsf,
     _JOINT_WEIGHT,
+    _WEIGHT1,
     _naf_support,
     _negative_mask,
     _wllc_support,
@@ -78,7 +77,7 @@ def check_weight1_minimality(max_n: int = 63) -> CheckReport:
     for m in range(max_n + 1):
         for n in range(max_n + 1):
             cases += 1
-            minimal = min_weight1_oracle(m, n).minimal_cost
+            minimal = _WEIGHT1.cost(m, n)
             got = sjsf(m, n).joint_weight()
             if minimal != got:
                 bad.append(f"m={m} n={n} oracle={minimal} sjsf={got}")
@@ -128,13 +127,11 @@ def check_sjsf_optimality(
             if not is_sjsf(joint):
                 bad.append(f"m={m} n={n}: syntax violation")
                 continue
-            minimal = min_joint_weight_oracle(m, n).minimal_cost
+            minimal = _JOINT_WEIGHT.cost(m, n)
             if joint.joint_weight() != minimal:
                 bad.append(
                     f"m={m} n={n} weight={joint.joint_weight()} oracle={minimal}"
                 )
-    # The random pairs are past ORACLE_BOUND: their optimum comes from the
-    # carry DP behind min_joint_weight_oracle, which takes any size.
     rng = random.Random(seed)
     for _ in range(random_pairs):
         m, n = rng.getrandbits(64), rng.getrandbits(64)

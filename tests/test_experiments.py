@@ -460,6 +460,29 @@ def test_exhaustive_counts_cross_row_blocks(monkeypatch):
         assert ex._exhaustive_sums(*case) == enumerated_sums(*case), case
 
 
+# _exhaustive_sums(SJSF, L) past the enumeration reference (L <= 6),
+# recorded from the counting walk over recoding's nibble table.
+SJSF_SUMS = {
+    7: (16384, 68511, 68511, 62561, 60427, 114688),
+    8: (65536, 307052, 307052, 282772, 274387, 524288),
+    9: (262144, 1359507, 1359507, 1261933, 1228891, 2359296),
+    10: (1048576, 5963072, 5963072, 5571264, 5439395, 10485760),
+    11: (4194304, 25951047, 25951047, 24380601, 23855019, 46137344),
+    12: (16777216, 112194516, 112194516, 105909292, 103809651, 201326592),
+}
+
+
+def test_exhaustive_sjsf_sums_are_frozen():
+    for length, sums in SJSF_SUMS.items():
+        assert ex._exhaustive_sums(RecodingScheme.SJSF, length, 2) == sums, length
+
+
+def test_exhaustive_sjsf_leaves_the_nibble_table_unbuilt():
+    recoding._sjsf_nibble_table.cache_clear()
+    ex.exhaustive_stats(RecodingScheme.SJSF, 8)
+    assert recoding._sjsf_nibble_table.cache_info().currsize == 0
+
+
 def test_exhaustive_stats_counts_rows_not_vectors(monkeypatch):
     # The union schemes recode each of the 2**length rows once, whatever
     # the dimension; SJSF never runs the per-pair metric.
@@ -618,3 +641,17 @@ def test_csv_serialization_shape():
     assert row[header.index("length")] == "4"
     mean_weight = row[header.index("mean_weight")]
     assert len(mean_weight.split(".")[1]) == 6
+
+
+def test_serialized_records_are_pinned():
+    record = ex.exhaustive_stats(RecodingScheme.SJSF, 8)
+    assert ex.record_to_json_line(record) == (
+        '{"experiment": "exhaustive", "length": 8, "dimension": 2, "scheme": "sjsf", '
+        '"samples": 65536, "mean_weight": 4.685242, "mean_weight1": 4.685242, '
+        '"mean_zeros": 4.314758, "mean_multiplications": 4.186813, '
+        '"mean_squarings": 8.0, "std_error": 0.0, "seed": 0}'
+    )
+    record = ex.exhaustive_stats(RecodingScheme.WLLC, 6)
+    assert ex.record_to_csv_row(record) == (
+        "exhaustive,6,2,wllc,4095,4.099389,4.249573,2.900611,3.583639,6.000000,0.000000,0"
+    )

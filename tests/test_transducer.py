@@ -13,6 +13,7 @@ from digitkit.transducer import (
     RationalMatrix,
     StateDistribution,
     Transducer,
+    _column_counts,
     _solve_exact,
     double_naf_transducer,
     naf_transducer,
@@ -398,24 +399,79 @@ def test_zero_output_probability_bounds():
 
 
 def test_zero_output_probability_builds_the_chain_once(monkeypatch):
+    # _chain builds each machine's chain once, for the zero-digit
+    # probability and for the SJSF exhaustive statistics alike.
     import digitkit.transducer as td
+    from digitkit import experiments as ex
+    from digitkit.recoding import RecodingScheme
 
     builds = []
 
-    def counted():
-        builds.append(1)
-        return double_naf_transducer()
+    def counted(build):
+        def counting():
+            builds.append(build)
+            return build()
 
-    monkeypatch.setattr(td, "double_naf_transducer", counted)
-    td._double_naf_chain.cache_clear()
-    try:
-        values = [zero_output_probability(k) for k in range(10)]
-        assert len(builds) == 1
-        assert values[3] == Fraction(2, 3) - Fraction(1, 6) * Fraction(-1, 2) ** 3
-    finally:
-        td._double_naf_chain.cache_clear()
-    machine, p = td._double_naf_chain()
-    assert double_naf_transducer() is not double_naf_transducer()
-    assert double_naf_transducer() is not machine
-    assert transition_matrix(machine) is not p
-    assert transition_matrix(machine) == p
+        return counting
+
+    monkeypatch.setattr(td, "double_naf_transducer", counted(double_naf_transducer))
+    monkeypatch.setattr(ex, "sjsf_transducer", counted(sjsf_transducer))
+    values = [zero_output_probability(k) for k in range(10)]
+    records = [ex.exhaustive_stats(RecodingScheme.SJSF, length) for length in (1, 2, 5)]
+    assert builds == [double_naf_transducer, sjsf_transducer]
+    assert values[3] == Fraction(2, 3) - Fraction(1, 6) * Fraction(-1, 2) ** 3
+    assert records[1].mean_weight == 1.5
+    for build in (double_naf_transducer, sjsf_transducer):
+        machine, p = td._chain(build)
+        assert td._chain(build)[0] is machine
+        assert build() is not build()
+        assert build() is not machine
+        assert transition_matrix(machine) is not p
+        assert transition_matrix(machine) == p
+
+
+def digit_zero(column):
+    return column[0] == 0
+
+
+def run_column_sums(machine, length, reward):
+    """Per-column reward sums over every input of `length` letters, by
+    Transducer.run on each input."""
+    sums = []
+    for letters in product(machine.letters, repeat=length):
+        for j, column in enumerate(machine.run(letters).columns()):
+            if j == len(sums):
+                sums.append(0)
+            sums[j] += reward(column)
+    return sums
+
+
+def test_column_counts_equal_the_runs():
+    for build, lengths in (
+        (naf_transducer, range(1, 11)),
+        (double_naf_transducer, range(1, 11)),
+        (sjsf_transducer, range(1, 6)),
+    ):
+        machine = build()
+        widest = max(map(len, machine.flush.values()))
+        for length in lengths:
+            for reward in (any, digit_zero):
+                counts = _column_counts(build, length, reward)
+                assert len(counts) == length - 1 + widest
+                sums = run_column_sums(machine, length, reward)
+                # Columns no input reaches sum to nothing.
+                assert counts == sums + [0] * (len(counts) - len(sums)), (build, length)
+
+
+def test_column_counts_reject_a_machine_that_breaks_the_layout():
+    naf = naf_transducer()
+    late = dict(naf.transitions)
+    late[("p2", 1)] = ("p2", ((0,), (0,)))  # two columns on one letter
+    early = dict(naf.transitions)
+    early[("start", 0)] = ("p0", ((0,),))  # a column on the first letter
+    back = dict(naf.transitions)
+    back[("p0", 0)] = ("start", ((0,),))  # the start state re-entered
+    for transitions in (late, early, back):
+        machine = Transducer(naf.states, naf.initial, 1, transitions, naf.flush)
+        with pytest.raises(ValueError, match="one column per letter"):
+            _column_counts(lambda: machine, 3, any)
