@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .experiments import (
     RunConfig,
-    _check_draw_bits,
     complement_bit_probabilities,
     cost_slope,
     csv_header,
@@ -206,7 +205,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             for length in args.length
         ]
     else:
-        _check_draw_bits(args.dimension, max(args.length))
         # Imported here: the exhaustive branch and the other commands log nothing.
         import logging
 

@@ -326,11 +326,15 @@ def _packed(masks: Iterable[int]) -> tuple[int, int]:
 
 
 def _packed_range(count: int) -> tuple[int, int]:
-    """_packed(range(count)) for a power of two count, built by doubling:
-    the fields c..2c-1 are the fields 0..c-1 plus c."""
+    """_packed(range(count)), built by doubling: the fields c..2c-1 are the
+    fields 0..c-1 plus c.  A count that is not a power of two is cut from
+    the next one."""
     words, ones, filled = 0, 1, 1
     while filled < count:
         words |= (words + filled * ones) << _FIELD_BITS * filled
         ones |= ones << _FIELD_BITS * filled
         filled *= 2
+    if filled > count:
+        keep = (1 << _FIELD_BITS * count) - 1
+        words, ones = words & keep, ones & keep
     return words, ones

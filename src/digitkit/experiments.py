@@ -3,13 +3,17 @@
 Every experiment is driven by per-sample seeds derived from (run seed,
 sample index) with BLAKE2b, so results are independent of worker count
 and chunking: the multiset of samples for a given seed is always the
-same.  Per-sample metrics build no expansion objects and state no
-digit rule: the NAF, complement-aware and joint sparse form metrics take
-their position masks and column counts from the private helpers in
-recoding that naf, wllc_recode and sjsf are built on.  Exhaustive
-statistics count instead of enumerating vectors: per row position over
-the same helpers for the union schemes, and per output column over the
-chain of the joint sparse form's transducer (transducer._column_counts).
+same.  run_stats and compare_schemes slice their vectors from one draw
+per index, and the process keeps recent draws, up to a fixed number of
+bits, for later runs over the same streams to reread (_draws); records
+are the same whether a draw is fresh or kept.  Per-sample metrics build
+no expansion objects and state no digit rule: the NAF, complement-aware
+and joint sparse form metrics take their position masks and column counts
+from the private helpers in recoding that naf, wllc_recode and sjsf are
+built on.  Exhaustive statistics count instead of enumerating vectors:
+per row position over the same helpers for the union schemes, and per
+output column over the chain of the joint sparse form's transducer
+(transducer._column_counts).
 
 Column statistics use a fixed width: signed schemes are measured at
 length+1 columns (their maximum), the binary scheme at length columns.
@@ -34,7 +38,7 @@ from itertools import repeat
 from operator import add
 from typing import Callable, Iterable, Iterator, get_type_hints
 
-from .expansions import _integer, _integers, _packed
+from .expansions import _integer, _integers, _packed, _packed_range
 from .recoding import RecodingScheme, _naf_support, _sjsf_weight_top, _wllc_support
 from .transducer import _column_counts, sjsf_transducer
 
@@ -44,6 +48,9 @@ _BIT_PROBABILITY_LENGTH_BOUND = 16
 _DRAW_BLOCK_BYTES = 1 << 20
 # The most bits one sampled vector (dimension x length) may hold: one block.
 _DRAW_BITS_CAP = 8 * _DRAW_BLOCK_BYTES
+# Bits of draws a process keeps for rereading (see _draws): 10**5 draws of
+# 1024 bits, a run at lengths (256, 512) in dimension 2, fit.
+_DRAW_CACHE_BITS = 1 << 27
 # Rows an exhaustive count holds at once, whatever its length.
 _COUNT_BLOCK_ROWS = 1 << 16
 
@@ -85,6 +92,7 @@ class RunConfig:
             raise ValueError("the joint sparse form is two-dimensional")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        _check_draw_bits(self.dimension, max(self.lengths))
 
 
 @dataclass(frozen=True)
@@ -160,9 +168,10 @@ def sample_exponents(
     getrandbits(k) with 32-bit words, least significant first, so when
     length is a multiple of 32, component j is bits [j*length,
     (j+1)*length) of getrandbits(k) from the same seed, for any multiple of
-    32 k >= dimension * length.  run_stats reads its lengths that way
-    from one draw per index (see _sliced_draws); a length that is not a
-    multiple of 32, or a slice that needs a redraw, is sampled here.
+    32 k >= dimension * length.  run_stats and compare_schemes read their
+    vectors that way from one draw per index (see _draws, which keeps the
+    draws for rereading); a length that is not a multiple of 32, or a slice
+    that needs a redraw, is sampled here, uncached.
     """
     rng = random.Random(derive_sample_seed(seed, index))
     exps = tuple(rng.getrandbits(length) for _ in range(dimension))
@@ -260,64 +269,110 @@ def _accumulate(
     return count, sum_w, sum_w1, sum_z, sum_m, sum_s, sum_w1_sq, redraws
 
 
-def _sliced_draws(
-    seed: int, indices: range, draws: list[bytes], length: int, dimension: int,
+class _DrawCache(dict):
+    """(generator class, stream seed) -> (bits, getrandbits(bits)), holding
+    at most _DRAW_CACHE_BITS bits of draws; `held` counts them."""
+
+    held = 0
+
+    def keep(self, key: tuple[type, int], bits: int, draw: int) -> None:
+        kept = self.get(key)
+        if kept is not None:
+            self.held -= kept[0]
+        if self.held + bits > _DRAW_CACHE_BITS:
+            # Drop every kept draw; the draws after this one are kept anew.
+            self.clear()
+        self[key] = bits, draw
+        self.held += bits
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0
+
+
+_DRAW_CACHE = _DrawCache()
+
+
+def _draws(seed: int, indices: range, bits: int) -> list[int]:
+    """getrandbits(bits) of each index's stream, or a wider draw of it,
+    whose low bits are the same when bits is a multiple of 32 (see
+    sample_exponents).
+
+    Draws are kept in _DRAW_CACHE under (generator class, stream seed),
+    the class read from random at call time, and reread by any later
+    request no wider.  Misses reseed one generator through its own seed
+    method.
+    """
+    generator = random.Random
+    cache = _DRAW_CACHE
+    rng = None
+    out = []
+    for index in indices:
+        key = generator, derive_sample_seed(seed, index)
+        kept = cache.get(key)
+        if kept is not None and kept[0] >= bits:
+            out.append(kept[1])
+            continue
+        if rng is None:
+            rng = generator()
+        rng.seed(key[1])
+        draw = rng.getrandbits(bits)
+        out.append(draw)
+        cache.keep(key, bits, draw)
+    return out
+
+
+def _vectors(
+    seed: int, indices: range, draws: list[int], length: int, dimension: int,
     nonzero: bool,
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """sample_exponents(seed, index, length, dimension, nonzero) of every
-    index, read from draws: each index's draw at length or a longer one,
-    as little-endian bytes.
-
-    Exact when length is a multiple of 32 (see sample_exponents).  Each
-    component is read from its own bytes, so a vector costs time linear
-    in dimension * length.  An all-zero slice under the redraw rule is
-    sampled again from its seed, since the redraw continues that length's
-    stream.
+    index.  At a multiple of 32, component j is bits [j*length,
+    (j+1)*length) of the index's draw (see _draws), read with a shift and
+    a mask; other lengths, and an all-zero slice under the redraw rule
+    (the redraw continues that length's stream), are sampled on their own.
     """
-    size = length // 8
-    offsets = range(0, dimension * size, size)
-    from_bytes = int.from_bytes
+    if length % 32:
+        for index in indices:
+            yield sample_exponents(seed, index, length, dimension, nonzero)
+        return
+    mask = (1 << length) - 1
+    shifts = range(length, dimension * length, length)
     for index, draw in zip(indices, draws):
-        exps = []
-        for k in offsets:
-            exps.append(from_bytes(draw[k:k + size], "little"))
+        exps = [draw & mask]
+        for k in shifts:
+            exps.append(draw >> k & mask)
         if nonzero and not any(exps):
             yield sample_exponents(seed, index, length, dimension, nonzero)
         else:
             yield tuple(exps), 0
 
 
+def _draw_blocks(
+    seed: int, start: int, stop: int, bits: int
+) -> Iterator[tuple[range, list[int]]]:
+    """(indices, their draws at bits, see _draws) over [start, stop), in
+    blocks of at most _DRAW_BLOCK_BYTES of draws and at least one index;
+    no draws at bits 0."""
+    block = max(1, 8 * _DRAW_BLOCK_BYTES // max(bits, 1))
+    for a in range(start, stop, block):
+        indices = range(a, min(a + block, stop))
+        yield indices, _draws(seed, indices, bits) if bits else []
+
+
 def _stats_chunk(
     args: tuple[int, str, tuple[int, ...], int, int, int]
 ) -> list[tuple[int, ...]]:
     """_accumulate's sums at each length over the indices [start, stop),
-    drawn as run_stats describes.
-
-    Indices are taken in blocks of at most _DRAW_BLOCK_BYTES of draws (and
-    at least one index), so memory does not grow with the chunk.
-    """
+    drawn as run_stats describes."""
     seed, scheme_name, lengths, dimension, start, stop = args
     scheme = RecodingScheme(scheme_name)
     nonzero = scheme is RecodingScheme.WLLC
     bits = dimension * max((l for l in lengths if l % 32 == 0), default=0)
     sums = [(0,) * 8 for _ in lengths]
-    block = max(1, 8 * _DRAW_BLOCK_BYTES // max(bits, 1))
-    for a in range(start, stop, block):
-        indices = range(a, min(a + block, stop))
-        draws = [
-            random.Random(derive_sample_seed(seed, i))
-            .getrandbits(bits)
-            .to_bytes(bits // 8, "little")
-            for i in indices
-        ] if bits else []
+    for indices, draws in _draw_blocks(seed, start, stop, bits):
         for k, length in enumerate(lengths):
-            if length % 32:
-                vectors = (
-                    sample_exponents(seed, i, length, dimension, nonzero)
-                    for i in indices
-                )
-            else:
-                vectors = _sliced_draws(seed, indices, draws, length, dimension, nonzero)
+            vectors = _vectors(seed, indices, draws, length, dimension, nonzero)
             sums[k] = tuple(map(add, sums[k], _accumulate(vectors, length, scheme)))
     return sums
 
@@ -355,12 +410,14 @@ def run_stats(config: RunConfig, experiment: str = "stats") -> Iterator[StatReco
     """One StatRecord per configured length; deterministic given the seed.
 
     The run goes over the sample indices once for all lengths.  Each index
-    is seeded and drawn once, at the longest length that is a multiple of
-    32, and each such length reads its vector as a slice of that draw; a
-    length that is not a multiple of 32, and a slice that is all-zero under
-    the WLLC redraw rule, falls back to sample_exponents.  Either way
-    sample i at length L is sample_exponents(seed, i, L, dimension), so the
-    records do not depend on which lengths share the run, nor on workers.
+    is drawn once, at the longest length that is a multiple of 32, or read
+    from a kept draw at least as wide (see _draws), and each such length
+    reads its vector as a slice of that draw; a length that is not a
+    multiple of 32, and a slice that is all-zero under the WLLC redraw
+    rule, falls back to sample_exponents.  Either way sample i at length L
+    is sample_exponents(seed, i, L, dimension), so the records do not
+    depend on which lengths share the run, on workers, nor on what the
+    process drew before.
     """
     chunk_args = [
         (config.seed, config.scheme.value, config.lengths, config.dimension, a, b)
@@ -383,14 +440,10 @@ def run_stats(config: RunConfig, experiment: str = "stats") -> Iterator[StatReco
         )
 
 
-def _position_counts(masks: Iterable[int], width: int) -> list[int]:
-    """counts[j]: how many of the masks have bit j set, for j < width.
-
-    The masks are packed side by side in one integer (the exhaustive cap
-    keeps them narrower than a field), so a position costs one shift, mask
-    and popcount over all of them, not a loop over the masks.
-    """
-    words, ones = _packed(masks)
+def _position_counts(words: int, ones: int, width: int) -> list[int]:
+    """counts[j]: how many of the masks packed in (words, ones) (see
+    expansions._packed) have bit j set, for j < width: one shift, mask and
+    popcount over all of them, not a loop over the masks."""
     return [(words >> j & ones).bit_count() for j in range(width)]
 
 
@@ -417,20 +470,28 @@ def _exhaustive_sums(
         top = columns[length]
     else:
         rows = 1 << length
+        size = min(_COUNT_BLOCK_ROWS, rows)
+        full = _packed_range(size)
         counts = deep = [0] * width
-        for start in range(0, rows, _COUNT_BLOCK_ROWS):
-            block = range(start, min(start + _COUNT_BLOCK_ROWS, rows))
-            twos: Iterable[int] = ()
+        for start in range(0, rows, size):
+            stop = min(start + size, rows)
             if scheme is RecodingScheme.WLLC:
-                supports, twos = zip(*map(_wllc_support, block, repeat(length)))
-            elif scheme is RecodingScheme.BINARY:
-                supports = block
-            elif scheme in (RecodingScheme.NAF, RecodingScheme.STACKED_NAF):
-                supports = map(_naf_support, block)
+                supports, twos = zip(*map(_wllc_support, range(start, stop), repeat(length)))
+                words, ones = _packed(supports)
+                deep_counts = _position_counts(*_packed(filter(None, twos)), width)
+                deep = list(map(add, deep, deep_counts))
             else:
-                raise ValueError(f"unknown scheme {scheme!r}")
-            counts = list(map(add, counts, _position_counts(supports, width)))
-            deep = list(map(add, deep, _position_counts(filter(None, twos), width)))
+                words, ones = full if stop - start == size else _packed_range(stop - start)
+                words += start * ones
+                if scheme in (RecodingScheme.NAF, RecodingScheme.STACKED_NAF):
+                    # One NAF over every field at once: 3 * row stays below
+                    # 2**26 under the exhaustive cap, so no carry crosses a
+                    # field, and the bit the shift pulls in from the next
+                    # field lands above the width.
+                    words = _naf_support(words)
+                elif scheme is not RecodingScheme.BINARY:
+                    raise ValueError(f"unknown scheme {scheme!r}")
+            counts = list(map(add, counts, _position_counts(words, ones, width)))
 
         def covered(c: int) -> int:
             return vectors - (rows - c) ** dimension
@@ -549,15 +610,16 @@ def _compare_chunk(args: tuple[int, int, int, int]) -> tuple[int, int]:
     seed, length, start, stop = args
     violations = 0
     margin: int | None = None
-    for index in range(start, stop):
-        exps, _ = sample_exponents(seed, index, length, 2, nonzero=True)
-        _, _, _, m_w, s_w = _scheme_metrics(exps, length, RecodingScheme.WLLC)
-        _, _, _, m_s, s_s = _scheme_metrics(exps, length, RecodingScheme.SJSF)
-        diff = (m_w + s_w) - (m_s + s_s)
-        if margin is None or diff < margin:
-            margin = diff
-        if diff < 0:
-            violations += 1
+    bits = 0 if length % 32 else 2 * length
+    for indices, draws in _draw_blocks(seed, start, stop, bits):
+        for exps, _ in _vectors(seed, indices, draws, length, 2, True):
+            _, _, _, m_w, s_w = _scheme_metrics(exps, length, RecodingScheme.WLLC)
+            _, _, _, m_s, s_s = _scheme_metrics(exps, length, RecodingScheme.SJSF)
+            diff = (m_w + s_w) - (m_s + s_s)
+            if margin is None or diff < margin:
+                margin = diff
+            if diff < 0:
+                violations += 1
     assert margin is not None
     return violations, margin
 

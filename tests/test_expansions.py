@@ -144,3 +144,8 @@ def test_packed_range_equals_packing_the_range():
         assert [(words >> j & ones).bit_count() for j in range(13)] == [
             sum(i >> j & 1 for i in range(count)) for j in range(13)
         ]
+
+
+def test_packed_range_cuts_any_count():
+    for count in (3, 5, 7, 100, 257):
+        assert _packed_range(count) == _packed(range(count))

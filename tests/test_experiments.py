@@ -655,3 +655,159 @@ def test_serialized_records_are_pinned():
     assert ex.record_to_csv_row(record) == (
         "exhaustive,6,2,wllc,4095,4.099389,4.249573,2.900611,3.583639,6.000000,0.000000,0"
     )
+
+
+# ---------------------------------------------------------------------------
+# The draw cache: a process rereads kept draws, and every record is the one
+# a cold run gives.
+
+
+def fixture_runs(samples, seed, workers=1):
+    """The acceptance fixtures' calls at a small budget, by name."""
+    wllc, sjsf = RecodingScheme.WLLC, RecodingScheme.SJSF
+    d3 = ex.RunConfig(seed, samples, (256,), wllc, 3, workers)
+    return {
+        "wllc_slope": lambda: ex.cost_slope(wllc, 256, samples, seed, workers=workers),
+        "sjsf_slope": lambda: ex.cost_slope(sjsf, 256, samples, seed, workers=workers),
+        "compare_256": lambda: ex.compare_schemes(256, samples, seed, workers),
+        "compare_512": lambda: ex.compare_schemes(512, samples, seed, workers),
+        "d3": lambda: list(ex.run_stats(d3)),
+    }
+
+
+def cold(run):
+    ex._DRAW_CACHE.clear()
+    return run()
+
+
+def test_warm_draws_give_the_cold_records():
+    runs = fixture_runs(40, 7)
+    want = {name: cold(run) for name, run in runs.items()}
+    ex._DRAW_CACHE.clear()
+    warm = {name: run() for name, run in runs.items()}
+    assert warm == want
+    # Every index is kept once, at 1024 bits; a second pass draws nothing.
+    assert (len(ex._DRAW_CACHE), ex._DRAW_CACHE.held) == (40, 40 * 1024)
+    kept = dict(ex._DRAW_CACHE)
+    assert {name: run() for name, run in runs.items()} == want
+    assert ex._DRAW_CACHE == kept
+
+
+def test_draws_at_widths_768_1024_768():
+    d3 = ex.RunConfig(3, 30, (256,), RecodingScheme.WLLC, 3)
+    pair = ex.RunConfig(3, 30, (256, 512), RecodingScheme.WLLC, 2)
+    want = {768: cold(lambda: list(ex.run_stats(d3))),
+            1024: cold(lambda: list(ex.run_stats(pair)))}
+    ex._DRAW_CACHE.clear()
+    widest = 0
+    for config, bits in ((d3, 768), (pair, 1024), (d3, 768)):
+        assert list(ex.run_stats(config)) == want[bits]
+        # A wider request replaces the kept draw; a narrower one rereads it.
+        widest = max(widest, bits)
+        assert {kept for kept, _ in ex._DRAW_CACHE.values()} == {widest}
+        assert ex._DRAW_CACHE.held == 30 * widest
+    for bits in (768, 1024, 768):
+        for index, draw in zip(range(30), ex._draws(3, range(30), bits)):
+            stream = random.Random(ex.derive_sample_seed(3, index))
+            assert draw & (1 << bits) - 1 == stream.getrandbits(bits)
+
+
+def test_draw_cache_holds_no_more_than_its_bound(monkeypatch):
+    runs = fixture_runs(12, 11)
+    want = {name: cold(run) for name, run in runs.items()}
+    bound = 5 * 1024
+    monkeypatch.setattr(ex, "_DRAW_CACHE_BITS", bound)
+    keep = ex._DrawCache.keep
+    held = []
+
+    def checked(cache, key, bits, draw):
+        keep(cache, key, bits, draw)
+        assert cache.held == sum(b for b, _ in cache.values()) <= bound
+        held.append(cache.held)
+
+    monkeypatch.setattr(ex._DrawCache, "keep", checked)
+    ex._DRAW_CACHE.clear()
+    for _ in range(2):
+        assert {name: run() for name, run in runs.items()} == want
+    # The bound was reached, and draws were kept again after each drop.
+    assert max(held) == bound and held.count(1024) > 1
+
+
+def test_pooled_runs_match_in_process_runs_on_a_warm_cache():
+    want = {name: cold(run) for name, run in fixture_runs(30, 12).items()}
+    ex._DRAW_CACHE.clear()
+    # The first pass warms the cache; the pool's workers start with it.
+    for workers in (1, 3, 1):
+        runs = fixture_runs(30, 12, workers)
+        assert {name: run() for name, run in runs.items()} == want
+
+
+def reference_comparison(length, samples, seed):
+    """compare_schemes's (violations, min_margin), per index from
+    sample_exponents and the digit-level recoders."""
+    diffs = []
+    for index in range(samples):
+        exps, _ = ex.sample_exponents(seed, index, length, 2, nonzero=True)
+        costs = [
+            sum(reference_metrics(exps, length, scheme)[3:])
+            for scheme in (RecodingScheme.WLLC, RecodingScheme.SJSF)
+        ]
+        diffs.append(costs[0] - costs[1])
+    return sum(d < 0 for d in diffs), min(diffs)
+
+
+class ZeroFirstStream(random.Random):
+    """A stream whose first draw after seeding reads as 0."""
+
+    def seed(self, *args, **kwargs):
+        super().seed(*args, **kwargs)
+        self.drawn = False
+
+    def getrandbits(self, k):
+        bits = super().getrandbits(k)
+        first, self.drawn = not self.drawn, True
+        return 0 if first else bits
+
+
+def test_compare_schemes_matches_per_index_sampling(monkeypatch):
+    for length in (8, 33, 64, 96, 256):
+        got = ex.compare_schemes(length, 25, 6)
+        assert (got.violations, got.min_margin) == reference_comparison(length, 25, 6)
+    # Every slice all-zero: each index is redrawn by sample_exponents.
+    monkeypatch.setattr(ex.random, "Random", ZeroFirstStream)
+    for length in (64, 256):
+        got = ex.compare_schemes(length, 10, 6)
+        assert (got.violations, got.min_margin) == reference_comparison(length, 10, 6)
+
+
+def test_run_config_rejects_a_vector_wider_than_a_draw_block(monkeypatch):
+    cap = ex._DRAW_BITS_CAP
+
+    def never(*args):
+        raise AssertionError(f"drew {args}")
+
+    monkeypatch.setattr(ex, "derive_sample_seed", never)
+    ex._DRAW_CACHE.clear()
+    # Exactly one block is allowed.
+    ex.RunConfig(0, 1, (cap // 2, 8), RecodingScheme.NAF, 2)
+    wide = cap // 2 + 32
+    message = (
+        rf"^dimension 2 x length {wide} = {2 * wide} bits exceeds the {cap} "
+        rf"bits of one draw block$"
+    )
+    with pytest.raises(ValueError, match=message):
+        ex.RunConfig(0, 1, (8, wide), RecodingScheme.NAF, 2)
+    with pytest.raises(ValueError, match=message):
+        ex.compare_schemes(wide, 1, 0)
+    with pytest.raises(ValueError, match=message):
+        ex.cost_slope(RecodingScheme.SJSF, wide // 2, 1, 0)
+    with pytest.raises(ValueError, match=r"^dimension 3 x length"):
+        ex.cost_slope(RecodingScheme.WLLC, cap // 4, 1, 0, dimension=3)
+    assert (len(ex._DRAW_CACHE), ex._DRAW_CACHE.held) == (0, 0)
+
+
+def test_exhaustive_sums_at_length_16_equal_enumeration():
+    for scheme in RecodingScheme:
+        if scheme is not RecodingScheme.SJSF:
+            case = (scheme, 16, 1)
+            assert ex._exhaustive_sums(*case) == enumerated_sums(*case), case
