@@ -5,7 +5,7 @@ sample index) with BLAKE2b, so results are independent of worker count
 and chunking: the multiset of samples for a given seed is always the
 same.  run_stats and compare_schemes slice their vectors from one draw
 per index, and the process keeps recent draws, up to a fixed number of
-bits, for later runs over the same streams to reread (_draws); records
+bytes, for later runs over the same streams to reread (_draws); records
 are the same whether a draw is fresh or kept.  Per-sample metrics build
 no expansion objects and state no digit rule: the NAF, complement-aware
 and joint sparse form metrics take their position masks and column counts
@@ -32,6 +32,7 @@ import json
 import math
 import random
 import struct
+import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from itertools import repeat
@@ -48,9 +49,14 @@ _BIT_PROBABILITY_LENGTH_BOUND = 16
 _DRAW_BLOCK_BYTES = 1 << 20
 # The most bits one sampled vector (dimension x length) may hold: one block.
 _DRAW_BITS_CAP = 8 * _DRAW_BLOCK_BYTES
-# Bits of draws a process keeps for rereading (see _draws): 10**5 draws of
-# 1024 bits, a run at lengths (256, 512) in dimension 2, fit.
-_DRAW_CACHE_BITS = 1 << 27
+# Bytes a process keeps of draws for rereading (see _draws), a kept draw
+# counted as its int's size plus _DRAW_ENTRY_BYTES: 10**5 draws of 1024
+# bits, a run at lengths (256, 512) in dimension 2, fit (about 42 MB).
+_DRAW_CACHE_BYTES = 48 << 20
+# What keeping a draw costs besides the draw: its key tuple, 64-bit stream
+# seed, (bits, draw) tuple and dict slot, which tracemalloc reads as 170 to
+# 200 bytes in CPython.
+_DRAW_ENTRY_BYTES = 256
 # Rows an exhaustive count holds at once, whatever its length.
 _COUNT_BLOCK_ROWS = 1 << 16
 
@@ -269,21 +275,17 @@ def _accumulate(
     return count, sum_w, sum_w1, sum_z, sum_m, sum_s, sum_w1_sq, redraws
 
 
+def _kept_bytes(bits: int) -> int:
+    """What keeping a draw of bits costs the process, in bytes, at most."""
+    return _DRAW_ENTRY_BYTES + sys.getsizeof((1 << bits) - 1)
+
+
 class _DrawCache(dict):
     """(generator class, stream seed) -> (bits, getrandbits(bits)), holding
-    at most _DRAW_CACHE_BITS bits of draws; `held` counts them."""
+    at most _DRAW_CACHE_BYTES bytes at every width; `held` is the sum of
+    _kept_bytes(bits) over its draws."""
 
     held = 0
-
-    def keep(self, key: tuple[type, int], bits: int, draw: int) -> None:
-        kept = self.get(key)
-        if kept is not None:
-            self.held -= kept[0]
-        if self.held + bits > _DRAW_CACHE_BITS:
-            # Drop every kept draw; the draws after this one are kept anew.
-            self.clear()
-        self[key] = bits, draw
-        self.held += bits
 
     def clear(self) -> None:
         super().clear()
@@ -301,24 +303,37 @@ def _draws(seed: int, indices: range, bits: int) -> list[int]:
     Draws are kept in _DRAW_CACHE under (generator class, stream seed),
     the class read from random at call time, and reread by any later
     request no wider.  Misses reseed one generator through its own seed
-    method.
+    method.  Each process keeps its own draws: a pool's workers fill and
+    drop theirs.
     """
     generator = random.Random
     cache = _DRAW_CACHE
+    cost = _kept_bytes(bits)
+    held = cache.held
     rng = None
     out = []
-    for index in indices:
-        key = generator, derive_sample_seed(seed, index)
-        kept = cache.get(key)
-        if kept is not None and kept[0] >= bits:
-            out.append(kept[1])
-            continue
-        if rng is None:
-            rng = generator()
-        rng.seed(key[1])
-        draw = rng.getrandbits(bits)
-        out.append(draw)
-        cache.keep(key, bits, draw)
+    try:
+        for index in indices:
+            key = generator, derive_sample_seed(seed, index)
+            kept = cache.get(key)
+            if kept is not None:
+                if kept[0] >= bits:
+                    out.append(kept[1])
+                    continue
+                held -= _kept_bytes(kept[0])  # replaced below
+            if rng is None:
+                rng = generator()
+            rng.seed(key[1])
+            draw = rng.getrandbits(bits)
+            out.append(draw)
+            held += cost
+            if held > _DRAW_CACHE_BYTES:
+                # Drop every kept draw; the draws after this one are kept anew.
+                cache.clear()
+                held = cost
+            cache[key] = bits, draw
+    finally:
+        cache.held = held
     return out
 
 

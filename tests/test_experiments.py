@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import struct
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -680,6 +681,11 @@ def cold(run):
     return run()
 
 
+def charged(cache):
+    """The bytes a draw cache should count as held."""
+    return sum(ex._kept_bytes(bits) for bits, _ in cache.values())
+
+
 def test_warm_draws_give_the_cold_records():
     runs = fixture_runs(40, 7)
     want = {name: cold(run) for name, run in runs.items()}
@@ -687,7 +693,9 @@ def test_warm_draws_give_the_cold_records():
     warm = {name: run() for name, run in runs.items()}
     assert warm == want
     # Every index is kept once, at 1024 bits; a second pass draws nothing.
-    assert (len(ex._DRAW_CACHE), ex._DRAW_CACHE.held) == (40, 40 * 1024)
+    assert {kept for kept, _ in ex._DRAW_CACHE.values()} == {1024}
+    assert len(ex._DRAW_CACHE) == 40
+    assert ex._DRAW_CACHE.held == charged(ex._DRAW_CACHE)
     kept = dict(ex._DRAW_CACHE)
     assert {name: run() for name, run in runs.items()} == want
     assert ex._DRAW_CACHE == kept
@@ -705,7 +713,8 @@ def test_draws_at_widths_768_1024_768():
         # A wider request replaces the kept draw; a narrower one rereads it.
         widest = max(widest, bits)
         assert {kept for kept, _ in ex._DRAW_CACHE.values()} == {widest}
-        assert ex._DRAW_CACHE.held == 30 * widest
+        assert len(ex._DRAW_CACHE) == 30
+        assert ex._DRAW_CACHE.held == charged(ex._DRAW_CACHE)
     for bits in (768, 1024, 768):
         for index, draw in zip(range(30), ex._draws(3, range(30), bits)):
             stream = random.Random(ex.derive_sample_seed(3, index))
@@ -715,22 +724,63 @@ def test_draws_at_widths_768_1024_768():
 def test_draw_cache_holds_no_more_than_its_bound(monkeypatch):
     runs = fixture_runs(12, 11)
     want = {name: cold(run) for name, run in runs.items()}
-    bound = 5 * 1024
-    monkeypatch.setattr(ex, "_DRAW_CACHE_BITS", bound)
-    keep = ex._DrawCache.keep
-    held = []
-
-    def checked(cache, key, bits, draw):
-        keep(cache, key, bits, draw)
-        assert cache.held == sum(b for b, _ in cache.values()) <= bound
-        held.append(cache.held)
-
-    monkeypatch.setattr(ex._DrawCache, "keep", checked)
+    draw = ex._kept_bytes(1024)
+    held = bounded_draws(monkeypatch, 5 * draw)
     ex._DRAW_CACHE.clear()
     for _ in range(2):
         assert {name: run() for name, run in runs.items()} == want
     # The bound was reached, and draws were kept again after each drop.
-    assert max(held) == bound and held.count(1024) > 1
+    assert max(held) == 5 * draw and held.count(draw) > 1
+
+
+def bounded_draws(monkeypatch, bound):
+    """Set the draw cache's bound, draw one index per _draws call, and
+    check the bound after every call; returns the held count after each."""
+    monkeypatch.setattr(ex, "_DRAW_CACHE_BYTES", bound)
+    monkeypatch.setattr(ex, "_DRAW_BLOCK_BYTES", 1)
+    draws = ex._draws
+    held = []
+
+    def checked(seed, indices, bits):
+        assert len(indices) == 1
+        out = draws(seed, indices, bits)
+        cache = ex._DRAW_CACHE
+        assert cache.held == charged(cache) <= bound
+        held.append(cache.held)
+        return out
+
+    monkeypatch.setattr(ex, "_draws", checked)
+    return held
+
+
+def test_narrow_draws_are_bounded_in_bytes(monkeypatch):
+    # At 32 bits the entry, not the draw, is most of what a kept draw
+    # costs, and the bound still holds in bytes.
+    config = ex.RunConfig(5, 60, (32,), RecodingScheme.BINARY, 1)
+    want = cold(lambda: list(ex.run_stats(config)))
+    draw = ex._kept_bytes(32)
+    assert ex._DRAW_ENTRY_BYTES > draw // 2
+    held = bounded_draws(monkeypatch, 10 * draw)
+    ex._DRAW_CACHE.clear()
+    assert list(ex.run_stats(config)) == want
+    assert held == [draw * (1 + i % 10) for i in range(60)]
+
+
+def test_held_bytes_cover_what_kept_draws_cost():
+    # What tracemalloc sees a full cache take stays within its held count,
+    # at the narrowest and the widest fixture width.
+    for bits in (32, 1024):
+        ex._DRAW_CACHE.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ex._draws(9, range(3000), bits)
+            taken = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ex._DRAW_CACHE) == 3000
+        assert 0 < taken <= ex._DRAW_CACHE.held
+    ex._DRAW_CACHE.clear()
 
 
 def test_pooled_runs_match_in_process_runs_on_a_warm_cache():
