@@ -6,12 +6,13 @@ negative and magnitude-2 digits, so weights and values are mask
 arithmetic; one encoder and one decoder convert between digits and masks.
 Equality compares lengths and masks, so a zero-padded word is distinct
 from its trimmed form.  Display and JSON read most significant first.
+_packed_range lays every integer below a count side by side in one
+integer, for transducer's exhaustive zero-digit count.
 """
 
 from __future__ import annotations
 
 import struct
-import sys
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -27,7 +28,7 @@ _BYTE_OF_OCTAL = bytes.maketrans(b"01357", b"\x00\x01\xff\x02\xfe")
 _CODE_OF_ASCII = bytes.maketrans(b"01234567", bytes(range(8)))
 # The struct code of an unsigned int of each column key width, in bytes.
 _KEY_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-# The width of one field of a packed integer (see `_packed`).
+# The width of one field of a packed integer (see `_packed_range`).
 _FIELD_BITS = 8 * array("I").itemsize
 
 
@@ -314,21 +315,14 @@ def stack(rows: Sequence[Expansion]) -> JointExpansion:
     return _joint(tuple(r.padded(length) for r in rows))
 
 
-def _packed(masks: Iterable[int]) -> tuple[int, int]:
-    """(words, ones): the masks side by side in one integer, a field of
-    _FIELD_BITS bits each, the first mask lowest, and the integer with bit
-    0 of every field set.  Then (words >> j & ones).bit_count() counts the
-    masks with bit j set: one shift, mask and popcount over all of them."""
-    fields = array("I", masks)
-    one = (1).to_bytes(fields.itemsize, sys.byteorder)
-    ones = int.from_bytes(one * len(fields), sys.byteorder)
-    return int.from_bytes(fields, sys.byteorder), ones
-
-
 def _packed_range(count: int) -> tuple[int, int]:
-    """_packed(range(count)), built by doubling: the fields c..2c-1 are the
-    fields 0..c-1 plus c.  A count that is not a power of two is cut from
-    the next one."""
+    """(words, ones): the integers 0 .. count - 1 side by side in one
+    integer, a field of _FIELD_BITS bits each, 0 lowest, and the integer
+    with bit 0 of every field set.  Then (words >> j & ones).bit_count()
+    counts the fields with bit j set: one shift, mask and popcount over
+    all of them.  Built by doubling: the fields c..2c-1 are the fields
+    0..c-1 plus c.  A count that is not a power of two is cut from the
+    next one."""
     words, ones, filled = 0, 1, 1
     while filled < count:
         words |= (words + filled * ones) << _FIELD_BITS * filled

@@ -10,10 +10,9 @@ are the same whether a draw is fresh or kept.  Per-sample metrics build
 no expansion objects and state no digit rule: the NAF, complement-aware
 and joint sparse form metrics take their position masks and column counts
 from the private helpers in recoding that naf, wllc_recode and sjsf are
-built on.  Exhaustive statistics count instead of enumerating vectors:
-per row position over the same helpers for the union schemes, and per
-output column over the chain of the joint sparse form's transducer
-(transducer._column_counts).
+built on.  Exhaustive statistics count instead of enumerating vectors or
+rows: walks of the transducers (transducer._column_counts), one marked by
+popcount for the complement-aware scheme, and binomials.
 
 Column statistics use a fixed width: signed schemes are measured at
 length+1 columns (their maximum), the binary scheme at length columns.
@@ -35,13 +34,13 @@ import struct
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from itertools import repeat
+from itertools import combinations
 from operator import add
 from typing import Callable, Iterable, Iterator, get_type_hints
 
-from .expansions import _integer, _integers, _packed, _packed_range
+from .expansions import _integer, _integers
 from .recoding import RecodingScheme, _naf_support, _sjsf_weight_top, _wllc_support
-from .transducer import _column_counts, sjsf_transducer
+from .transducer import _column_counts, naf_transducer, sjsf_transducer
 
 _EXHAUSTIVE_BITS_BOUND = 24
 _BIT_PROBABILITY_LENGTH_BOUND = 16
@@ -57,8 +56,6 @@ _DRAW_CACHE_BYTES = 48 << 20
 # seed, (bits, draw) tuple and dict slot, which tracemalloc reads as 170 to
 # 200 bytes in CPython.
 _DRAW_ENTRY_BYTES = 256
-# Rows an exhaustive count holds at once, whatever its length.
-_COUNT_BLOCK_ROWS = 1 << 16
 
 
 def _check_draw_bits(dimension: int, length: int) -> None:
@@ -367,9 +364,9 @@ def _draw_blocks(
     seed: int, start: int, stop: int, bits: int
 ) -> Iterator[tuple[range, list[int]]]:
     """(indices, their draws at bits, see _draws) over [start, stop), in
-    blocks of at most _DRAW_BLOCK_BYTES of draws and at least one index;
-    no draws at bits 0."""
-    block = max(1, 8 * _DRAW_BLOCK_BYTES // max(bits, 1))
+    blocks of at most _DRAW_BLOCK_BYTES of draws charged as _kept_bytes,
+    and at least one index; no draws at bits 0."""
+    block = max(1, _DRAW_BLOCK_BYTES // _kept_bytes(bits))
     for a in range(start, stop, block):
         indices = range(a, min(a + block, stop))
         yield indices, _draws(seed, indices, bits) if bits else []
@@ -455,11 +452,37 @@ def run_stats(config: RunConfig, experiment: str = "stats") -> Iterator[StatReco
         )
 
 
-def _position_counts(words: int, ones: int, width: int) -> list[int]:
-    """counts[j]: how many of the masks packed in (words, ones) (see
-    expansions._packed) have bit j set, for j < width: one shift, mask and
-    popcount over all of them, not a loop over the masks."""
-    return [(words >> j & ones).bit_count() for j in range(width)]
+def _binomial(n: int, k: int) -> int:
+    """C(n, k), and 0 outside 0 <= k <= n, where math.comb may raise."""
+    return math.comb(n, k) if 0 <= k <= n else 0
+
+
+def _wllc_row_counts(length: int) -> tuple[list[int], int]:
+    """(counts, twos): counts[j] rows n < 2**length have bit j in their
+    WLLC support (_wllc_support), and twos rows a magnitude-2 digit (only
+    digit 0 can be one), counted without recoding a row.
+
+    A light row recodes as naf(n).  A heavy row recodes naf(-m), m its
+    complement, which has naf(m)'s support but at the ends, and the heavy
+    rows' complements are the strictly light rows.  So one walk of
+    naf_transducer marked by popcount counts both.  At the ends of a heavy
+    row the top digit is flipped, and digit 0 is nonzero unless m = 3 mod 4
+    and has magnitude 2 iff m = 1 mod 4: binomials count those m.
+    """
+    field = length + 1  # every count is below 2**field
+    columns = _column_counts(naf_transducer, length, any, 1 << field)
+    light, strict = range(length // 2 + 1), range((length + 1) // 2)
+
+    def rows(column: int, popcounts: range) -> int:
+        return sum(column >> field * c & (1 << field) - 1 for c in popcounts)
+
+    counts = [rows(column, light) + rows(column, strict) for column in columns]
+    heavy = sum(_binomial(length, c) for c in strict)
+    counts[-1] += heavy - 2 * rows(columns[-1], strict)
+    threes = sum(_binomial(length - 2, c - 2) for c in strict)
+    counts[0] += heavy - rows(columns[0], strict) - threes
+    twos = sum(_binomial(length - 2, c - 1) for c in strict)
+    return counts, twos
 
 
 def _exhaustive_sums(
@@ -472,10 +495,12 @@ def _exhaustive_sums(
     Outside SJSF the columns are the union of independent row supports, so
     with N = 2**length rows and c rows having bit j set, N**D - (N - c)**D
     vectors have bit j in their union.  Summed over j that is the weight;
-    the magnitude-2 masks give the deep columns and bit width - 1 the top.
+    the magnitude-2 rows give the deep columns and bit width - 1 the top.
     The all-zero vector has an empty union, so dropping it changes only the
-    count.  SJSF reads its nonzero columns per position from the chain of
-    sjsf_transducer(), whose column `length` is the top.
+    count.  The rows per position are counted, not recoded: 2**(length-1)
+    for binary, and a walk of naf_transducer() for the others
+    (_wllc_row_counts).  SJSF reads its nonzero columns per position from
+    the walk of sjsf_transducer(), whose column `length` is the top.
     """
     width = length if scheme is RecodingScheme.BINARY else length + 1
     vectors = 1 << dimension * length
@@ -484,35 +509,21 @@ def _exhaustive_sums(
         weight = weight1 = sum(columns)
         top = columns[length]
     else:
-        rows = 1 << length
-        size = min(_COUNT_BLOCK_ROWS, rows)
-        full = _packed_range(size)
-        counts = deep = [0] * width
-        for start in range(0, rows, size):
-            stop = min(start + size, rows)
-            if scheme is RecodingScheme.WLLC:
-                supports, twos = zip(*map(_wllc_support, range(start, stop), repeat(length)))
-                words, ones = _packed(supports)
-                deep_counts = _position_counts(*_packed(filter(None, twos)), width)
-                deep = list(map(add, deep, deep_counts))
-            else:
-                words, ones = full if stop - start == size else _packed_range(stop - start)
-                words += start * ones
-                if scheme in (RecodingScheme.NAF, RecodingScheme.STACKED_NAF):
-                    # One NAF over every field at once: 3 * row stays below
-                    # 2**26 under the exhaustive cap, so no carry crosses a
-                    # field, and the bit the shift pulls in from the next
-                    # field lands above the width.
-                    words = _naf_support(words)
-                elif scheme is not RecodingScheme.BINARY:
-                    raise ValueError(f"unknown scheme {scheme!r}")
-            counts = list(map(add, counts, _position_counts(words, ones, width)))
+        twos = 0
+        if scheme is RecodingScheme.BINARY:
+            counts = [1 << length - 1] * width
+        elif scheme in (RecodingScheme.NAF, RecodingScheme.STACKED_NAF):
+            counts = _column_counts(naf_transducer, length, any)
+        elif scheme is RecodingScheme.WLLC:
+            counts, twos = _wllc_row_counts(length)
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
 
         def covered(c: int) -> int:
-            return vectors - (rows - c) ** dimension
+            return vectors - ((1 << length) - c) ** dimension
 
         weight = sum(map(covered, counts))
-        weight1 = weight + sum(map(covered, deep))
+        weight1 = weight + covered(twos)
         top = covered(counts[-1])
     count = vectors - (scheme is RecodingScheme.WLLC)
     return (
@@ -533,9 +544,9 @@ def exhaustive_stats(
 
     The sums are counted, not enumerated, and equal those of running the
     per-sample metrics on every vector.  The union schemes (binary, NAF,
-    stacked NAF, WLLC) go over the 2**length rows once and count, per
-    position, the rows whose support has it; SJSF sums the nonzero
-    columns of its transducer over the chain, in time linear in length.
+    stacked NAF, WLLC) count, per position, the rows whose support has
+    it, without recoding a row; SJSF sums the nonzero columns of its
+    transducer over the chain, in time linear in length.
     """
     length = _integer("length", length)
     dimension = _integer("dimension", dimension)
@@ -682,27 +693,14 @@ def complement_bit_probabilities(length: int) -> ComplementBitReport:
             f"exhaustive bit probabilities capped at length "
             f"{_BIT_PROBABILITY_LENGTH_BOUND}"
         )
-    # Sets of words n < 2**length as bitsets over n: by_weight[c] holds the
-    # words with c one bits (Pascal's rule, one bit position at a time).
+    # A word with c one bits is complemented when heavy (2c > length).  So
+    # bit i is 0 afterwards on C(length - 1, c) light words (bit i of n is
+    # 0) and on C(length - 1, c - 1) heavy ones (bit i of n is 1), at every
+    # position alike; a pair of bits likewise, with length - 2 and c - 2.
     total = 1 << length
-    by_weight = [1]
-    for i in range(length):
-        by_weight = [
-            low | high << (1 << i) for low, high in zip(by_weight + [0], [0] + by_weight)
-        ]
-    heavy = sum(by_weight[c] for c in range(length + 1) if 2 * c > length)
-    # zeros[i]: the words whose bit i is 0 after complementing.  Bit i of n
-    # is 0 on runs of 2**i words every 2**(i + 1); complementing flips the
-    # heavy words.
-    every = (1 << total) - 1
-    zeros = [
-        every // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) ^ heavy
-        for i in range(length)
-    ]
-    singles = tuple(Fraction(z.bit_count(), total) for z in zeros)
-    pairs = {
-        (i, j): Fraction((zeros[i] & zeros[j]).bit_count(), total)
-        for i in range(length)
-        for j in range(i + 1, length)
-    }
+    heavy = [2 * c > length for c in range(length + 1)]
+    single = sum(_binomial(length - 1, c - h) for c, h in enumerate(heavy))
+    pair = sum(_binomial(length - 2, c - 2 * h) for c, h in enumerate(heavy))
+    singles = (Fraction(single, total),) * length
+    pairs = dict.fromkeys(combinations(range(length), 2), Fraction(pair, total))
     return ComplementBitReport(length, total, singles, pairs)

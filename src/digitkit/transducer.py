@@ -14,12 +14,12 @@ straight into bit masks, with no digit tuple per row.
 The chain tools accept any of the machines.  Everything downstream of the
 machines is exact: distributions walk integer numerators over a common
 denominator and become rationals only when returned; no floating point
-enters here.  One walk also sums a reward of each output column over
-every input of a length (_column_counts): the zero-digit probability and
-the joint sparse form's exhaustive statistics are such sums.  The
-exhaustive zero-output count checks the chain from outside: every input
-goes into one packed integer, and one product, exclusive or and shift
-give the NAF supports of all of them.
+enters here.  One integer pass over a machine's transitions sums a reward
+of each output column over every input of a length, optionally by popcount
+(_column_counts): the zero-digit probability and every exhaustive statistic
+in experiments are such sums.  The exhaustive zero-output count checks the
+chain from outside: every input goes into one packed integer, and one
+product, exclusive or and shift give the NAF supports of all of them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from operator import mul
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .expansions import (
@@ -402,52 +401,58 @@ def stationary_distribution(p: RationalMatrix) -> StateDistribution:
 
 
 @cache
-def _chain(build: Callable[[], Transducer]) -> tuple[Transducer, RationalMatrix]:
-    """The machine build() returns and its chain, built once per builder;
-    callers only read them.  The machine must have the layout
-    _column_counts reads, as the builders' machines do, or ValueError: a
-    letter emits no column from the initial state, which no letter
-    re-enters, and one column from every other state."""
+def _checked_machine(build: Callable[[], Transducer]) -> Transducer:
+    """The machine build() returns, built once per builder; callers only
+    read it.  It must have the layout _column_counts reads, as the
+    builders' machines do, or ValueError: a letter emits no column from
+    the initial state, which no letter re-enters, and one column from
+    every other state."""
     t = build()
     for (state, _), (target, word) in t.transitions.items():
         if target == t.initial or len(word) != (0 if state == t.initial else 1):
             raise ValueError("machine does not emit one column per letter after the first")
-    return t, transition_matrix(t)
+    return t
 
 
 def _column_counts(
-    build: Callable[[], Transducer], length: int, reward: Callable[[Column], int]
+    build: Callable[[], Transducer], length: int, reward: Callable[[Column], int],
+    x: int = 1,
 ) -> list[int]:
     """columns[j]: reward(column j) summed over every input of length >= 1
-    letters; an input whose output ends before column j adds nothing.
+    letters, an input with k one bits counted x ** k times (so at x = 2**B
+    above every count, bits [k*B, (k+1)*B) count the inputs with k one
+    bits); an input whose output ends before column j adds nothing.
 
-    Letter k emits column k - 1 (the layout _chain checks): letters
-    1 .. length - 1 emit columns 0 .. length - 2, and the flush emits the
-    rest, as many as the longest flush word.  One _walk gives the share
-    of the inputs in each state after 1 .. length letters.  Column k - 1
-    sums, over the states after k letters, the state's inputs times its
-    reward summed over the next letter, times the choices of the letters
-    after; a flush column sums the inputs ending in each state times the
-    reward of that state's flush column.
+    Letter k emits column k - 1 (the layout _checked_machine checks):
+    letters 1 .. length - 1 emit columns 0 .. length - 2, and the flush
+    emits the rest, as many as the longest flush word.  Column k - 1 sums,
+    over the states after k letters, the counted inputs there times the
+    reward summed over the next letter, times the counted choices of the
+    letters after; a flush column sums the inputs ending in each state
+    times the reward of that state's flush column.
     """
-    t, p = _chain(build)
-    alphabet = len(t.letters)
-    emitted = [
-        sum(reward(column) for b in t.letters for column in t.transitions[(s, b)][1])
+    t = _checked_machine(build)
+    weights = [x ** b.bit_count() for b in t.letters]
+    steps = {
+        s: [(t.transitions[(s, b)], w) for b, w in zip(t.letters, weights)]
         for s in t.states
-    ]
-    walk = _walk(p, [Fraction(s == t.initial) for s in t.states])
-    inputs = alphabet ** (length - 1)
-    columns = [
-        sum(map(mul, numerators, emitted)) * inputs // denominator
-        for numerators, denominator in islice(walk, length - 1)
-    ]
-    numerators, denominator = next(walk)
+    }
+    emitted = {s: sum(w * reward(c) for (_, word), w in steps[s] for c in word) for s in steps}
+    inputs, columns = {t.initial: 1}, []
+    for k in range(1, length + 1):
+        after = dict.fromkeys(t.states, 0)
+        for s, v in inputs.items():
+            for (target, _), w in steps[s]:
+                after[target] += v * w
+        inputs = after
+        if k < length:
+            here = sum(v * emitted[s] for s, v in inputs.items())
+            columns.append(here * sum(weights) ** (length - 1 - k))
     flushed = [0] * max(map(len, t.flush.values()))
-    for v, s in zip(numerators, t.states):
+    for s, v in inputs.items():
         for j, column in enumerate(t.flush[s]):
             flushed[j] += v * reward(column)
-    return columns + [f * inputs * alphabet // denominator for f in flushed]
+    return columns + flushed
 
 
 def zero_output_probability(k: int, method: str = "markov") -> Fraction:

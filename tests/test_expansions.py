@@ -1,12 +1,15 @@
 """Digit words: construction, value arithmetic, stacking, serialization."""
 
+import sys
+from array import array
+
 import pytest
 
 from digitkit.expansions import (
+    _FIELD_BITS,
     Expansion,
     JointExpansion,
     binary,
-    _packed,
     _packed_range,
     ones_complement,
     stack,
@@ -134,6 +137,17 @@ def test_stack_pads_to_longest():
     assert j.values() == (1, 6)
     with pytest.raises(ValueError):
         stack([])
+
+
+def _packed(masks):
+    """(words, ones): the masks side by side in one integer, a field of
+    _FIELD_BITS bits each, the first mask lowest, and the integer with bit
+    0 of every field set; the reference _packed_range is checked against."""
+    fields = array("I", masks)
+    assert 8 * fields.itemsize == _FIELD_BITS
+    one = (1).to_bytes(fields.itemsize, sys.byteorder)
+    ones = int.from_bytes(one * len(fields), sys.byteorder)
+    return int.from_bytes(fields, sys.byteorder), ones
 
 
 def test_packed_range_equals_packing_the_range():

@@ -305,8 +305,9 @@ def reference_record(config, length):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_multi_length_runs_match_one_length_runs(monkeypatch, workers):
-    # Blocks of 100 bytes hold 1 to 12 draws here, so block edges are crossed.
-    monkeypatch.setattr(ex, "_DRAW_BLOCK_BYTES", 100)
+    # Blocks of 1000 bytes hold 2 or 3 draws of 64 to 1536 bits here, so
+    # each run of 40 samples crosses many block edges.
+    monkeypatch.setattr(ex, "_DRAW_BLOCK_BYTES", 1000)
     for scheme in RecodingScheme:
         dims = (2,) if scheme is RecodingScheme.SJSF else (1, 2, 3)
         for dimension in dims:
@@ -453,14 +454,6 @@ def test_exhaustive_wllc_drops_only_the_zero_vector():
         assert counted[1:] == tuple(e - z for e, z in zip(every[1:], zero))
 
 
-def test_exhaustive_counts_cross_row_blocks(monkeypatch):
-    # Blocks of 5 rows: every length above 2 ends on a partial block.
-    monkeypatch.setattr(ex, "_COUNT_BLOCK_ROWS", 5)
-    for scheme, length, dimension in exhaustive_cases(8):
-        case = (scheme, length, dimension)
-        assert ex._exhaustive_sums(*case) == enumerated_sums(*case), case
-
-
 # _exhaustive_sums(SJSF, L) past the enumeration reference (L <= 6),
 # recorded from the counting walk over recoding's nibble table.
 SJSF_SUMS = {
@@ -478,30 +471,58 @@ def test_exhaustive_sjsf_sums_are_frozen():
         assert ex._exhaustive_sums(RecodingScheme.SJSF, length, 2) == sums, length
 
 
+# _exhaustive_sums of the union schemes at the exhaustive cap, recorded
+# from the row-by-row count that enumerated all 2**length rows per scheme.
+UNION_SUMS = {
+    ("binary", 24, 1): (16777216, 201326592, 201326592, 201326592, 192937984, 385875968),
+    ("binary", 12, 2): (16777216, 150994944, 150994944, 50331648, 138412032, 184549376),
+    ("binary", 8, 3): (16777216, 117440512, 117440512, 16777216, 102760448, 117440512),
+    ("naf", 24, 1): (16777216, 141674268, 141674268, 277756132, 136081863, 402653184),
+    ("naf", 12, 2): (16777216, 123030490, 123030490, 95073318, 113711635, 201326592),
+    ("naf", 8, 3): (16777216, 107528626, 107528626, 43466318, 95751621, 134217728),
+    ("wllc", 24, 1): (16777215, 145258522, 147002958, 274171853, 139092543, 402653160),
+    ("wllc", 12, 2): (16777215, 126048016, 129061132, 92055779, 117230092, 201326580),
+    ("wllc", 8, 3): (16777215, 109347976, 113312288, 41646959, 99459279, 134217720),
+}
+
+
+def test_exhaustive_union_sums_at_the_cap_are_frozen():
+    for (name, length, dimension), sums in UNION_SUMS.items():
+        case = (RecodingScheme(name), length, dimension)
+        assert ex._exhaustive_sums(*case) == sums, case
+        if name == "naf":
+            stacked = (RecodingScheme.STACKED_NAF, length, dimension)
+            assert ex._exhaustive_sums(*stacked) == sums, stacked
+
+
+def test_wllc_row_counts_equal_the_supports():
+    for length in range(1, 15):
+        counts, twos = ex._wllc_row_counts(length)
+        masks = [recoding._wllc_support(n, length) for n in range(1 << length)]
+        assert counts == [
+            sum(support >> j & 1 for support, _ in masks) for j in range(length + 1)
+        ], length
+        assert twos == sum(two.bit_count() for _, two in masks), length
+        # Digit 0 is the only one of magnitude 2.
+        assert all(two in (0, 1) for _, two in masks)
+
+
 def test_exhaustive_sjsf_leaves_the_nibble_table_unbuilt():
     recoding._sjsf_nibble_table.cache_clear()
     ex.exhaustive_stats(RecodingScheme.SJSF, 8)
     assert recoding._sjsf_nibble_table.cache_info().currsize == 0
 
 
-def test_exhaustive_stats_counts_rows_not_vectors(monkeypatch):
-    # The union schemes recode each of the 2**length rows once, whatever
-    # the dimension; SJSF never runs the per-pair metric.
-    calls = []
-    wllc_support = ex._wllc_support
+def test_exhaustive_stats_recodes_no_row(monkeypatch):
+    # The sums are counted: no scheme recodes a row or runs the per-pair
+    # metric, whatever the length and dimension.
+    def recoded(*args):
+        raise AssertionError("an exhaustive count recoded a row")
 
-    def counting(n, length):
-        calls.append(n)
-        return wllc_support(n, length)
-
-    def per_pair(*args):
-        raise AssertionError("exhaustive SJSF ran the per-pair metric")
-
-    monkeypatch.setattr(ex, "_wllc_support", counting)
-    monkeypatch.setattr(ex, "_sjsf_weight_top", per_pair)
-    record = ex.exhaustive_stats(RecodingScheme.WLLC, 8, dimension=3)
-    assert sorted(calls) == list(range(256))
-    assert record.samples == (1 << 24) - 1
+    for name in ("_wllc_support", "_naf_support", "_sjsf_weight_top"):
+        monkeypatch.setattr(ex, name, recoded)
+    assert ex.exhaustive_stats(RecodingScheme.WLLC, 8, dimension=3).samples == (1 << 24) - 1
+    assert ex.exhaustive_stats(RecodingScheme.NAF, 12, dimension=2).samples == 1 << 24
     assert ex.exhaustive_stats(RecodingScheme.SJSF, 12).samples == 1 << 24
 
 
@@ -597,12 +618,27 @@ def complement_bit_probabilities_by_words(length):
 
 
 def test_complement_bit_probabilities_match_word_by_word_sums():
-    for length in range(1, 13):
+    for length in range(1, 17):
         report = ex.complement_bit_probabilities(length)
-        singles, pairs = complement_bit_probabilities_by_words(length)
         assert report.samples == 1 << length
+        if length <= 12:
+            singles, pairs = complement_bit_probabilities_by_words(length)
+            assert list(report.pair_zero_probability.items()) == list(pairs.items())
+        else:
+            singles = complement_zero_probabilities_by_words(length)
         assert report.zero_probability == singles
-        assert list(report.pair_zero_probability.items()) == list(pairs.items())
+        assert all(type(p) is Fraction for p in report.zero_probability)
+
+
+def complement_zero_probabilities_by_words(length):
+    """The zero probabilities alone, summed word by word."""
+    full = (1 << length) - 1
+    zeros = [0] * length
+    for n in range(1 << length):
+        word = n ^ full if 2 * n.bit_count() > length else n
+        for i in range(length):
+            zeros[i] += not word >> i & 1
+    return tuple(Fraction(z, 1 << length) for z in zeros)
 
 
 def test_complement_bit_probabilities_bounds():
@@ -854,6 +890,29 @@ def test_run_config_rejects_a_vector_wider_than_a_draw_block(monkeypatch):
     with pytest.raises(ValueError, match=r"^dimension 3 x length"):
         ex.cost_slope(RecodingScheme.WLLC, cap // 4, 1, 0, dimension=3)
     assert (len(ex._DRAW_CACHE), ex._DRAW_CACHE.held) == (0, 0)
+
+
+def test_draw_blocks_hold_at_most_a_block_of_bytes(monkeypatch):
+    # A block holds at most _DRAW_BLOCK_BYTES of draws charged as the
+    # cache charges them, or one draw if that is more; runs of a few
+    # blocks at each width cross block edges.
+    draws = ex._draws
+    sizes = []
+
+    def checked(seed, indices, bits):
+        bound = max(ex._DRAW_BLOCK_BYTES, ex._kept_bytes(bits))
+        assert len(indices) * ex._kept_bytes(bits) <= bound, (bits, len(indices))
+        sizes.append(len(indices))
+        return draws(seed, indices, bits)
+
+    monkeypatch.setattr(ex, "_draws", checked)
+    for length in (32, 64, 256, 512, 1024):
+        block = ex._DRAW_BLOCK_BYTES // ex._kept_bytes(length)
+        config = ex.RunConfig(3, 2 * block + 1, (length,), RecodingScheme.BINARY, 1)
+        del sizes[:]
+        (record,) = ex.run_stats(config)
+        assert sizes == [block, block, 1], length
+        assert record == reference_record(config, length)
 
 
 def test_exhaustive_sums_at_length_16_equal_enumeration():

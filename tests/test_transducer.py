@@ -399,7 +399,7 @@ def test_zero_output_probability_bounds():
 
 
 def test_zero_output_probability_builds_the_chain_once(monkeypatch):
-    # _chain builds each machine's chain once, for the zero-digit
+    # _checked_machine builds each machine once, for the zero-digit
     # probability and for the SJSF exhaustive statistics alike.
     import digitkit.transducer as td
     from digitkit import experiments as ex
@@ -422,12 +422,10 @@ def test_zero_output_probability_builds_the_chain_once(monkeypatch):
     assert values[3] == Fraction(2, 3) - Fraction(1, 6) * Fraction(-1, 2) ** 3
     assert records[1].mean_weight == 1.5
     for build in (double_naf_transducer, sjsf_transducer):
-        machine, p = td._chain(build)
-        assert td._chain(build)[0] is machine
+        machine = td._checked_machine(build)
+        assert td._checked_machine(build) is machine
         assert build() is not build()
         assert build() is not machine
-        assert transition_matrix(machine) is not p
-        assert transition_matrix(machine) == p
 
 
 def digit_zero(column):
@@ -435,15 +433,16 @@ def digit_zero(column):
 
 
 def run_column_sums(machine, length, reward):
-    """Per-column reward sums over every input of `length` letters, by
-    Transducer.run on each input."""
-    sums = []
+    """by_ones[k][j]: reward(column j) summed over every input of `length`
+    letters with k one bits, by Transducer.run on each input."""
+    by_ones = [[] for _ in range(length * machine.input_dim + 1)]
     for letters in product(machine.letters, repeat=length):
+        sums = by_ones[sum(b.bit_count() for b in letters)]
         for j, column in enumerate(machine.run(letters).columns()):
             if j == len(sums):
                 sums.append(0)
             sums[j] += reward(column)
-    return sums
+    return by_ones
 
 
 def test_column_counts_equal_the_runs():
@@ -455,12 +454,23 @@ def test_column_counts_equal_the_runs():
         machine = build()
         widest = max(map(len, machine.flush.values()))
         for length in lengths:
+            field = length * machine.input_dim + 1  # every count is below 2**field
             for reward in (any, digit_zero):
                 counts = _column_counts(build, length, reward)
-                assert len(counts) == length - 1 + widest
-                sums = run_column_sums(machine, length, reward)
+                marked = _column_counts(build, length, reward, 1 << field)
+                assert len(counts) == len(marked) == length - 1 + widest
                 # Columns no input reaches sum to nothing.
-                assert counts == sums + [0] * (len(counts) - len(sums)), (build, length)
+                by_ones = [
+                    sums + [0] * (len(counts) - len(sums))
+                    for sums in run_column_sums(machine, length, reward)
+                ]
+                assert counts == [sum(column) for column in zip(*by_ones)], (build, length)
+                # Marked by popcount: field k of each column counts the
+                # inputs with k one bits.
+                for ones, sums in enumerate(by_ones):
+                    fields = [c >> field * ones & (1 << field) - 1 for c in marked]
+                    assert fields == sums, (build, length, ones)
+                assert not any(c >> field * len(by_ones) for c in marked)
 
 
 def test_column_counts_reject_a_machine_that_breaks_the_layout():
