@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dimension", type=_positive, default=2)
     p.add_argument(
         "--exhaustive", action="store_true",
-        help="enumerate every exponent vector instead of sampling",
+        help="count exact means over every exponent vector instead of sampling",
     )
     p.set_defaults(func=cmd_stats)
 

@@ -6,19 +6,17 @@ their ones' complement, a digit-set reduction rewriting magnitude-2 digits
 away, and brute-force minimal-cost oracles used to check optimality
 claims.
 
-Each scheme states its digit rule once.  The private helpers
-_naf_support, _wllc_support and _sjsf_weight_top give the per-sample
-Monte Carlo metrics in experiments the same masks and counts the public
-recoders build their expansions from.  The column rules _naf_column and
-_sjsf_column are what transducer builds its machines from.  The joint
-sparse form runs over a cached nibble table compiled from
-transducer.sjsf_transducer(): sjsf() reads the nonzero columns from the
-table and _sjsf_weight_top the column counts, both in time linear in the
-bit length.  Both oracles run one min-plus DP over carry pairs, _CarryDP, on their own
-column rules, caching each step on first use and reading a nibble pair
-per step.  The recoders build their joint expansions unchecked, as their
-rows have equal length by construction; integer arguments are checked
-before any bit is read.
+Each scheme states its digit rule once.  The private helpers _naf_support,
+_wllc_support and _sjsf_weight_top give the per-sample Monte Carlo metrics
+in experiments the same masks and counts the public recoders build their
+expansions from.  The column rules _naf_column and _sjsf_column are what
+transducer builds its machines from.  The joint sparse form and both
+oracles' min-plus DP over carry pairs, _CarryDP, are bit automata over two
+exponents: one builder, _nibble_table, compiles each on first use into
+rows read a nibble pair per lookup, in time linear in the bit length.  The
+recoders build their joint expansions unchecked, as their rows have equal
+length by construction; integer arguments are checked before any bit is
+read.
 """
 
 from __future__ import annotations
@@ -100,38 +98,55 @@ def _sjsf_column(a: int, b: int) -> tuple[int, int]:
     return 0, 0
 
 
+def _nibble_table(start, step) -> list:
+    """Compile a bit automaton over two exponents to read a nibble pair per
+    lookup; return the row of `start`.  step(state, letter) gives (cost,
+    column bits, next state) for letter = bit of m | bit of n << 1, and
+    runs once per state and letter.  Each state reachable from start gets
+    one row: row[256] is the state, and row[x1 << 4 | x2], reading nibble
+    x1 of m and x2 of n from the least significant bit, is (the four
+    steps' summed cost, their column bits with step i's shifted by i, the
+    next row)."""
+    states, table = [start], {}
+    for state in states:  # breadth first: states grows while it is read
+        # Entry x1 << 1 | x2 reads the letter x1 | x2 << 1.
+        table[state] = [step(state, letter) for letter in (0, 2, 1, 3)]
+        for _, _, end in table[state]:
+            if end not in states:
+                states.append(end)
+    # k-step rows, entry x1 << k | x2, to 2k-step rows: the low k bits of
+    # each exponent, then the high k bits from the state reached.
+    for k in (1, 2):
+        mask, doubled = (1 << k) - 1, {}
+        for state, row in table.items():
+            doubled[state] = new = []
+            for x1, x2 in product(range(1 << 2 * k), repeat=2):
+                cost, bits, mid = row[(x1 & mask) << k | (x2 & mask)]
+                more, high, end = table[mid][(x1 >> k) << k | (x2 >> k)]
+                new.append((cost + more, bits | high << k, end))
+        table = doubled
+    rows: dict = {state: [] for state in states}
+    for state, row in rows.items():
+        row += [(cost, bits, rows[end]) for cost, bits, end in table[state]] + [state]
+    return rows[start]
+
+
 @functools.cache
-def _sjsf_nibble_table() -> list[tuple[int, int, list]]:
-    """Row "p00" of a table compiled from sjsf_transducer(), one row per
-    pending state.  row[x1 << 4 | x2] = (weight, columns, next row) reads
-    nibble x1 of the first exponent and x2 of the second, least significant
-    bit first.  Bit i of columns marks a nonzero first-row digit in the
-    i-th column emitted on the way, bit 8 + i a nonzero second-row digit;
-    weight counts the nonzero columns.  Row "p00" reads like the start
-    state but also emits the (zero) column below the first position read.
-    Built on first use, so callers that never recode to the joint sparse
-    form do not pay for it."""
+def _sjsf_nibble_table() -> list:
+    """Row "p00" of sjsf_transducer() by _nibble_table, built on first use:
+    an entry costs its nonzero columns, and bit i (bit 8 + i) of its column
+    bits marks a nonzero first-row (second-row) digit in the i-th column
+    emitted.  Row "p00" reads like the start state but also emits the
+    (zero) column below the first position read."""
     from .transducer import sjsf_transducer  # transducer imports this module
 
-    machine = sjsf_transducer()
-    # step[state][letter] = (next state, nonzero bits of the column emitted)
-    step: dict[str, list] = {s: [] for s in machine.states if s != machine.initial}
-    for state, row in step.items():
-        for letter in machine.letters:
-            target, ((d1, d2),) = machine.transitions[(state, letter)]
-            row.append((target, (d1 & 1) | (d2 & 1) << 8))
-    rows: dict[str, list] = {s: [] for s in step}
-    for state, row in rows.items():
-        for x1 in range(16):
-            for x2 in range(16):
-                target, columns = state, 0
-                for i in range(4):
-                    letter = (x1 >> i & 1) | (x2 >> i & 1) << 1
-                    target, column = step[target][letter]
-                    columns |= column << i
-                weight = ((columns | columns >> 8) & 15).bit_count()
-                row.append((weight, columns, rows[target]))
-    return rows["p00"]
+    transitions = sjsf_transducer().transitions
+
+    def step(state: str, letter: int) -> tuple[int, int, str]:
+        target, ((d1, d2),) = transitions[(state, letter)]
+        return (1 if d1 or d2 else 0), (d1 & 1) | (d2 & 1) << 8, target
+
+    return _nibble_table("p00", step)
 
 
 def _sjsf_bytes(m: int, n: int, length: int) -> tuple[bytes, bytes, int]:
@@ -148,12 +163,22 @@ def _sjsf_bytes(m: int, n: int, length: int) -> tuple[bytes, bytes, int]:
     pad = 8 * nbytes - 1 - length
     m <<= pad
     n <<= pad
-    low_nibbles = ((1 << 8 * nbytes) - 1) // 0x11
-    lo = (((m & low_nibbles) << 4) | (n & low_nibbles)).to_bytes(nbytes, "little")
-    hi = ((m & (low_nibbles << 4)) | ((n >> 4) & low_nibbles)).to_bytes(
-        nbytes, "little"
-    )
+    low = ((1 << 8 * nbytes) - 1) // 0x11  # the low nibble of every byte
+    lo = (((m & low) << 4) | (n & low)).to_bytes(nbytes, "little")
+    hi = ((m & (low << 4)) | ((n >> 4) & low)).to_bytes(nbytes, "little")
     return lo, hi, pad
+
+
+def _read(row: list, m: int, n: int, length: int) -> tuple[int, list]:
+    """(summed cost, last row) of reading positions 0..length of m and n,
+    as _sjsf_bytes lays them out, from row, a _nibble_table row."""
+    lo, hi, _ = _sjsf_bytes(m, n, length)
+    total = 0
+    for x, y in zip(lo, hi):
+        a, _, row = row[x]
+        b, _, row = row[y]
+        total += a + b
+    return total, row
 
 
 def _sjsf_weight_top(m: int, n: int, length: int) -> tuple[int, int]:
@@ -166,13 +191,8 @@ def _sjsf_weight_top(m: int, n: int, length: int) -> tuple[int, int]:
     """
     if (m | n) >> length:
         raise RuntimeError("joint sparse form exceeded its width bound")
-    lo, hi, _ = _sjsf_bytes(m, n, length)
-    start = row = _sjsf_nibble_table()
-    weight = 0
-    for x, y in zip(lo, hi):
-        a, _, row = row[x]
-        b, _, row = row[y]
-        weight += a + b
+    start = _sjsf_nibble_table()
+    weight, row = _read(start, m, n, length)
     top = 0 if row is start else 1
     return weight + top, top
 
@@ -378,18 +398,17 @@ class OracleResult:
         return (self.minimal_cost, self.witness) == (other.minimal_cost, other.witness)
 
 
-class _CarryDP(dict):
+class _CarryDP:
     """Forward min-plus DP over carry pairs for one column digit rule.
 
     Read least significant bit first in two's complement, the residuals
     after k columns are (m >> k) + c1 and (n >> k) + c2 for carries (c1, c2);
     column (d1, d2) takes carry c under bit b to (b + c - d) / 2.  A state
-    is the vector of least costs per carry pair less its minimum, None
-    where that exceeds `spread`: cost-to-go never differs by more between
-    carry pairs, so such an entry is on no cheapest path.  The dict maps
-    state << 2 | (bit of m) | (bit of n) << 1 to (cost added, next state),
-    each entry built on first use.  cost() reads a nibble pair per step
-    from `nibbles`, four of these steps composed.
+    is the index in `vectors` of the least costs per carry pair less their
+    minimum, None where that exceeds `spread`: cost-to-go never differs by
+    more between carry pairs, so such an entry is on no cheapest path.
+    _step is one bit step; `nibbles`, its _nibble_table from state 0, is
+    built on first use, and cost() reads a nibble pair per lookup from it.
     """
 
     tail = 2  # past both tops, residuals in [-2, 2] end within 2 columns
@@ -404,13 +423,13 @@ class _CarryDP(dict):
         self.carries = tuple(product(carries, repeat=2))
         self.spread = spread
         self.vectors = [tuple(0 if c == (0, 0) else None for c in self.carries)]
-        self.nibbles = _NibbleSteps(self)
 
-    def __missing__(self, key: int) -> tuple[int, int]:
+    def _step(self, state: int, letter: int) -> tuple[int, int, int]:
+        """One bit step for _nibble_table, appending a new state to `vectors`."""
         best: dict[tuple[int, int], int] = {}
-        for base, (c1, c2) in zip(self.vectors[key >> 2], self.carries):
+        for base, (c1, c2) in zip(self.vectors[state], self.carries):
             if base is not None:
-                a, b = (key & 1) + c1, (key >> 1 & 1) + c2
+                a, b = (letter & 1) + c1, (letter >> 1) + c2
                 for cost, d1, d2 in self.table[(a & 1) << 1 | (b & 1)]:
                     succ = ((a - d1) >> 1, (b - d2) >> 1)
                     best[succ] = min(base + cost, best.get(succ, base + cost))
@@ -419,30 +438,26 @@ class _CarryDP(dict):
         vector = tuple(g if g <= self.spread else None for g in gaps)
         if vector not in self.vectors:
             self.vectors.append(vector)
-        self[key] = low, self.vectors.index(vector)
-        return self[key]
+        return low, 0, self.vectors.index(vector)
+
+    @functools.cached_property
+    def nibbles(self) -> list:
+        return _nibble_table(0, self._step)
 
     def cost(self, m: int, n: int) -> int:
         """The minimal cost of (m, n), for integers of any size.
 
-        Reads positions 0..top, whole bytes so _sjsf_bytes pads nothing,
-        at least `tail` positions past both tops.  Past the tops every letter is the sign
-        bits, and carries that cancel the signs keep the residuals zero at
-        no cost, so reading further leaves the answer alone.
+        Reads positions 0..top, whole bytes so _sjsf_bytes pads nothing, at
+        least `tail` positions past both tops.  Past the tops every letter is
+        the sign bits, and carries that cancel the signs keep the residuals
+        zero at no cost, so reading further leaves the answer alone.
         """
         top = (max(m.bit_length(), n.bit_length()) + self.tail - 1) | 7
-        lo, hi, _ = _sjsf_bytes(m, n, top)
-        steps = self.nibbles
-        total = state = 0
-        for x, y in zip(lo, hi):
-            cost, state = steps[state << 8 | x]
-            total += cost
-            cost, state = steps[state << 8 | y]
-            total += cost
+        total, row = _read(self.nibbles, m, n, top)
         # m and n shifted past the read are their signs, so carries of the
         # opposite signs zero the residuals.
         signs = (-(m >> top + 1), -(n >> top + 1))
-        return total + self.vectors[state][self.carries.index(signs)]
+        return total + self.vectors[row[256]][self.carries.index(signs)]
 
     def witness(self, m: int, n: int) -> JointExpansion:
         """A cheapest expansion of (m, n), one column at a time: a column
@@ -456,23 +471,6 @@ class _CarryDP(dict):
             columns.append((d1, d2))
             total, m, n = rest, (m - d1) >> 1, (n - d2) >> 1
         return JointExpansion(_rows_from_columns(columns, 2))
-
-
-class _NibbleSteps(dict):
-    """Maps state << 8 | x1 << 4 | x2 to (cost added, next state) of a
-    _CarryDP reading nibble x1 of m and x2 of n, least significant bit
-    first: four bit steps composed, each entry built on first use."""
-
-    def __init__(self, bits: _CarryDP):
-        self.bits = bits
-
-    def __missing__(self, key: int) -> tuple[int, int]:
-        bits, total, state = self.bits, 0, key >> 8
-        for i in range(4):
-            cost, state = bits[state << 2 | (key >> 4 + i & 1) | (key >> i & 1) << 1]
-            total += cost
-        self[key] = total, state
-        return self[key]
 
 
 _WEIGHT1 = _CarryDP((-2, 0, 2), lambda d1, d2: max(abs(d1), abs(d2)), range(-1, 3), 2)

@@ -1,6 +1,7 @@
 """Recoders: non-adjacent form, joint sparse form, complement-aware form,
 digit-2 reduction, and the brute-force minimality oracles."""
 
+import functools
 import os
 import random
 import subprocess
@@ -485,42 +486,53 @@ def test_nibble_stepped_cost_equals_the_unpruned_loop_at_every_short_length(bits
                 assert dp.cost(n, m) == _unpruned(n, m, dp), (n, m)
 
 
+def _rows(start):
+    """Every row linked from a _nibble_table row, by the state it records."""
+    rows, todo = {start[256]: start}, [start]
+    while todo:
+        for _, _, succ in todo.pop()[:256]:
+            if succ[256] not in rows:
+                rows[succ[256]] = succ
+                todo.append(succ)
+    return rows
+
+
 def test_carry_dp_step_cache_stays_bounded():
     rng = random.Random(1024)
     for (_, dp, _), count in zip(DPS, (42, 25)):
         for _ in range(10):
             dp.cost(rng.getrandbits(1024) - (1 << 1023), rng.getrandbits(1024))
-        filled = len(dp)
-        nibbles = dict(dp.nibbles)
+        step = functools.cache(dp._step)
         # Every state reachable from the start under every letter.
         states, todo = {0}, [0]
         while todo:
             state = todo.pop()
             for letter in range(4):
-                _, succ = dp[state << 2 | letter]
+                _, _, succ = step(state, letter)
                 if succ not in states:
                     states.add(succ)
                     todo.append(succ)
         assert len(states) == len(dp.vectors) == count
-        assert filled <= len(dp) == 4 * count
-        # A nibble step per reachable state and nibble pair at most, each
-        # four bit steps composed.
-        assert len(nibbles) <= 256 * count
-        for key, (cost, state) in nibbles.items():
-            assert key >> 8 in states
-            total, succ = 0, key >> 8
-            for i in range(4):
-                step, succ = dp[succ << 2 | (key >> 4 + i & 1) | (key >> i & 1) << 1]
-                total += step
-            assert (cost, state) == (total, succ)
+        # One nibble row per reachable state, each entry four bit steps composed.
+        rows = _rows(dp.nibbles)
+        assert sorted(rows) == sorted(states)
+        for state, row in rows.items():
+            assert len(row) == 257 and row[256] == state
+            for x, (cost, bits, succ) in enumerate(row[:256]):
+                total, end = 0, state
+                for i in range(4):
+                    more, _, end = step(end, (x >> 4 + i & 1) | (x >> i & 1) << 1)
+                    total += more
+                assert (cost, bits) == (total, 0) and succ is rows[end]
 
 
 def test_import_builds_no_carry_dp_step():
     code = (
         "import digitkit\n"
-        "from digitkit.recoding import _JOINT_WEIGHT, _WEIGHT1\n"
-        "print(len(_JOINT_WEIGHT), len(_WEIGHT1), len(_JOINT_WEIGHT.vectors), len(_WEIGHT1.vectors),"
-        " len(_JOINT_WEIGHT.nibbles), len(_WEIGHT1.nibbles))"
+        "from digitkit.recoding import _JOINT_WEIGHT, _WEIGHT1, _sjsf_nibble_table\n"
+        "print(len(_JOINT_WEIGHT.vectors), len(_WEIGHT1.vectors),"
+        " 'nibbles' in vars(_JOINT_WEIGHT), 'nibbles' in vars(_WEIGHT1),"
+        " _sjsf_nibble_table.cache_info().currsize)"
     )
     src = Path(recoding.__file__).resolve().parents[1]
     out = subprocess.run(
@@ -528,4 +540,50 @@ def test_import_builds_no_carry_dp_step():
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.split() == ["0", "0", "1", "1", "0", "0"]
+    assert out.stdout.split() == ["1", "1", "False", "False", "0"]
+
+
+def test_nibble_table_composes_four_steps_per_entry():
+    # A toy automaton: the state is the parity of m's bits read; each step
+    # costs m's bit and sets column bit 0 to n's bit.
+    start = recoding._nibble_table(0, lambda s, letter: (letter & 1, letter >> 1, s ^ letter & 1))
+    assert set(_rows(start)) == {0, 1}
+    for state, row in _rows(start).items():
+        assert len(row) == 257 and row[256] == state
+        for x1, x2 in product(range(16), repeat=2):
+            cost, bits, succ = row[x1 << 4 | x2]
+            assert (cost, bits) == (x1.bit_count(), x2), (state, x1, x2)
+            assert succ[256] == state ^ x1.bit_count() & 1
+
+
+def _handwritten_sjsf_table():
+    """The SJSF nibble table as built before _nibble_table, loop for loop:
+    row "p00" of linked rows of (weight, columns, next row)."""
+    from digitkit.transducer import sjsf_transducer
+
+    machine = sjsf_transducer()
+    step = {s: [] for s in machine.states if s != machine.initial}
+    for state, row in step.items():
+        for letter in machine.letters:
+            target, ((d1, d2),) = machine.transitions[(state, letter)]
+            row.append((target, (d1 & 1) | (d2 & 1) << 8))
+    rows = {s: [] for s in step}
+    for state, row in rows.items():
+        for x1 in range(16):
+            for x2 in range(16):
+                target, columns = state, 0
+                for i in range(4):
+                    letter = (x1 >> i & 1) | (x2 >> i & 1) << 1
+                    target, column = step[target][letter]
+                    columns |= column << i
+                weight = ((columns | columns >> 8) & 15).bit_count()
+                row.append((weight, columns, target))
+    return rows
+
+
+def test_sjsf_nibble_table_equals_the_handwritten_table():
+    expected = _handwritten_sjsf_table()
+    rows = _rows(recoding._sjsf_nibble_table())
+    assert rows.keys() == expected.keys()
+    for state, row in rows.items():
+        assert [(w, c, succ[256]) for w, c, succ in row[:256]] == expected[state]
