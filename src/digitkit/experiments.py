@@ -14,11 +14,11 @@ built on.  Exhaustive statistics count instead of enumerating vectors or
 rows: walks of the transducers (transducer._column_counts), one marked by
 popcount for the complement-aware scheme, and binomials.
 
-Column statistics use a fixed width: signed schemes are measured at
-length+1 columns (their maximum), the binary scheme at length columns.
-With that convention mean_zeros + mean_weight is exactly the width, and
-the evaluator identities give multiplications = weight1 - [top column
-nonzero] and squarings = width - 1 per sample.
+Sampled and exhaustive statistics both sum weight, weight1 and top (1
+when the top column is nonzero); _record alone derives the rest at the
+width _width states (length+1 columns for signed schemes, their maximum;
+length for binary): zeros = width - weight, and the evaluator identities
+multiplications = weight1 - top and squarings = width - 1 per sample.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ _EXHAUSTIVE_BITS_BOUND = 24
 _BIT_PROBABILITY_LENGTH_BOUND = 16
 # Bytes of draws a run holds at once, whatever its lengths and dimension.
 _DRAW_BLOCK_BYTES = 1 << 20
+# The widest vector, in bits, read by shifts (see _vectors); measured, that
+# and the byte read cost alike at 8k to 32k bits.
+_SHIFT_READ_BITS = 1 << 14
 # The most bits one sampled vector (dimension x length) may hold: one block.
 _DRAW_BITS_CAP = 8 * _DRAW_BLOCK_BYTES
 # Bytes a process keeps of draws for rereading (see _draws), a kept draw
@@ -189,17 +192,21 @@ def sample_exponents(
 # Arithmetic per-sample metrics.
 
 
+def _width(scheme: RecodingScheme, length: int) -> int:
+    """The columns counted: length for binary, length + 1 for signed schemes."""
+    return length if scheme is RecodingScheme.BINARY else length + 1
+
+
 def _scheme_metrics(
     exps: tuple[int, ...], length: int, scheme: RecodingScheme
-) -> tuple[int, int, int, int, int]:
-    """(weight, weight1, zeros, multiplications, squarings) of one sample;
-    outside SJSF the nonzero columns are the union of the row supports."""
-    width = length if scheme is RecodingScheme.BINARY else length + 1
+) -> tuple[int, int, int]:
+    """(weight, weight1, top: 1 if column _width - 1 is nonzero) of one
+    sample; outside SJSF the nonzero columns are the union of the row supports."""
     if scheme is RecodingScheme.SJSF:
         if len(exps) != 2:
             raise ValueError("the joint sparse form is two-dimensional")
         weight, top = _sjsf_weight_top(exps[0], exps[1], length)
-        return weight, weight, width - weight, weight - top, width - 1
+        return weight, weight, top
     union = deep = 0
     if scheme is RecodingScheme.WLLC:
         for n in exps:
@@ -215,9 +222,7 @@ def _scheme_metrics(
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     weight = union.bit_count()
-    weight1 = weight + deep
-    top = (union >> (width - 1)) & 1
-    return weight, weight1, width - weight, weight1 - top, width - 1
+    return weight, weight + deep, union >> (_width(scheme, length) - 1) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -255,21 +260,19 @@ def _accumulate(
 ) -> tuple[int, ...]:
     """Running sums over (exponent vector, redraws) draws.
 
-    In order: count, weight, weight1, zeros, multiplications, squarings,
-    weight1 squared, redraws.
+    In order: count, weight, weight1, top (see _scheme_metrics), weight1
+    squared, redraws.
     """
-    count = sum_w = sum_w1 = sum_z = sum_m = sum_s = sum_w1_sq = redraws = 0
+    count = sum_w = sum_w1 = sum_top = sum_w1_sq = redraws = 0
     for exps, r in draws:
-        w, w1, z, m, s = _scheme_metrics(exps, length, scheme)
+        w, w1, top = _scheme_metrics(exps, length, scheme)
         count += 1
         sum_w += w
         sum_w1 += w1
-        sum_z += z
-        sum_m += m
-        sum_s += s
+        sum_top += top
         sum_w1_sq += w1 * w1
         redraws += r
-    return count, sum_w, sum_w1, sum_z, sum_m, sum_s, sum_w1_sq, redraws
+    return count, sum_w, sum_w1, sum_top, sum_w1_sq, redraws
 
 
 def _kept_bytes(bits: int) -> int:
@@ -340,57 +343,63 @@ def _vectors(
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """sample_exponents(seed, index, length, dimension, nonzero) of every
     index.  At a multiple of 32, component j is bits [j*length,
-    (j+1)*length) of the index's draw (see _draws), read with a shift and
-    a mask; other lengths, and an all-zero slice under the redraw rule
-    (the redraw continues that length's stream), are sampled on their own.
+    (j+1)*length) of the index's draw (see _draws), read with a shift and a
+    mask up to _SHIFT_READ_BITS bits, from the draw's bytes past that (a
+    shift copies the whole draw); other lengths, and an all-zero slice under
+    the redraw rule (the redraw continues that stream), are sampled alone.
     """
     if length % 32:
         for index in indices:
             yield sample_exponents(seed, index, length, dimension, nonzero)
         return
-    mask = (1 << length) - 1
+    wide = dimension * length > _SHIFT_READ_BITS
+    mask, size = (1 << length) - 1, length // 8
     shifts = range(length, dimension * length, length)
+    offsets = range(0, dimension * size, size)
     for index, draw in zip(indices, draws):
-        exps = [draw & mask]
-        for k in shifts:
-            exps.append(draw >> k & mask)
+        if wide:  # bytes past the draw's top read as b"", a 0 component
+            data = draw.to_bytes((draw.bit_length() + 7) // 8, "little")
+            exps = [int.from_bytes(data[k:k + size], "little") for k in offsets]
+        else:
+            exps = [draw & mask]
+            for k in shifts:
+                exps.append(draw >> k & mask)
         if nonzero and not any(exps):
             yield sample_exponents(seed, index, length, dimension, nonzero)
         else:
             yield tuple(exps), 0
 
 
-def _draw_blocks(
-    seed: int, start: int, stop: int, bits: int
-) -> Iterator[tuple[range, list[int]]]:
-    """(indices, their draws at bits, see _draws) over [start, stop), in
-    blocks of at most _DRAW_BLOCK_BYTES of draws charged as _kept_bytes,
-    and at least one index; no draws at bits 0."""
+def _sample_blocks(
+    seed: int, lengths: tuple[int, ...], dimension: int, nonzero: bool,
+    start: int, stop: int,
+) -> Iterator[list[Iterator[tuple[tuple[int, ...], int]]]]:
+    """Each length's _vectors over each block of the indices [start, stop),
+    drawn as run_stats describes; a block holds at least one index and at
+    most _DRAW_BLOCK_BYTES of draws charged as _kept_bytes."""
+    bits = dimension * max((l for l in lengths if l % 32 == 0), default=0)
     block = max(1, _DRAW_BLOCK_BYTES // _kept_bytes(bits))
     for a in range(start, stop, block):
         indices = range(a, min(a + block, stop))
-        yield indices, _draws(seed, indices, bits) if bits else []
+        draws = _draws(seed, indices, bits) if bits else []
+        yield [_vectors(seed, indices, draws, l, dimension, nonzero) for l in lengths]
 
 
 def _stats_chunk(
-    args: tuple[int, str, tuple[int, ...], int, int, int]
+    args: tuple[int, RecodingScheme, tuple[int, ...], int, int, int]
 ) -> list[tuple[int, ...]]:
-    """_accumulate's sums at each length over the indices [start, stop),
-    drawn as run_stats describes."""
-    seed, scheme_name, lengths, dimension, start, stop = args
-    scheme = RecodingScheme(scheme_name)
+    """_accumulate's sums at each length over the indices [start, stop)."""
+    seed, scheme, lengths, dimension, start, stop = args
     nonzero = scheme is RecodingScheme.WLLC
-    bits = dimension * max((l for l in lengths if l % 32 == 0), default=0)
-    sums = [(0,) * 8 for _ in lengths]
-    for indices, draws in _draw_blocks(seed, start, stop, bits):
-        for k, length in enumerate(lengths):
-            vectors = _vectors(seed, indices, draws, length, dimension, nonzero)
+    sums = [(0,) * 6 for _ in lengths]
+    for block in _sample_blocks(seed, lengths, dimension, nonzero, start, stop):
+        for k, (length, vectors) in enumerate(zip(lengths, block)):
             sums[k] = tuple(map(add, sums[k], _accumulate(vectors, length, scheme)))
     return sums
 
 
 def _std_error(sums: tuple[int, ...]) -> float:
-    count, total, total_sq = sums[0], sums[2], sums[6]
+    count, total, total_sq = sums[0], sums[2], sums[4]
     if count < 2:
         return 0.0
     variance = (total_sq - total * total / count) / (count - 1)
@@ -401,7 +410,8 @@ def _record(
     experiment: str, length: int, dimension: int, scheme: RecodingScheme,
     sums: tuple[int, ...], seed: int, std_error: float,
 ) -> StatRecord:
-    count, sum_w, sum_w1, sum_z, sum_m, sum_s = sums[:6]
+    count, sum_w, sum_w1, sum_top = sums[:4]
+    width = _width(scheme, length)
     return StatRecord(
         experiment=experiment,
         length=length,
@@ -410,9 +420,9 @@ def _record(
         samples=count,
         mean_weight=sum_w / count,
         mean_weight1=sum_w1 / count,
-        mean_zeros=sum_z / count,
-        mean_multiplications=sum_m / count,
-        mean_squarings=sum_s / count,
+        mean_zeros=(count * width - sum_w) / count,
+        mean_multiplications=(sum_w1 - sum_top) / count,
+        mean_squarings=count * (width - 1) / count,
         std_error=std_error,
         seed=seed,
     )
@@ -432,19 +442,19 @@ def run_stats(config: RunConfig, experiment: str = "stats") -> Iterator[StatReco
     process drew before.
     """
     chunk_args = [
-        (config.seed, config.scheme.value, config.lengths, config.dimension, a, b)
+        (config.seed, config.scheme, config.lengths, config.dimension, a, b)
         for a, b in _chunk_bounds(config.samples, config.workers)
     ]
     parts = _map_chunks(_stats_chunk, chunk_args, config.workers)
     for length, per_chunk in zip(config.lengths, zip(*parts)):
         sums = tuple(sum(values) for values in zip(*per_chunk))
-        if sums[7]:
+        if sums[5]:
             import logging  # only a run that redrew has anything to log
 
             logging.getLogger(__name__).info(
                 "length %d: redrew the all-zero exponent vector %d time(s)",
                 length,
-                sums[7],
+                sums[5],
             )
         yield _record(
             experiment, length, config.dimension, config.scheme, sums,
@@ -487,22 +497,21 @@ def _wllc_row_counts(length: int) -> tuple[list[int], int]:
 
 def _exhaustive_sums(
     scheme: RecodingScheme, length: int, dimension: int
-) -> tuple[int, int, int, int, int, int]:
-    """_accumulate's first six sums (count, weight, weight1, zeros,
-    multiplications, squarings) over every vector in [0, 2**length)**dimension,
-    counted without enumerating the vectors; WLLC leaves out the all-zero one.
+) -> tuple[int, int, int, int]:
+    """_accumulate's first four sums (count, weight, weight1, top) over
+    every vector in [0, 2**length)**dimension, counted without enumerating
+    the vectors; WLLC leaves out the all-zero one.
 
     Outside SJSF the columns are the union of independent row supports, so
     with N = 2**length rows and c rows having bit j set, N**D - (N - c)**D
     vectors have bit j in their union.  Summed over j that is the weight;
-    the magnitude-2 rows give the deep columns and bit width - 1 the top.
+    the magnitude-2 rows give the deep columns and the last bit the top.
     The all-zero vector has an empty union, so dropping it changes only the
     count.  The rows per position are counted, not recoded: 2**(length-1)
     for binary, and a walk of naf_transducer() for the others
     (_wllc_row_counts).  SJSF reads its nonzero columns per position from
     the walk of sjsf_transducer(), whose column `length` is the top.
     """
-    width = length if scheme is RecodingScheme.BINARY else length + 1
     vectors = 1 << dimension * length
     if scheme is RecodingScheme.SJSF:
         columns = _column_counts(sjsf_transducer, length, any)
@@ -511,7 +520,7 @@ def _exhaustive_sums(
     else:
         twos = 0
         if scheme is RecodingScheme.BINARY:
-            counts = [1 << length - 1] * width
+            counts = [1 << length - 1] * length
         elif scheme in (RecodingScheme.NAF, RecodingScheme.STACKED_NAF):
             counts = _column_counts(naf_transducer, length, any)
         elif scheme is RecodingScheme.WLLC:
@@ -525,11 +534,7 @@ def _exhaustive_sums(
         weight = sum(map(covered, counts))
         weight1 = weight + covered(twos)
         top = covered(counts[-1])
-    count = vectors - (scheme is RecodingScheme.WLLC)
-    return (
-        count, weight, weight1, count * width - weight, weight1 - top,
-        count * (width - 1),
-    )
+    return vectors - (scheme is RecodingScheme.WLLC), weight, weight1, top
 
 
 def exhaustive_stats(
@@ -634,19 +639,17 @@ class SchemeComparison:
 
 def _compare_chunk(args: tuple[int, int, int, int]) -> tuple[int, int]:
     seed, length, start, stop = args
-    violations = 0
-    margin: int | None = None
-    bits = 0 if length % 32 else 2 * length
-    for indices, draws in _draw_blocks(seed, start, stop, bits):
-        for exps, _ in _vectors(seed, indices, draws, length, 2, True):
-            _, _, _, m_w, s_w = _scheme_metrics(exps, length, RecodingScheme.WLLC)
-            _, _, _, m_s, s_s = _scheme_metrics(exps, length, RecodingScheme.SJSF)
-            diff = (m_w + s_w) - (m_s + s_s)
+    violations, margin = 0, math.inf  # a chunk holds at least one index
+    for (vectors,) in _sample_blocks(seed, (length,), 2, True, start, stop):
+        for exps, _ in vectors:
+            # Both schemes are counted at length + 1 columns (_width), so
+            # their squarings cancel and the costs differ by multiplications.
+            _, w1_w, top_w = _scheme_metrics(exps, length, RecodingScheme.WLLC)
+            _, w1_s, top_s = _scheme_metrics(exps, length, RecodingScheme.SJSF)
+            diff = (w1_w - top_w) - (w1_s - top_s)
             if margin is None or diff < margin:
                 margin = diff
-            if diff < 0:
-                violations += 1
-    assert margin is not None
+            violations += diff < 0
     return violations, margin
 
 

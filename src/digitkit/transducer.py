@@ -84,16 +84,10 @@ class Transducer:
                 if target not in self.states:
                     raise ValueError(f"transition target {target!r} unknown")
                 self._check_word(word)
-        seen = {self.initial}
-        frontier = [self.initial]
-        while frontier:
-            s = frontier.pop()
-            for b in letters:
-                t = self.transitions[(s, b)][0]
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        if seen != set(self.states):
+        successors = {
+            s: [self.transitions[(s, b)][0] for b in letters] for s in self.states
+        }
+        if _reachable(successors, self.initial) != set(self.states):
             raise ValueError("unreachable states present")
 
     @property
@@ -124,21 +118,24 @@ class Transducer:
         return JointExpansion(_rows_from_columns(columns, self.output_dim))
 
 
+def _reachable(successors: Mapping[Hashable, Iterable], start: Hashable) -> set:
+    """Every node reachable from start, start included, by depth-first search."""
+    seen, stack = {start}, [start]
+    while stack:
+        for target in successors[stack.pop()]:
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return seen
+
+
 def _components(
     successors: Mapping[Hashable, Iterable[Hashable]],
 ) -> dict[frozenset, bool]:
     """Strongly connected components, each mapped to whether it is
     recurrent (reaches nothing outside itself).  Reachability by search
     from every node: quadratic, which suits graphs of a few states."""
-    reach = {}
-    for s in successors:
-        seen, stack = {s}, [s]
-        while stack:
-            for target in successors[stack.pop()]:
-                if target not in seen:
-                    seen.add(target)
-                    stack.append(target)
-        reach[s] = seen
+    reach = {s: _reachable(successors, s) for s in successors}
     comps = {s: frozenset(u for u in seen if s in reach[u]) for s, seen in reach.items()}
     return {comps[s]: comps[s] == reach[s] for s in reach}
 

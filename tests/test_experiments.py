@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import math
 import random
 import struct
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -32,6 +34,27 @@ def reference_metrics(exps, length, scheme):
     weight1 = joint.weight1()
     top = 1 if any(row.digits[-1] for row in joint.rows) else 0
     return (weight, weight1, len(joint) - weight, weight1 - top, len(joint) - 1)
+
+
+def summed_record(
+    experiment, scheme, length, dimension, vectors, seed, sampled,
+    metrics=reference_metrics,
+):
+    """The StatRecord of vectors, every mean summed from metrics (by default
+    the digit-level reference_metrics); a sampled record's std error is
+    that of weight1's sample mean."""
+    rows = [metrics(exps, length, scheme) for exps in vectors]
+    count = len(rows)
+    sums = [sum(column) for column in zip(*rows)]
+    std_error = 0.0
+    if sampled and count > 1:
+        total, total_sq = sums[1], sum(row[1] ** 2 for row in rows)
+        variance = (total_sq - total * total / count) / (count - 1)
+        std_error = math.sqrt(max(variance, 0.0) / count)
+    return ex.StatRecord(
+        experiment, length, dimension, scheme.value, count,
+        *(total / count for total in sums), std_error, seed,
+    )
 
 
 def test_derive_sample_seed_is_stable():
@@ -194,8 +217,11 @@ def test_scheme_metrics_match_digit_level_recoders():
                     exps = tuple(rng.getrandbits(length) for _ in range(dimension))
                     if scheme is RecodingScheme.WLLC and not any(exps):
                         continue
+                    weight, weight1, _, multiplications, _ = reference_metrics(
+                        exps, length, scheme
+                    )
                     assert ex._scheme_metrics(exps, length, scheme) == (
-                        reference_metrics(exps, length, scheme)
+                        weight, weight1, weight1 - multiplications
                     )
 
 
@@ -289,17 +315,17 @@ def test_worker_pool_is_no_larger_than_the_chunk_count(monkeypatch):
     assert sizes == [10, 3]
 
 
-def reference_record(config, length):
-    """run_stats's record at one length, summed over sample_exponents."""
+def reference_record(config, length, metrics=reference_metrics):
+    """run_stats's record at one length, each index sampled by
+    sample_exponents and measured by metrics."""
     nonzero = config.scheme is RecodingScheme.WLLC
-    draws = (
-        ex.sample_exponents(config.seed, i, length, config.dimension, nonzero)
+    vectors = (
+        ex.sample_exponents(config.seed, i, length, config.dimension, nonzero)[0]
         for i in range(config.samples)
     )
-    sums = ex._accumulate(draws, length, config.scheme)
-    return ex._record(
-        "stats", length, config.dimension, config.scheme, sums, config.seed,
-        ex._std_error(sums),
+    return summed_record(
+        "stats", config.scheme, length, config.dimension, vectors, config.seed,
+        True, metrics,
     )
 
 
@@ -412,17 +438,22 @@ def test_exhaustive_stats_bounds():
     )
 
 
-def enumerated_sums(scheme, length, dimension, skip_zero=None):
-    """exhaustive_stats's six sums by enumeration: _accumulate over every
-    vector in [0, 2**length)**dimension, WLLC skipping the all-zero one."""
+def every_vector(scheme, length, dimension, skip_zero=None):
+    """Every vector in [0, 2**length)**dimension, WLLC skipping the all-zero one."""
     if skip_zero is None:
         skip_zero = scheme is RecodingScheme.WLLC
-    draws = (
-        (exps, 0)
+    return (
+        exps
         for exps in product(range(1 << length), repeat=dimension)
         if any(exps) or not skip_zero
     )
-    return ex._accumulate(draws, length, scheme)[:6]
+
+
+def enumerated_sums(scheme, length, dimension, skip_zero=None):
+    """_exhaustive_sums's four sums (count, weight, weight1, top) by
+    enumeration: _accumulate over every_vector."""
+    vectors = every_vector(scheme, length, dimension, skip_zero)
+    return ex._accumulate(((exps, 0) for exps in vectors), length, scheme)[:4]
 
 
 def exhaustive_cases(max_bits):
@@ -438,9 +469,12 @@ def test_exhaustive_sums_equal_enumeration():
         sums = ex._exhaustive_sums(scheme, length, dimension)
         assert all(type(v) is int for v in sums), case
         assert sums == enumerated_sums(*case), case
-        assert ex.exhaustive_stats(*case) == ex._record(
-            "exhaustive", length, dimension, scheme, sums, seed=0, std_error=0.0
-        )
+    # Every field of the record, summed from the digit-level recoders.
+    for case in exhaustive_cases(8):
+        vectors = every_vector(*case)
+        assert ex.exhaustive_stats(*case) == summed_record(
+            "exhaustive", *case, vectors, seed=0, sampled=False
+        ), case
 
 
 def test_exhaustive_wllc_drops_only_the_zero_vector():
@@ -452,6 +486,18 @@ def test_exhaustive_wllc_drops_only_the_zero_vector():
         every = enumerated_sums(RecodingScheme.WLLC, length, dimension, skip_zero=False)
         assert counted[0] == every[0] - 1 == (1 << dimension * length) - 1
         assert counted[1:] == tuple(e - z for e, z in zip(every[1:], zero))
+
+
+def six_sums(scheme, length, sums):
+    """(count, weight, weight1, zeros, multiplications, squarings), the
+    frozen sums below, of _exhaustive_sums's (count, weight, weight1, top)
+    at the width reference_metrics recodes to."""
+    count, weight, weight1, top = sums
+    width = length if scheme is RecodingScheme.BINARY else length + 1
+    return (
+        count, weight, weight1, count * width - weight, weight1 - top,
+        count * (width - 1),
+    )
 
 
 # _exhaustive_sums(SJSF, L) past the enumeration reference (L <= 6),
@@ -468,7 +514,8 @@ SJSF_SUMS = {
 
 def test_exhaustive_sjsf_sums_are_frozen():
     for length, sums in SJSF_SUMS.items():
-        assert ex._exhaustive_sums(RecodingScheme.SJSF, length, 2) == sums, length
+        counted = ex._exhaustive_sums(RecodingScheme.SJSF, length, 2)
+        assert six_sums(RecodingScheme.SJSF, length, counted) == sums, length
 
 
 # _exhaustive_sums of the union schemes at the exhaustive cap, recorded
@@ -489,10 +536,11 @@ UNION_SUMS = {
 def test_exhaustive_union_sums_at_the_cap_are_frozen():
     for (name, length, dimension), sums in UNION_SUMS.items():
         case = (RecodingScheme(name), length, dimension)
-        assert ex._exhaustive_sums(*case) == sums, case
+        assert six_sums(case[0], length, ex._exhaustive_sums(*case)) == sums, case
         if name == "naf":
             stacked = (RecodingScheme.STACKED_NAF, length, dimension)
-            assert ex._exhaustive_sums(*stacked) == sums, stacked
+            counted = ex._exhaustive_sums(*stacked)
+            assert six_sums(stacked[0], length, counted) == sums, stacked
 
 
 def test_wllc_row_counts_equal_the_supports():
@@ -920,3 +968,48 @@ def test_exhaustive_sums_at_length_16_equal_enumeration():
         if scheme is not RecodingScheme.SJSF:
             case = (scheme, 16, 1)
             assert ex._exhaustive_sums(*case) == enumerated_sums(*case), case
+
+
+def test_wide_vectors_read_from_the_draws_bytes_match_per_index_sampling():
+    # In each run the 32-bit vectors are shifted out of the draws and the
+    # 64-bit ones, wider than _SHIFT_READ_BITS, are read from their bytes;
+    # the 100-bit ones are sampled on their own.
+    dimension = 300
+    assert 32 * dimension <= ex._SHIFT_READ_BITS < 64 * dimension
+    lengths = (32, 64, 100)
+    for scheme in (RecodingScheme.BINARY, RecodingScheme.NAF, RecodingScheme.WLLC):
+        config = ex.RunConfig(21, 4, lengths, scheme, dimension)
+        for record, length in zip(ex.run_stats(config), lengths, strict=True):
+            assert record == reference_record(config, length)
+    # So many rows leave almost no column zero, so the records hardly see
+    # the vectors: compare the vectors too, each block's and each index's.
+    ex._DRAW_CACHE.clear()
+    for block in ex._sample_blocks(21, lengths, dimension, False, 0, 4):
+        for length, vectors in zip(lengths, block, strict=True):
+            assert list(vectors) == [
+                ex.sample_exponents(21, i, length, dimension) for i in range(4)
+            ], length
+
+
+def binary_metrics(exps, length, scheme):
+    """reference_metrics of a binary vector by integer arithmetic: its
+    nonzero columns are the union of its rows' bits."""
+    assert scheme is RecodingScheme.BINARY
+    union = 0
+    for n in exps:
+        union |= n
+    weight = union.bit_count()
+    return weight, weight, length - weight, weight - (union >> length - 1), length - 1
+
+
+def test_the_widest_accepted_vector_is_read_in_linear_time():
+    # One draw block of 32-bit components, 2**18 of them: a shift per
+    # component copied the whole megabyte draw each time, over 100 s.
+    dimension = ex._DRAW_BITS_CAP // 32
+    config = ex.RunConfig(0, 2, (32,), RecodingScheme.BINARY, dimension)
+    ex._DRAW_CACHE.clear()
+    start = time.perf_counter()
+    (record,) = ex.run_stats(config)
+    assert time.perf_counter() - start < 10
+    ex._DRAW_CACHE.clear()
+    assert record == reference_record(config, 32, binary_metrics)
