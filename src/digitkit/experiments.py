@@ -46,8 +46,7 @@ _EXHAUSTIVE_BITS_BOUND = 24
 _BIT_PROBABILITY_LENGTH_BOUND = 16
 # Bytes of draws a run holds at once, whatever its lengths and dimension.
 _DRAW_BLOCK_BYTES = 1 << 20
-# The widest vector, in bits, read by shifts (see _vectors); measured, that
-# and the byte read cost alike at 8k to 32k bits.
+# The widest vector (bits) _vectors shifts out; both reads cost alike at 8k-32k.
 _SHIFT_READ_BITS = 1 << 14
 # The most bits one sampled vector (dimension x length) may hold: one block.
 _DRAW_BITS_CAP = 8 * _DRAW_BLOCK_BYTES
@@ -343,22 +342,22 @@ def _vectors(
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """sample_exponents(seed, index, length, dimension, nonzero) of every
     index.  At a multiple of 32, component j is bits [j*length,
-    (j+1)*length) of the index's draw (see _draws), read with a shift and a
-    mask up to _SHIFT_READ_BITS bits, from the draw's bytes past that (a
-    shift copies the whole draw); other lengths, and an all-zero slice under
-    the redraw rule (the redraw continues that stream), are sampled alone.
+    (j+1)*length) of the index's draw (see _draws) cut to the vector's bits,
+    shifted out up to _SHIFT_READ_BITS and read from bytes past that; other
+    lengths, and an all-zero vector under the redraw rule (the redraw
+    continues that stream), are sampled alone.
     """
     if length % 32:
         for index in indices:
             yield sample_exponents(seed, index, length, dimension, nonzero)
         return
-    wide = dimension * length > _SHIFT_READ_BITS
-    mask, size = (1 << length) - 1, length // 8
-    shifts = range(length, dimension * length, length)
-    offsets = range(0, dimension * size, size)
+    bits, size = dimension * length, length // 8
+    wide, cut, mask = bits > _SHIFT_READ_BITS, (1 << bits) - 1, (1 << length) - 1
+    shifts, offsets = range(length, bits, length), range(0, bits // 8, size)
     for index, draw in zip(indices, draws):
-        if wide:  # bytes past the draw's top read as b"", a 0 component
-            data = draw.to_bytes((draw.bit_length() + 7) // 8, "little")
+        draw &= cut
+        if wide:
+            data = draw.to_bytes(bits // 8, "little")
             exps = [int.from_bytes(data[k:k + size], "little") for k in offsets]
         else:
             exps = [draw & mask]
@@ -647,7 +646,7 @@ def _compare_chunk(args: tuple[int, int, int, int]) -> tuple[int, int]:
             _, w1_w, top_w = _scheme_metrics(exps, length, RecodingScheme.WLLC)
             _, w1_s, top_s = _scheme_metrics(exps, length, RecodingScheme.SJSF)
             diff = (w1_w - top_w) - (w1_s - top_s)
-            if margin is None or diff < margin:
+            if diff < margin:
                 margin = diff
             violations += diff < 0
     return violations, margin

@@ -971,9 +971,9 @@ def test_exhaustive_sums_at_length_16_equal_enumeration():
 
 
 def test_wide_vectors_read_from_the_draws_bytes_match_per_index_sampling():
-    # In each run the 32-bit vectors are shifted out of the draws and the
-    # 64-bit ones, wider than _SHIFT_READ_BITS, are read from their bytes;
-    # the 100-bit ones are sampled on their own.
+    # In each run the 32-bit vectors are shifted out of the draws cut to
+    # their bits and the 64-bit ones, wider than _SHIFT_READ_BITS, are read
+    # from their bytes; the 100-bit ones are sampled on their own.
     dimension = 300
     assert 32 * dimension <= ex._SHIFT_READ_BITS < 64 * dimension
     lengths = (32, 64, 100)
@@ -1013,3 +1013,24 @@ def test_the_widest_accepted_vector_is_read_in_linear_time():
     assert time.perf_counter() - start < 10
     ex._DRAW_CACHE.clear()
     assert record == reference_record(config, 32, binary_metrics)
+
+
+@pytest.mark.parametrize("dimension", [512, 1024])
+def test_short_vectors_are_read_from_much_wider_draws_in_linear_time(dimension):
+    # 32-bit vectors, shifted out at dimension 512 and read from bytes at
+    # 1024, sliced from one-block draws 512 or 256 times wider: within a
+    # run at the cap's length too, and from draws a run at that length
+    # alone left kept.  Shifting the whole draw per component took about
+    # 0.2 s a sample at dimension 512, over 10 s in all; this takes 0.5 s.
+    assert 32 * 512 <= ex._SHIFT_READ_BITS < 32 * 1024
+    wide = ex._DRAW_BITS_CAP // dimension
+    multi = ex.RunConfig(5, 32, (32, wide), RecodingScheme.BINARY, dimension)
+    short = ex.RunConfig(5, 32, (32,), RecodingScheme.BINARY, dimension)
+    ex._DRAW_CACHE.clear()
+    start = time.perf_counter()
+    records = list(ex.run_stats(multi))
+    kept = list(ex.run_stats(short))
+    assert time.perf_counter() - start < 5
+    ex._DRAW_CACHE.clear()
+    assert records[0] == kept[0] == reference_record(short, 32, binary_metrics)
+    assert records[1] == reference_record(multi, wide, binary_metrics)
