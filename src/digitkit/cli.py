@@ -45,15 +45,22 @@ _MARKOV_STEPS_CAP = 1000
 _LENGTH_CAP = 1 << 16
 
 
+def _integer_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer") from None
+
+
 def _seed_value(text: str) -> int:
-    value = int(text)
+    value = _integer_arg(text)
     if not 0 <= value < (1 << 64):
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _integer_arg(text)
     if value < 1:
         raise argparse.ArgumentTypeError("expected a positive integer")
     return value
@@ -68,7 +75,12 @@ def _parse_group(spec: str) -> GroupOps:
     if spec == "intadd":
         return AdditiveGroup()
     if spec.startswith("modp:"):
-        return ModGroup(int(spec.removeprefix("modp:")))
+        try:
+            modulus = int(spec.removeprefix("modp:"))
+        except ValueError:
+            pass
+        else:
+            return ModGroup(modulus)
     raise ValueError(f"unknown group spec {spec!r}; use modp:<prime> or intadd")
 
 
