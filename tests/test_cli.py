@@ -1,4 +1,5 @@
-"""Command-line interface: output of every subcommand and exit codes."""
+"""Command-line interface: output of every subcommand and exit codes,
+and the modules that importing the package and the CLI loads."""
 
 import functools
 import inspect
@@ -212,6 +213,14 @@ def test_multiexp_errors_exit_2(capsys):
     assert code == 2
     assert "group spec" in err
 
+    code, _, err = run_cli(
+        capsys,
+        "multiexp", "--group", "modp:abc", "--base", "2", "--n", "5",
+        "--scheme", "naf",
+    )
+    assert code == 2
+    assert err == "error: unknown group spec 'modp:abc'; use modp:<prime> or intadd\n"
+
     pairs = [arg for _ in range(9) for arg in ("--base", "2", "--n", "5")]
     code, out, err = run_cli(
         capsys, "multiexp", "--group", "modp:101", *pairs, "--scheme", "naf"
@@ -327,16 +336,79 @@ def run_fresh(*argv):
     )
 
 
-def modules_loaded_by_cli_import():
+def modules_loaded_by(code):
+    """The modules that a new interpreter loads while it runs `code`."""
     probe = (
-        "import sys; before = set(sys.modules); import digitkit.cli; "
+        f"import sys\nbefore = set(sys.modules)\n{code}\n"
         "print(*sorted(set(sys.modules) - before))"
     )
-    return set(run_fresh("-c", probe).stdout.split())
+    return set(run_fresh("-c", probe).stdout.splitlines()[-1].split())
+
+
+def digitkit_modules(loaded):
+    return {name for name in loaded if name.partition(".")[0] == "digitkit"}
+
+
+LAYERS = ("expansions", "experiments", "multiexp", "recoding", "transducer", "verification")
+LAZY_LAYERS = ("experiments", "transducer", "verification")
+
+
+def test_package_import_loads_only_the_multiexp_layers():
+    loaded = digitkit_modules(modules_loaded_by("import digitkit"))
+    assert loaded == {"digitkit", "digitkit.expansions", "digitkit.recoding", "digitkit.multiexp"}
+
+
+def test_cli_import_loads_every_layer():
+    # The benchmark reads every digitkit.<layer> module from sys.modules
+    # after importing digitkit.cli alone.
+    loaded = digitkit_modules(modules_loaded_by("import digitkit.cli"))
+    assert loaded == {"digitkit", "digitkit.cli", *(f"digitkit.{layer}" for layer in LAYERS)}
+
+
+def test_lazy_layers_resolve_through_the_package():
+    code = "import digitkit\n" + "\n".join(
+        f"print(digitkit.{layer}.__name__)" for layer in LAZY_LAYERS
+    )
+    lines = run_fresh("-c", code).stdout.split()
+    assert lines == [f"digitkit.{layer}" for layer in LAZY_LAYERS]
+
+
+@pytest.mark.parametrize("first", [*LAZY_LAYERS, "cli"])
+def test_multiexp_stays_the_function_whichever_module_loads_first(first):
+    # Loading a submodule binds it to the package's attribute of its name;
+    # the multiexp submodule must never replace the multiexp function.
+    code = (
+        f"import digitkit.{first}\nimport digitkit, sys\n"
+        "print(digitkit.multiexp is sys.modules['digitkit.multiexp'].multiexp)"
+    )
+    assert run_fresh("-c", code).stdout == "True\n"
+
+
+def test_exported_names_are_their_layers_objects():
+    layers = [sys.modules[f"digitkit.{layer}"] for layer in LAYERS]
+    for name in digitkit.__all__:
+        homes = [layer for layer in layers if name in vars(layer)]
+        assert homes, name
+        for home in homes:
+            assert vars(home)[name] is getattr(digitkit, name), (name, home.__name__)
+
+
+def test_package_namespace_lists_and_binds_every_exported_name():
+    listed = run_fresh("-c", "import digitkit\nprint(*dir(digitkit))").stdout.split()
+    assert set(digitkit.__all__) | set(LAZY_LAYERS) <= set(listed)
+    namespace = {}
+    exec("from digitkit import *", namespace)
+    for name in digitkit.__all__:
+        assert namespace[name] is getattr(digitkit, name), name
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'digitkit' has no attribute 'nope'$"):
+        digitkit.nope
 
 
 def test_cli_imports_only_the_standard_library():
-    loaded = {name.split(".")[0] for name in modules_loaded_by_cli_import()}
+    loaded = {name.split(".")[0] for name in modules_loaded_by("import digitkit.cli")}
     assert "digitkit" in loaded
     foreign = loaded - set(sys.stdlib_module_names) - {"digitkit"}
     assert not foreign, sorted(foreign)
@@ -344,14 +416,14 @@ def test_cli_imports_only_the_standard_library():
 
 def test_cli_import_loads_no_process_pool_or_logging():
     # A --workers 1 run never needs the pool, and most commands log nothing.
-    loaded = modules_loaded_by_cli_import()
+    loaded = modules_loaded_by("import digitkit.cli")
     assert "digitkit.cli" in loaded
     assert not loaded & {"concurrent.futures", "multiprocessing", "logging"}
 
 
 def test_cli_import_loads_no_openssl_hashes():
     # Sample seeds take blake2b from _blake2; hashlib would also load _hashlib.
-    loaded = modules_loaded_by_cli_import()
+    loaded = modules_loaded_by("import digitkit.cli")
     assert "digitkit.cli" in loaded
     assert not loaded & {"hashlib", "_hashlib"}
 
@@ -477,6 +549,13 @@ def test_global_flag_validation(capsys):
     code, _, _ = run_cli(capsys, "stats", "--scheme", "naf", "--length", "8",
                          "--seed", "-1")
     assert code == 2
+    code, _, err = run_cli(capsys, "stats", "--scheme", "naf", "--length", "8",
+                           "--seed", "abc")
+    assert code == 2
+    assert err.endswith("error: argument --seed: expected an integer\n")
+    code, _, err = run_cli(capsys, "stats", "--scheme", "naf", "--length", "x")
+    assert code == 2
+    assert err.endswith("error: argument --length: expected an integer\n")
     code, _, _ = run_cli(capsys, "stats", "--scheme", "base3", "--length", "8")
     assert code == 2
     code, _, _ = run_cli(capsys, "nonsense")
