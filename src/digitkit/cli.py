@@ -1,7 +1,8 @@
 """Command-line harness for recoding, evaluation, statistics, and checks.
 
-Subcommands: recode, multiexp, stats, verify, markov, falsify.  Shared
-flags (given after the subcommand): --seed, --format, --workers.  Exit
+Subcommands: recode, multiexp, stats, verify, markov, falsify.  Each
+takes only the flags it reads, given after it: --seed for stats, verify
+and falsify, --workers for stats and falsify, --format for stats.  Exit
 codes: 0 for success or a passing check, 1 for a failed verification or
 an unrefuted claim, 2 for usage errors.
 """
@@ -92,12 +93,10 @@ def _scheme(name: str) -> RecodingScheme:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_seed_value, default=0, metavar="U64")
-    common.add_argument(
-        "--format", choices=OUTPUT_FORMATS, default="json", dest="output_format"
-    )
-    common.add_argument("--workers", type=_positive, default=1, metavar="N")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_seed_value, default=0, metavar="U64")
+    pooled = argparse.ArgumentParser(add_help=False)
+    pooled.add_argument("--workers", type=_positive, default=1, metavar="N")
 
     parser = argparse.ArgumentParser(
         prog="digitkit",
@@ -105,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("recode", parents=[common], help="print recoded expansions")
+    p = sub.add_parser("recode", help="print recoded expansions")
     p.add_argument("--scheme", type=_scheme, required=True)
     p.add_argument(
         "--n", type=int, action="append", required=True, metavar="INT",
@@ -114,9 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=_positive, default=None)
     p.set_defaults(func=cmd_recode)
 
-    p = sub.add_parser(
-        "multiexp", parents=[common], help="evaluate a multi-exponentiation"
-    )
+    p = sub.add_parser("multiexp", help="evaluate a multi-exponentiation")
     p.add_argument("--group", required=True, metavar="modp:<prime>|intadd")
     p.add_argument("--base", type=int, action="append", required=True, metavar="INT")
     p.add_argument("--n", type=int, action="append", required=True, metavar="INT")
@@ -124,7 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_multiexp)
 
     p = sub.add_parser(
-        "stats", parents=[common], help="sample recoding and cost statistics"
+        "stats", parents=[seeded, pooled], help="sample recoding and cost statistics"
+    )
+    p.add_argument(
+        "--format", choices=OUTPUT_FORMATS, default="json", dest="output_format"
     )
     p.add_argument("--scheme", type=_scheme, required=True)
     p.add_argument(
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("verify", parents=[common], help="run an invariant suite")
+    p = sub.add_parser("verify", parents=[seeded], help="run an invariant suite")
     p.add_argument("check", choices=sorted(CHECKS))
     p.add_argument("--max-n", type=_positive, default=None, dest="max_n")
     p.add_argument(
@@ -149,14 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
-        "markov", parents=[common],
-        help="print the product recoder's exact chain analysis",
+        "markov", help="print the product recoder's exact chain analysis"
     )
     p.add_argument("--steps", type=_positive, default=5)
     p.set_defaults(func=cmd_markov)
 
     p = sub.add_parser(
-        "falsify", parents=[common],
+        "falsify", parents=[seeded, pooled],
         help="measure a published constant against this implementation",
     )
     p.add_argument("claim", choices=("wllc-slope", "sun-slope", "bit-prob"))

@@ -690,7 +690,9 @@ class ComplementBitReport:
 
 def complement_bit_probabilities(length: int) -> ComplementBitReport:
     length = _integer("length", length)
-    if not 1 <= length <= _BIT_PROBABILITY_LENGTH_BOUND:
+    if length < 1:
+        raise ValueError("length must be positive")
+    if length > _BIT_PROBABILITY_LENGTH_BOUND:
         raise ValueError(
             f"exhaustive bit probabilities capped at length "
             f"{_BIT_PROBABILITY_LENGTH_BOUND}"

@@ -9,11 +9,12 @@ claims.
 Each scheme states its digit rule once.  The private helpers _naf_support,
 _wllc_support and _sjsf_weight_top give the per-sample Monte Carlo metrics
 in experiments the same masks and counts the public recoders build their
-expansions from.  The column rules _naf_column and _sjsf_column are what
-transducer builds its machines from.  The joint sparse form and both
-oracles' min-plus DP over carry pairs, _CarryDP, are bit automata over two
-exponents: one builder, _nibble_table, compiles each on first use into
-rows read a nibble pair per lookup, in time linear in the bit length.  The
+expansions from.  The column rules _naf_column and _sjsf_column and one
+carry step over them, _carry_step, are what transducer builds its machines
+from.  The joint sparse form's carry steps and both oracles' min-plus DP
+over carry pairs, _CarryDP, are bit automata over two exponents: one
+builder, _nibble_table, compiles each on first use into rows read a
+nibble pair per lookup, in time linear in the bit length.  The
 recoders build their joint expansions unchecked, as their rows have equal
 length by construction; integer arguments are checked before any bit is
 read.
@@ -131,22 +132,31 @@ def _nibble_table(start, step) -> list:
     return rows[start]
 
 
+def _carry_step(rule, pending: tuple, bits: tuple) -> tuple[tuple, tuple]:
+    """One carry step of a column digit rule over binary rows: (the pending
+    values after it, the column it emits).  pending holds each row's value
+    at the last position read (bit plus carry, in {0, 1, 2}); reading the
+    next bits fixes every residual mod 4, so the step emits rule(*residues)
+    for that position, and the carries join the bits just read."""
+    column = rule(*[(p + 2 * b) & 3 for p, b in zip(pending, bits)])
+    carried = [b + ((p - d) >> 1) for p, b, d in zip(pending, bits, column)]
+    return tuple(carried), column
+
+
 @functools.cache
 def _sjsf_nibble_table() -> list:
-    """Row "p00" of sjsf_transducer() by _nibble_table, built on first use:
-    an entry costs its nonzero columns, and bit i (bit 8 + i) of its column
-    bits marks a nonzero first-row (second-row) digit in the i-th column
-    emitted.  Row "p00" reads like the start state but also emits the
-    (zero) column below the first position read."""
-    from .transducer import sjsf_transducer  # transducer imports this module
+    """The SJSF digit rule's carry steps by _nibble_table, from nothing
+    pending, built on first use: a state is the pending pair, an entry
+    costs its nonzero columns, and bit i (bit 8 + i) of its column bits
+    marks a nonzero first-row (second-row) digit in the i-th column
+    emitted.  From nothing pending the first step emits the (zero) column
+    below the first position read."""
 
-    transitions = sjsf_transducer().transitions
+    def step(pending: tuple, letter: int) -> tuple[int, int, tuple]:
+        carried, (d1, d2) = _carry_step(_sjsf_column, pending, (letter & 1, letter >> 1))
+        return (1 if d1 or d2 else 0), (d1 & 1) | (d2 & 1) << 8, carried
 
-    def step(state: str, letter: int) -> tuple[int, int, str]:
-        target, ((d1, d2),) = transitions[(state, letter)]
-        return (1 if d1 or d2 else 0), (d1 & 1) | (d2 & 1) << 8, target
-
-    return _nibble_table("p00", step)
+    return _nibble_table((0, 0), step)
 
 
 def _sjsf_bytes(m: int, n: int, length: int) -> tuple[bytes, bytes, int]:
@@ -212,9 +222,9 @@ def sjsf(m: int, n: int) -> JointExpansion:
 
     and it minimizes the number of nonzero columns.
 
-    The rule runs as transducer.sjsf_transducer() compiled to a nibble
-    table, a byte of both exponents per pair of table lookups, so the cost
-    is linear in the bit length.  It yields the nonzero positions of each
+    The rule's carry steps (_carry_step) run compiled to a nibble table,
+    a byte of both exponents per pair of table lookups, so the cost is
+    linear in the bit length.  It yields the nonzero positions of each
     row; one more lookup on a zero nibble pair flushes the column at
     position max bit length, which the carries may still fill.  Digit
     signs then follow from the values.

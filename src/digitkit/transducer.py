@@ -1,9 +1,10 @@
 """Recoding transducers and their exact Markov-chain analysis.
 
-One builder turns a column digit rule from recoding into a machine, and
-it builds all three: the non-adjacent form (naf_transducer), a word and
-its complement in lockstep (double_naf_transducer) and the simple joint
-sparse form (sjsf_transducer).  A machine reads one binary digit per row,
+One builder turns a column digit rule from recoding into a machine that
+takes recoding's carry step per letter, and it builds all three: the
+non-adjacent form (naf_transducer), a word and its complement in lockstep
+(double_naf_transducer) and the simple joint sparse form
+(sjsf_transducer).  A machine reads one binary digit per row,
 least significant first, as one input letter, and emits signed digit
 columns one position late, once the residues mod 4 the rule needs are
 known.  Each row holds a pending value in {0, 1, 2} (input digit plus
@@ -40,7 +41,7 @@ from .expansions import (
     _packed_range,
     _rows_from_columns,
 )
-from .recoding import _naf_column, _naf_support, _sjsf_column
+from .recoding import _carry_step, _naf_column, _naf_support, _sjsf_column
 
 Column = tuple[int, ...]
 OutputWord = tuple[Column, ...]
@@ -161,20 +162,13 @@ def _carry_transducer(
     Letter k feeds the bits inputs[k], one per row.  A state other than
     "start" is "p" followed by the pending value (bit plus carry, in
     {0, 1, 2}) of each row at the last position read; states are named in
-    the order breadth-first search over the letters discovers them.
-    Reading the next bits fixes every residual mod 4, so the step emits
-    rule(*residues) for the previous position and the carries join the
-    bits just read.  Flushing steps on zero bits at least once, then until
-    nothing is pending.  numbered=True names the states "1", "2", ... in
-    the same order instead.
+    the order breadth-first search over the letters discovers them.  Each
+    letter after the first takes one recoding._carry_step, which emits the
+    rule's column for the previous position.  Flushing steps on zero bits
+    at least once, then until nothing is pending.  numbered=True names the
+    states "1", "2", ... in the same order instead.
     """
     zeros = (0,) * len(inputs[0])
-
-    def step(pending: Column, bits: Column) -> tuple[Column, Column]:
-        column = rule(*[(p + 2 * b) & 3 for p, b in zip(pending, bits)])
-        carried = [b + ((p - d) >> 1) for p, b, d in zip(pending, bits, column)]
-        return tuple(carried), column
-
     label: dict[Column | None, str] = {None: "1" if numbered else "start"}
     order: list[Column | None] = [None]
     transitions: dict[tuple[str, int], tuple[str, OutputWord]] = {}
@@ -185,7 +179,7 @@ def _carry_transducer(
             if pending is None:
                 target, word = bits, ()
             else:
-                target, column = step(pending, bits)
+                target, column = _carry_step(rule, pending, bits)
                 word = (column,)
             if target not in label:
                 name = "p" + "".join(map(str, target))
@@ -196,7 +190,7 @@ def _carry_transducer(
         while pending is not None and (not tail or any(pending)):
             if len(tail) > 3 ** len(zeros):  # more steps than pending values
                 raise RuntimeError("the rule's carries never die out")
-            pending, column = step(pending, zeros)
+            pending, column = _carry_step(rule, pending, zeros)
             tail.append(column)
         flush[source] = tuple(tail)
     states, input_dim = tuple(label.values()), len(inputs).bit_length() - 1
@@ -224,8 +218,8 @@ def double_naf_transducer() -> Transducer:
 
 def sjsf_transducer() -> Transducer:
     """The simple joint sparse form over bit pairs: letter k feeds bit
-    k & 1 to row 1 and bit k >> 1 to row 2.  recoding.sjsf() runs a nibble
-    table compiled from its transitions."""
+    k & 1 to row 1 and bit k >> 1 to row 2.  recoding.sjsf() runs the same
+    carry steps from a nibble table, with no machine built."""
     return _carry_transducer(_sjsf_column, ((0, 0), (1, 0), (0, 1), (1, 1)))
 
 

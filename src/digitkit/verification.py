@@ -361,7 +361,11 @@ CHECKS: dict[str, Callable[..., CheckReport]] = {
 
 # The largest window each bound may ask for, above every default and
 # acceptance window: work grows with the bounds (exponentially in max_length).
-_BOUND_CAPS = {"max_n": 511, "max_length": 20, "random_pairs": 10**6, "instances": 10**6}
+# A seed may be any 64-bit value, as the command line's --seed.
+_BOUND_CAPS = {
+    "max_n": 511, "max_length": 20, "random_pairs": 10**6, "instances": 10**6,
+    "seed": (1 << 64) - 1,
+}
 
 
 def bound_names(name: str) -> tuple[str, ...]:

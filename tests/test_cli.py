@@ -1,6 +1,7 @@
 """Command-line interface: output of every subcommand and exit codes,
 and the modules that importing the package and the CLI loads."""
 
+import ast
 import functools
 import inspect
 import json
@@ -358,6 +359,56 @@ def test_package_import_loads_only_the_multiexp_layers():
     assert loaded == {"digitkit", "digitkit.expansions", "digitkit.recoding", "digitkit.multiexp"}
 
 
+def test_sjsf_and_its_multiexp_load_only_the_multiexp_layers():
+    code = (
+        "import digitkit\n"
+        "digitkit.sjsf(13, 5)\n"
+        "digitkit.multiexp((2, 3), (5, 3), digitkit.RecodingScheme.SJSF, digitkit.ModGroup(101))"
+    )
+    loaded = modules_loaded_by(code)
+    assert digitkit_modules(loaded) == {
+        "digitkit", "digitkit.expansions", "digitkit.recoding", "digitkit.multiexp"
+    }
+    assert "fractions" not in loaded
+
+
+# Each layer imports only layers before it; multiexp and transducer share a rank.
+LAYER_RANKS = {
+    "expansions": 0, "recoding": 1, "multiexp": 2, "transducer": 2,
+    "experiments": 3, "verification": 4, "cli": 5,
+}
+
+
+def _imported_layers(path):
+    """The digitkit modules a source file imports, at module level or inside
+    functions, each with the line that imports it."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["digitkit" * bool(node.level), node.module]))
+            modules = [module]
+            if module == "digitkit":  # from . import layer
+                modules = [f"digitkit.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            package, _, layer = module.partition(".")
+            if package == "digitkit" and layer:
+                yield layer.partition(".")[0], node.lineno
+
+
+def test_layers_import_only_earlier_layers():
+    package = Path(digitkit.__file__).resolve().parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set(LAYER_RANKS)
+    for module in sorted(modules):
+        for layer, line in _imported_layers(package / f"{module}.py"):
+            assert LAYER_RANKS[layer] < LAYER_RANKS[module], (
+                f"{module}.py:{line} imports {layer}"
+            )
+
+
 def test_cli_import_loads_every_layer():
     # The benchmark reads every digitkit.<layer> module from sys.modules
     # after importing digitkit.cli alone.
@@ -560,6 +611,28 @@ def test_global_flag_validation(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 2
+
+
+# A valid invocation of each subcommand, and the shared flags it does not read.
+UNREAD_FLAGS = {
+    ("recode", "--scheme", "naf", "--n", "5"): ("--seed", "--format", "--workers"),
+    ("multiexp", "--group", "intadd", "--base", "2", "--n", "5", "--scheme", "naf"): (
+        "--seed", "--format", "--workers",
+    ),
+    ("markov", "--steps", "1"): ("--seed", "--format", "--workers"),
+    ("verify", "thm1", "--max-n", "2"): ("--format", "--workers"),
+    ("falsify", "bit-prob", "--length", "2"): ("--format",),
+}
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS)
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
+    assert run_cli(capsys, *argv)[0] in (0, 1)
+    values = {"--seed": "5", "--format": "csv", "--workers": "2"}
+    for flag in UNREAD_FLAGS[argv]:
+        code, out, err = run_cli(capsys, *argv, flag, values[flag])
+        assert (code, out) == (2, ""), (argv, flag)
+        assert f"unrecognized arguments: {flag} {values[flag]}" in err
 
 
 def test_help_exits_zero(capsys):

@@ -700,6 +700,14 @@ def test_complement_bit_probabilities_bounds():
     assert ex.complement_bit_probabilities(4.0) == ex.complement_bit_probabilities(4)
 
 
+def test_complement_bit_probabilities_names_the_bound_it_breaks():
+    for short in (0, -1, -17):
+        with pytest.raises(ValueError, match="^length must be positive$"):
+            ex.complement_bit_probabilities(short)
+    with pytest.raises(ValueError, match="^exhaustive bit probabilities capped at length 16$"):
+        ex.complement_bit_probabilities(17)
+
+
 def test_json_serialization_shape():
     record = next(
         iter(

@@ -144,6 +144,22 @@ def test_run_check_rejects_bad_bounds():
     assert run_check("thm1", max_n=3.0) == run_check("thm1", max_n=3)
 
 
+def test_run_check_checks_the_seed_like_every_bound():
+    for seed, message in (
+        ("x", "seed 'x' is not an integer"),
+        (1.5, "seed 1.5 is not an integer"),
+        (-5, "seed = -5 is negative"),
+        (1 << 64, f"seed = {1 << 64} exceeds its cap of {(1 << 64) - 1}"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_check("sjsf", max_n=2, random_pairs=2, seed=seed)
+    top = (1 << 64) - 1
+    assert run_check("cost-model", instances=3, seed=top).passed
+    assert run_check("sjsf", max_n=2, random_pairs=2, seed=3.0) == run_check(
+        "sjsf", max_n=2, random_pairs=2, seed=3
+    )
+
+
 def test_report_caps_counterexamples():
     bad = [f"case {i}" for i in range(25)]
     report = _report("demo", 30, "base details", bad)
