@@ -1,10 +1,12 @@
 """Command-line harness for recoding, evaluation, statistics, and checks.
 
-Subcommands: recode, multiexp, stats, verify, markov, falsify.  Each
-takes only the flags it reads, given after it: --seed for stats, verify
-and falsify, --workers for stats and falsify, --format for stats.  Exit
-codes: 0 for success or a passing check, 1 for a failed verification or
-an unrefuted claim, 2 for usage errors.
+Subcommands: recode, multiexp, stats, verify, markov, falsify; each
+verify check and falsify claim is a subcommand of its own, and a flag
+follows the name it belongs to.  argparse rejects every flag a command
+does not read: a check reads the flags of its bounds (bound_names).
+stats --exhaustive, which samples nothing, exits 2 on a given --samples,
+--seed or --workers.  Exit codes: 0 for success or a passing check, 1
+for a failed verification or an unrefuted claim, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -67,6 +69,29 @@ def _positive(text: str) -> int:
     return value
 
 
+# The flag that sets each verify bound, and the type that reads it.
+_BOUND_FLAGS = {
+    "max_n": ("--max-n", _positive),
+    "max_length": ("--max-length", _positive),
+    "random_pairs": ("--pairs", _positive),
+    "instances": ("--instances", _positive),
+    "seed": ("--seed", _seed_value),
+}
+# The sampling flags' values when stats samples without them.
+_STATS_SAMPLING = {"samples": 10_000, "seed": 0, "workers": 1}
+
+
+def _add_sampling_flags(p: argparse.ArgumentParser, samples, seed, workers) -> None:
+    p.add_argument("--samples", type=_positive, default=samples)
+    p.add_argument("--seed", type=_seed_value, default=seed, metavar="U64")
+    p.add_argument("--workers", type=_positive, default=workers, metavar="N")
+
+
+def _given(args: argparse.Namespace, names) -> dict:
+    """The flags among names that the command line set (not None), by name."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _check_length(length: int, cap: int = _LENGTH_CAP) -> None:
     if length > cap:
         raise ValueError(f"length {length} exceeds its cap of {cap}")
@@ -93,11 +118,6 @@ def _scheme(name: str) -> RecodingScheme:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=_seed_value, default=0, metavar="U64")
-    pooled = argparse.ArgumentParser(add_help=False)
-    pooled.add_argument("--workers", type=_positive, default=1, metavar="N")
-
     parser = argparse.ArgumentParser(
         prog="digitkit",
         description="signed-digit recoding and multi-exponentiation toolkit",
@@ -120,9 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", type=_scheme, required=True)
     p.set_defaults(func=cmd_multiexp)
 
-    p = sub.add_parser(
-        "stats", parents=[seeded, pooled], help="sample recoding and cost statistics"
-    )
+    p = sub.add_parser("stats", help="sample recoding and cost statistics")
     p.add_argument(
         "--format", choices=OUTPUT_FORMATS, default="json", dest="output_format"
     )
@@ -130,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--length", type=_positive, action="append", required=True, metavar="L"
     )
-    p.add_argument("--samples", type=_positive, default=10_000)
+    # None marks a flag not given; cmd_stats supplies _STATS_SAMPLING.
+    _add_sampling_flags(p, None, None, None)
     p.add_argument("--dimension", type=_positive, default=2)
     p.add_argument(
         "--exhaustive", action="store_true",
@@ -138,14 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("verify", parents=[seeded], help="run an invariant suite")
-    p.add_argument("check", choices=sorted(CHECKS))
-    p.add_argument("--max-n", type=_positive, default=None, dest="max_n")
-    p.add_argument(
-        "--max-length", type=_positive, default=None, dest="max_length"
-    )
-    p.add_argument("--pairs", type=_positive, default=None, dest="random_pairs")
-    p.add_argument("--instances", type=_positive, default=None)
+    p = sub.add_parser("verify", help="run an invariant suite")
+    checks = p.add_subparsers(dest="check", required=True)
+    for check in sorted(CHECKS):
+        c = checks.add_parser(check)
+        for bound in bound_names(check):
+            flag, type_ = _BOUND_FLAGS[bound]
+            c.add_argument(flag, type=type_, dest=bound)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
@@ -155,13 +173,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_markov)
 
     p = sub.add_parser(
-        "falsify", parents=[seeded, pooled],
-        help="measure a published constant against this implementation",
+        "falsify", help="measure a published constant against this implementation"
     )
-    p.add_argument("claim", choices=("wllc-slope", "sun-slope", "bit-prob"))
-    p.add_argument("--length", type=_positive, default=None)
-    p.add_argument("--samples", type=_positive, default=100_000)
-    p.set_defaults(func=cmd_falsify)
+    claims = p.add_subparsers(dest="claim", required=True)
+    for claim in _CLAIMED_SLOPES:
+        c = claims.add_parser(claim)
+        c.add_argument("--length", type=_positive, default=256)
+        _add_sampling_flags(c, 100_000, 0, 1)
+        c.set_defaults(func=_falsify_slope)
+    c = claims.add_parser("bit-prob")
+    c.add_argument("--length", type=_positive, default=4)
+    c.set_defaults(func=_falsify_bits)
 
     return parser
 
@@ -210,7 +232,10 @@ def _print_records(records, output_format: str) -> None:
 def cmd_stats(args: argparse.Namespace) -> int:
     for length in args.length:
         _check_length(length)
+    given = _given(args, _STATS_SAMPLING)
     if args.exhaustive:
+        if given:
+            raise ValueError(f"--exhaustive takes no --{next(iter(given))}")
         records = [
             exhaustive_stats(args.scheme, length, args.dimension)
             for length in args.length
@@ -222,12 +247,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
         logging.basicConfig(stream=sys.stderr, format="%(message)s")
         logging.getLogger("digitkit").setLevel(logging.INFO)
         config = RunConfig(
-            seed=args.seed,
-            samples=args.samples,
+            **{**_STATS_SAMPLING, **given},
             lengths=tuple(args.length),
             scheme=args.scheme,
             dimension=args.dimension,
-            workers=args.workers,
         )
         records = run_stats(config)
     _print_records(records, args.output_format)
@@ -235,19 +258,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    allowed = bound_names(args.check)
-    bounds = {}
-    for name in ("max_n", "max_length", "random_pairs", "instances"):
-        value = getattr(args, name)
-        if value is None:
-            continue
-        if name not in allowed:
-            flag = "--pairs" if name == "random_pairs" else "--" + name.replace("_", "-")
-            raise ValueError(f"check {args.check!r} does not accept {flag}")
-        bounds[name] = value
-    if "seed" in allowed:
-        bounds["seed"] = args.seed
-    report = run_check(args.check, **bounds)
+    report = run_check(args.check, **_given(args, bound_names(args.check)))
     print(f"check: {report.check}")
     print(f"result: {'PASS' if report.passed else 'FAIL'} ({report.cases} cases)")
     print(f"details: {report.details}")
@@ -284,26 +295,21 @@ def cmd_markov(args: argparse.Namespace) -> int:
 
 def _falsify_slope(args: argparse.Namespace) -> int:
     claimed = _CLAIMED_SLOPES[args.claim]
-    base_length = args.length if args.length is not None else 256
-    _check_length(base_length, _LENGTH_CAP // 2)  # the slope also samples twice it
+    _check_length(args.length, _LENGTH_CAP // 2)  # the slope also samples twice it
     report = cost_slope(
-        RecodingScheme.WLLC,
-        base_length=base_length,
-        samples=args.samples,
-        seed=args.seed,
-        workers=args.workers,
+        RecodingScheme.WLLC, args.length, args.samples, args.seed, workers=args.workers
     )
     total_low = report.low.mean_multiplications + report.low.mean_squarings
     total_high = report.high.mean_multiplications + report.high.mean_squarings
     print(f"claim: total cost grows as {claimed} per exponent bit")
     print(
-        f"measured: lengths {base_length}/{2 * base_length}, "
+        f"measured: lengths {args.length}/{2 * args.length}, "
         f"{args.samples} samples, seed {args.seed}"
     )
-    print(f"  mean total cost at {base_length}: {total_low:.3f}")
-    print(f"  mean total cost at {2 * base_length}: {total_high:.3f}")
+    print(f"  mean total cost at {args.length}: {total_low:.3f}")
+    print(f"  mean total cost at {2 * args.length}: {total_high:.3f}")
     print(f"  slope: {report.slope:.4f}")
-    for constant in (1.304, 1.471, _TARGET_SLOPE):
+    for constant in (*_CLAIMED_SLOPES.values(), _TARGET_SLOPE):
         print(f"  distance to {constant:.4f}: {abs(report.slope - constant):.4f}")
     gap_claim = abs(report.slope - claimed)
     gap_target = abs(report.slope - _TARGET_SLOPE)
@@ -318,14 +324,13 @@ def _falsify_slope(args: argparse.Namespace) -> int:
 
 
 def _falsify_bits(args: argparse.Namespace) -> int:
-    length = args.length if args.length is not None else 4
-    report = complement_bit_probabilities(length)
+    report = complement_bit_probabilities(args.length)
     claimed = Fraction(3, 4)
     print(
         "claim: after conditional complementing, every bit is 0 with "
         "probability 3/4, independently"
     )
-    print(f"exhaustive enumeration of all {report.samples} words of length {length}:")
+    print(f"exhaustive enumeration of all {report.samples} words of length {args.length}:")
     for i, prob in enumerate(report.zero_probability):
         marker = "" if prob == claimed else "  != 3/4"
         print(f"  P(bit {i} = 0) = {prob} = {float(prob):.4f}{marker}")
@@ -350,12 +355,6 @@ def _falsify_bits(args: argparse.Namespace) -> int:
         return 0
     print("verdict: claim not refuted at this length")
     return 1
-
-
-def cmd_falsify(args: argparse.Namespace) -> int:
-    if args.claim == "bit-prob":
-        return _falsify_bits(args)
-    return _falsify_slope(args)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 from _blake2 import blake2b
 import json
 import math
+import os
 import random
 import struct
 import sys
@@ -240,12 +241,13 @@ def _map_chunks(
 ) -> list[tuple]:
     """fn applied to every chunk, in order; pooled when workers and chunks are > 1.
 
-    The pool is never larger than the chunk count: under the fork start
-    method it starts all of its workers at the first submit.  The pool
-    module is imported here, as it pulls in multiprocessing, which an
-    in-process run never needs.
+    The pool is never larger than the chunk count or the CPU count: under
+    the fork start method it starts all of its workers at the first
+    submit.  Results do not depend on its size.  The pool module is
+    imported here, as it pulls in multiprocessing, which an in-process run
+    never needs.
     """
-    pool_size = min(workers, len(chunk_args))
+    pool_size = min(workers, len(chunk_args), os.cpu_count() or 1)
     if pool_size == 1:
         return [fn(args) for args in chunk_args]
     from concurrent.futures import ProcessPoolExecutor

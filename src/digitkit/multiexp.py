@@ -36,7 +36,9 @@ _PRECOMP_DIMENSION_CAP = 8
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic for n below 3.3e24, randomized above."""
+    """Miller-Rabin; deterministic for n below 3.3e24, randomized above.
+    ValueError for an n that is not an integer."""
+    n = _integer("n", n)
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -91,6 +93,7 @@ class ModGroup(GroupOps):
     modulus: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "modulus", _integer("modulus", self.modulus))
         if self.modulus <= 2 or not is_probable_prime(self.modulus):
             raise ValueError(f"modulus {self.modulus} is not an odd prime")
 

@@ -6,6 +6,7 @@ import functools
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ import digitkit
 from digitkit import cli
 from digitkit.cli import _LENGTH_CAP, _MARKOV_STEPS_CAP, main
 from digitkit.experiments import _DRAW_BITS_CAP, STAT_FIELDS
-from digitkit.verification import _BOUND_CAPS, CHECKS
+from digitkit.verification import _BOUND_CAPS, CHECKS, bound_names
 
 VERIFY_FLAGS = {
     "--max-n": "max_n",
@@ -24,6 +25,10 @@ VERIFY_FLAGS = {
     "--pairs": "random_pairs",
     "--instances": "instances",
 }
+# The flag of every check bound, the seed included.
+BOUND_FLAGS = {**{bound: flag for flag, bound in VERIFY_FLAGS.items()}, "seed": "--seed"}
+SLOPE_FLAGS = {"--length", "--samples", "--seed", "--workers"}
+CLAIM_FLAGS = {"wllc-slope": SLOPE_FLAGS, "sun-slope": SLOPE_FLAGS, "bit-prob": {"--length"}}
 
 
 def run_cli(capsys, *argv):
@@ -620,19 +625,54 @@ UNREAD_FLAGS = {
         "--seed", "--format", "--workers",
     ),
     ("markov", "--steps", "1"): ("--seed", "--format", "--workers"),
-    ("verify", "thm1", "--max-n", "2"): ("--format", "--workers"),
-    ("falsify", "bit-prob", "--length", "2"): ("--format",),
+    ("verify", "thm1", "--max-n", "2"): ("--format", "--workers", "--seed"),
+    ("falsify", "bit-prob", "--length", "2"): ("--format", "--seed", "--workers", "--samples"),
+    ("verify", "thm2", "--max-length", "2"): ("--seed",),
+    ("verify", "transducer", "--max-length", "2"): ("--seed",),
+    ("verify", "wllc-vs-naf", "--max-length", "2"): ("--seed",),
+    ("stats", "--scheme", "sjsf", "--length", "4", "--exhaustive"): (
+        "--samples", "--seed", "--workers",
+    ),
 }
 
 
 @pytest.mark.parametrize("argv", UNREAD_FLAGS)
 def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
     assert run_cli(capsys, *argv)[0] in (0, 1)
-    values = {"--seed": "5", "--format": "csv", "--workers": "2"}
+    values = {"--seed": "5", "--format": "csv", "--workers": "2", "--samples": "5"}
     for flag in UNREAD_FLAGS[argv]:
         code, out, err = run_cli(capsys, *argv, flag, values[flag])
         assert (code, out) == (2, ""), (argv, flag)
-        assert f"unrecognized arguments: {flag} {values[flag]}" in err
+        if "--exhaustive" in argv:  # stats reads these flags unless it counts
+            assert err == f"error: --exhaustive takes no {flag}\n"
+        else:
+            assert f"unrecognized arguments: {flag} {values[flag]}" in err
+
+
+def help_flags(capsys, *argv):
+    """The flags that `digitkit <argv> --help` lists, --help aside."""
+    assert main([*argv, "--help"]) == 0
+    return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+
+
+def test_each_check_and_claim_lists_exactly_its_flags_in_help(capsys):
+    for check in CHECKS:
+        expected = {BOUND_FLAGS[bound] for bound in bound_names(check)}
+        assert help_flags(capsys, "verify", check) == expected, check
+    for claim, expected in CLAIM_FLAGS.items():
+        assert help_flags(capsys, "falsify", claim) == expected, claim
+
+
+def test_readme_lists_each_checks_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### verify\n", 1)[1].split("\n### ", 1)[0]
+    listed = {
+        check: set(re.findall(r"`(--[a-z-]+)`", flags))
+        for check, flags in re.findall(r"^- `([a-z0-9-]+)` \(([^)]*)\):", section, re.M)
+    }
+    assert listed == {
+        check: {BOUND_FLAGS[bound] for bound in bound_names(check)} for check in CHECKS
+    }
 
 
 def test_help_exits_zero(capsys):

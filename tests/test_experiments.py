@@ -303,16 +303,20 @@ def test_worker_pool_is_no_larger_than_the_chunk_count(monkeypatch):
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     base = dict(seed=5, samples=10, lengths=(16,), scheme=RecodingScheme.WLLC)
-    pooled = list(ex.run_stats(ex.RunConfig(**base, workers=64)))
-    assert pooled == list(ex.run_stats(ex.RunConfig(**base)))
-    assert ex.compare_schemes(16, 3, 5, workers=64) == ex.compare_schemes(16, 3, 5)
-    # A run of one chunk stays in-process: no pool at all.
-    one = dict(base, samples=1)
-    assert list(ex.run_stats(ex.RunConfig(**one, workers=2))) == list(
-        ex.run_stats(ex.RunConfig(**one))
-    )
-    assert ex.compare_schemes(8, 1, 1, workers=2) == ex.compare_schemes(8, 1, 1)
-    assert sizes == [10, 3]
+    # Nor is it larger than the CPU count.
+    for cpus, expected in ((64, [10, 3]), (2, [2, 2])):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        sizes.clear()
+        pooled = list(ex.run_stats(ex.RunConfig(**base, workers=64)))
+        assert pooled == list(ex.run_stats(ex.RunConfig(**base)))
+        assert ex.compare_schemes(16, 3, 5, workers=64) == ex.compare_schemes(16, 3, 5)
+        # A run of one chunk stays in-process: no pool at all.
+        one = dict(base, samples=1)
+        assert list(ex.run_stats(ex.RunConfig(**one, workers=2))) == list(
+            ex.run_stats(ex.RunConfig(**one))
+        )
+        assert ex.compare_schemes(8, 1, 1, workers=2) == ex.compare_schemes(8, 1, 1)
+        assert sizes == expected, cpus
 
 
 def reference_record(config, length, metrics=reference_metrics):

@@ -63,6 +63,18 @@ def test_modgroup_validation_and_arithmetic():
         ModGroup(9)
 
 
+def test_modulus_is_checked_as_an_integer():
+    g = ModGroup(7.0)
+    assert type(g.modulus) is int and g == ModGroup(7)
+    assert multiexp((g.element(2),), (5,), RecodingScheme.NAF, g)[0] == 32 % 7
+    for bad in (7.5, "7", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            ModGroup(bad)
+        with pytest.raises(ValueError, match="is not an integer"):
+            is_probable_prime(bad)
+    assert is_probable_prime(7.0)
+
+
 def test_modgroup_invert_matches_fermat():
     rng = random.Random(17)
     for p in (101, MERSENNE61):
