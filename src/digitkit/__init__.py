@@ -11,6 +11,7 @@ use, whether through a name exported here or the submodule itself.
 """
 
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .expansions import Expansion, JointExpansion, binary, ones_complement, stack
 from .multiexp import (
@@ -96,60 +97,10 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdditiveGroup",
-    "CHECKS",
-    "CheckReport",
-    "ComplementBitReport",
-    "CostCounter",
-    "Expansion",
-    "GroupOps",
-    "JointExpansion",
-    "MERSENNE61",
-    "ModGroup",
-    "ORACLE_BOUND",
-    "OracleResult",
-    "PrecompTable",
-    "RationalMatrix",
-    "RecodingScheme",
-    "RunConfig",
-    "SchemeComparison",
-    "SlopeReport",
-    "StatRecord",
-    "StateDistribution",
-    "Transducer",
-    "binary",
-    "compare_schemes",
-    "complement_bit_probabilities",
-    "cost_slope",
-    "double_naf_transducer",
-    "evaluate",
-    "exhaustive_stats",
-    "is_naf",
-    "is_probable_prime",
-    "is_sjsf",
-    "min_joint_weight_oracle",
-    "min_weight1_oracle",
-    "multiexp",
-    "naf",
-    "naf_complement_weight_gap",
-    "naf_transducer",
-    "ones_complement",
-    "precompute",
-    "recode_joint",
-    "reduce_digit2",
-    "run_check",
-    "run_stats",
-    "sample_exponents",
-    "sjsf",
-    "sjsf_transducer",
-    "square_and_multiply",
-    "stack",
-    "state_distribution",
-    "stationary_distribution",
-    "strongly_connected_components",
-    "transition_matrix",
-    "wllc_joint",
-    "wllc_recode",
-    "zero_output_probability",
-]
+# The exported names, each written once: the eager imports above (not the
+# submodules they bind) and every lazy one.
+__all__ = sorted(
+    {name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, _ModuleType)}
+    | _HOME.keys()
+)

@@ -3,7 +3,7 @@
 Every experiment is driven by per-sample seeds derived from (run seed,
 sample index) with BLAKE2b, so results are independent of worker count
 and chunking: the multiset of samples for a given seed is always the
-same.  run_stats and compare_schemes slice their vectors from one draw
+same.  run_stats and compare_schemes read their vectors from one draw
 per index, and the process keeps recent draws, up to a fixed number of
 bytes, for later runs over the same streams to reread (_draws); records
 are the same whether a draw is fresh or kept.  Per-sample metrics build
@@ -48,6 +48,7 @@ _BIT_PROBABILITY_LENGTH_BOUND = 16
 # Bytes of draws a run holds at once, whatever its lengths and dimension.
 _DRAW_BLOCK_BYTES = 1 << 20
 # The widest vector (bits) _vectors shifts out; both reads cost alike at 8k-32k.
+# Below, shifts win: bytes at every width cut montecarlo work_per_s 13% (Xeon).
 _SHIFT_READ_BITS = 1 << 14
 # The most bits one sampled vector (dimension x length) may hold: one block.
 _DRAW_BITS_CAP = 8 * _DRAW_BLOCK_BYTES
@@ -171,13 +172,14 @@ def sample_exponents(
     the second return value counts how often that happened.
 
     This defines the sample stream.  CPython's Mersenne Twister fills
-    getrandbits(k) with 32-bit words, least significant first, so when
-    length is a multiple of 32, component j is bits [j*length,
-    (j+1)*length) of getrandbits(k) from the same seed, for any multiple of
-    32 k >= dimension * length.  run_stats and compare_schemes read their
-    vectors that way from one draw per index (see _draws, which keeps the
-    draws for rereading); a length that is not a multiple of 32, or a slice
-    that needs a redraw, is sampled here, uncached.
+    getrandbits(k) with 32-bit words, least significant first, and shifts
+    its last word right by the bits of that word k leaves unused.  So with
+    stride = length rounded up to a multiple of 32, component j is the
+    stride bits of getrandbits(k) from j*stride, its top word shifted right
+    by stride - length, for any k >= dimension * stride from the same seed.
+    run_stats and compare_schemes read their vectors so from one draw per
+    index (see _draws, which keeps the draws for rereading); only a vector
+    that needs a redraw is sampled here.
     """
     rng = random.Random(derive_sample_seed(seed, index))
     exps = tuple(rng.getrandbits(length) for _ in range(dimension))
@@ -343,19 +345,18 @@ def _vectors(
     nonzero: bool,
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """sample_exponents(seed, index, length, dimension, nonzero) of every
-    index.  At a multiple of 32, component j is bits [j*length,
-    (j+1)*length) of the index's draw (see _draws) cut to the vector's bits,
-    shifted out up to _SHIFT_READ_BITS and read from bytes past that; other
-    lengths, and an all-zero vector under the redraw rule (the redraw
-    continues that stream), are sampled alone.
+    index, read from its draw (see _draws) by the rule sample_exponents
+    states.  The draw is cut to the vector's bits, shifted out up to
+    _SHIFT_READ_BITS and read from bytes past that; an all-zero vector
+    under the redraw rule is sampled alone (the redraw continues that
+    stream).
     """
-    if length % 32:
-        for index in indices:
-            yield sample_exponents(seed, index, length, dimension, nonzero)
-        return
-    bits, size = dimension * length, length // 8
-    wide, cut, mask = bits > _SHIFT_READ_BITS, (1 << bits) - 1, (1 << length) - 1
-    shifts, offsets = range(length, bits, length), range(0, bits // 8, size)
+    stride = 32 * -(-length // 32)
+    bits, size, gap = dimension * stride, stride // 8, stride - length
+    wide, cut, mask = bits > _SHIFT_READ_BITS, (1 << bits) - 1, (1 << stride) - 1
+    # Masks of a component's words below its top one and of its shifted top word.
+    low, high = (1 << stride - 32) - 1, (1 << length) - (1 << stride - 32)
+    shifts, offsets = range(stride, bits, stride), range(0, bits // 8, size)
     for index, draw in zip(indices, draws):
         draw &= cut
         if wide:
@@ -365,6 +366,8 @@ def _vectors(
             exps = [draw & mask]
             for k in shifts:
                 exps.append(draw >> k & mask)
+        if gap:
+            exps = [n & low | n >> gap & high for n in exps]
         if nonzero and not any(exps):
             yield sample_exponents(seed, index, length, dimension, nonzero)
         else:
@@ -378,11 +381,11 @@ def _sample_blocks(
     """Each length's _vectors over each block of the indices [start, stop),
     drawn as run_stats describes; a block holds at least one index and at
     most _DRAW_BLOCK_BYTES of draws charged as _kept_bytes."""
-    bits = dimension * max((l for l in lengths if l % 32 == 0), default=0)
+    bits = dimension * 32 * -(-max(lengths) // 32)
     block = max(1, _DRAW_BLOCK_BYTES // _kept_bytes(bits))
     for a in range(start, stop, block):
         indices = range(a, min(a + block, stop))
-        draws = _draws(seed, indices, bits) if bits else []
+        draws = _draws(seed, indices, bits)
         yield [_vectors(seed, indices, draws, l, dimension, nonzero) for l in lengths]
 
 
@@ -433,14 +436,13 @@ def run_stats(config: RunConfig, experiment: str = "stats") -> Iterator[StatReco
     """One StatRecord per configured length; deterministic given the seed.
 
     The run goes over the sample indices once for all lengths.  Each index
-    is drawn once, at the longest length that is a multiple of 32, or read
-    from a kept draw at least as wide (see _draws), and each such length
-    reads its vector as a slice of that draw; a length that is not a
-    multiple of 32, and a slice that is all-zero under the WLLC redraw
-    rule, falls back to sample_exponents.  Either way sample i at length L
-    is sample_exponents(seed, i, L, dimension), so the records do not
-    depend on which lengths share the run, on workers, nor on what the
-    process drew before.
+    is drawn once, at the longest length rounded up to a multiple of 32, or
+    read from a kept draw at least as wide (see _draws), and every length
+    reads its vector from that draw; a vector that is all-zero under the
+    WLLC redraw rule falls back to sample_exponents.  Either way sample i
+    at length L is sample_exponents(seed, i, L, dimension), so the records
+    do not depend on which lengths share the run, on workers, nor on what
+    the process drew before.
     """
     chunk_args = [
         (config.seed, config.scheme, config.lengths, config.dimension, a, b)
@@ -598,9 +600,7 @@ def cost_slope(
     """Growth of the mean total cost per bit between base_length and twice it.
 
     Both lengths are sampled in one run_stats pass, so each index is
-    seeded once.  When base_length is a multiple of 32 its vector is the
-    first dimension * base_length bits of the draw at 2 * base_length;
-    otherwise it is sampled on its own (see run_stats).
+    seeded and drawn once, and both vectors are read from that draw.
     """
     config = RunConfig(
         seed=seed,

@@ -380,7 +380,8 @@ def bound_names(name: str) -> tuple[str, ...]:
 
 def run_check(name: str, **bounds: int) -> CheckReport:
     """Run one check.  Each bound must be one the check takes and a
-    non-negative integer within its cap; otherwise ValueError."""
+    positive integer within its cap (the seed may be 0); otherwise
+    ValueError."""
     allowed = bound_names(name)
     for bound, value in bounds.items():
         if bound not in allowed:
@@ -391,6 +392,8 @@ def run_check(name: str, **bounds: int) -> CheckReport:
         value = bounds[bound] = _integer(bound, value)
         if value < 0:
             raise ValueError(f"{bound} = {value} is negative")
+        if value == 0 and bound != "seed":
+            raise ValueError(f"{bound} = 0 is not positive")
         if value > cap:
             raise ValueError(f"{bound} = {value} exceeds its cap of {cap}")
     return CHECKS[name](**bounds)

@@ -335,13 +335,17 @@ def reference_record(config, length, metrics=reference_metrics):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_multi_length_runs_match_one_length_runs(monkeypatch, workers):
-    # Blocks of 1000 bytes hold 2 or 3 draws of 64 to 1536 bits here, so
-    # each run of 40 samples crosses many block edges.
+    # Blocks of 1000 bytes hold 1 to 3 draws of 64 to 3072 bits here, so
+    # each run of 40 samples crosses many block edges.  Lengths off a
+    # multiple of 32 read their vectors from the same draws.
     monkeypatch.setattr(ex, "_DRAW_BLOCK_BYTES", 1000)
     for scheme in RecodingScheme:
         dims = (2,) if scheme is RecodingScheme.SJSF else (1, 2, 3)
         for dimension in dims:
-            for lengths in ((32, 64), (256, 512), (96, 160, 320), (24, 64)):
+            for lengths in (
+                (32, 64), (256, 512), (96, 160, 320), (24, 64), (100, 200),
+                (5, 1000), (32, 64, 100),
+            ):
                 config = ex.RunConfig(17, 40, lengths, scheme, dimension, workers)
                 records = list(ex.run_stats(config))
                 for record, length in zip(records, lengths, strict=True):
@@ -365,16 +369,17 @@ def test_all_zero_slice_falls_back_to_sample_exponents(monkeypatch, caplog):
 
     monkeypatch.setattr(ex.random, "Random", ZeroFirst)
     caplog.set_level("INFO", logger=ex.__name__)
+    lengths = (32, 64, 100)
     for dimension in (1, 2):
         caplog.clear()
-        config = ex.RunConfig(9, 20, (32, 64), RecodingScheme.WLLC, dimension)
-        for record, length in zip(ex.run_stats(config), (32, 64), strict=True):
+        config = ex.RunConfig(9, 20, lengths, RecodingScheme.WLLC, dimension)
+        for record, length in zip(ex.run_stats(config), lengths, strict=True):
             assert record == reference_record(config, length)
         # sample_exponents redraws only where its own first vector is all-zero:
         # at dimension 1 every index, at dimension 2 none (component 1 is drawn).
         redrew = [r.getMessage() for r in caplog.records]
         assert redrew == (
-            [f"length {n}: redrew the all-zero exponent vector 20 time(s)" for n in (32, 64)]
+            [f"length {n}: redrew the all-zero exponent vector 20 time(s)" for n in lengths]
             if dimension == 1 else []
         )
 
@@ -797,6 +802,21 @@ def test_warm_draws_give_the_cold_records():
     assert ex._DRAW_CACHE == kept
 
 
+def test_odd_length_runs_keep_one_draw_per_index():
+    # Lengths 100 and 200 read their vectors from one draw per index, 224
+    # bits (200 rounded up to a multiple of 32) per component, kept for
+    # rereading like the draws of any other length.
+    config = ex.RunConfig(4, 50, (100, 200), RecodingScheme.NAF, 2)
+    want = cold(lambda: list(ex.run_stats(config)))
+    assert {kept for kept, _ in ex._DRAW_CACHE.values()} == {2 * 224}
+    assert len(ex._DRAW_CACHE) == 50
+    assert ex._DRAW_CACHE.held == charged(ex._DRAW_CACHE)
+    kept = dict(ex._DRAW_CACHE)
+    assert list(ex.run_stats(config)) == want
+    assert ex._DRAW_CACHE == kept
+    ex._DRAW_CACHE.clear()
+
+
 def test_draws_at_widths_768_1024_768():
     d3 = ex.RunConfig(3, 30, (256,), RecodingScheme.WLLC, 3)
     pair = ex.RunConfig(3, 30, (256, 512), RecodingScheme.WLLC, 2)
@@ -983,24 +1003,27 @@ def test_exhaustive_sums_at_length_16_equal_enumeration():
 
 
 def test_wide_vectors_read_from_the_draws_bytes_match_per_index_sampling():
-    # In each run the 32-bit vectors are shifted out of the draws cut to
-    # their bits and the 64-bit ones, wider than _SHIFT_READ_BITS, are read
-    # from their bytes; the 100-bit ones are sampled on their own.
-    dimension = 300
-    assert 32 * dimension <= ex._SHIFT_READ_BITS < 64 * dimension
-    lengths = (32, 64, 100)
-    for scheme in (RecodingScheme.BINARY, RecodingScheme.NAF, RecodingScheme.WLLC):
-        config = ex.RunConfig(21, 4, lengths, scheme, dimension)
-        for record, length in zip(ex.run_stats(config), lengths, strict=True):
-            assert record == reference_record(config, length)
-    # So many rows leave almost no column zero, so the records hardly see
-    # the vectors: compare the vectors too, each block's and each index's.
-    ex._DRAW_CACHE.clear()
-    for block in ex._sample_blocks(21, lengths, dimension, False, 0, 4):
-        for length, vectors in zip(lengths, block, strict=True):
-            assert list(vectors) == [
-                ex.sample_exponents(21, i, length, dimension) for i in range(4)
-            ], length
+    # In each run at dimension 300 the 32-bit vectors are shifted out of
+    # the draws cut to their bits, and the wider ones, past
+    # _SHIFT_READ_BITS, are read from their bytes: the 77- and 100-bit ones
+    # at a stride of 96 and 128 bits, their top words shifted.  The
+    # 999-bit vectors at dimension 17 are read from bytes too.
+    assert 32 * 300 <= ex._SHIFT_READ_BITS < 64 * 300
+    assert ex._SHIFT_READ_BITS < 1024 * 17
+    for dimension, lengths in ((300, (32, 64, 77, 100)), (17, (999,))):
+        for scheme in (RecodingScheme.BINARY, RecodingScheme.NAF, RecodingScheme.WLLC):
+            config = ex.RunConfig(21, 4, lengths, scheme, dimension)
+            for record, length in zip(ex.run_stats(config), lengths, strict=True):
+                assert record == reference_record(config, length)
+        # So many rows leave almost no column zero, so the records hardly
+        # see the vectors: compare the vectors too, each block's and each
+        # index's.
+        ex._DRAW_CACHE.clear()
+        for block in ex._sample_blocks(21, lengths, dimension, False, 0, 4):
+            for length, vectors in zip(lengths, block, strict=True):
+                assert list(vectors) == [
+                    ex.sample_exponents(21, i, length, dimension) for i in range(4)
+                ], length
 
 
 def binary_metrics(exps, length, scheme):

@@ -133,6 +133,12 @@ def test_run_check_rejects_bad_bounds():
     for name, bounds, message in (
         ("sjsf", {"max_n": 3, "random_pairs": -4}, "random_pairs = -4 is negative"),
         ("thm1", {"max_n": -1}, "max_n = -1 is negative"),
+        ("thm1", {"max_n": 0}, "max_n = 0 is not positive"),
+        ("thm2", {"max_length": 0}, "max_length = 0 is not positive"),
+        ("sjsf", {"max_n": 3, "random_pairs": 0}, "random_pairs = 0 is not positive"),
+        ("cost-model", {"instances": 0}, "instances = 0 is not positive"),
+        ("transducer", {"max_length": 0}, "max_length = 0 is not positive"),
+        ("wllc-vs-naf", {"max_length": 0}, "max_length = 0 is not positive"),
         ("thm1", {"max_n": 3.5}, "max_n 3.5 is not an integer"),
         ("thm2", {"max_length": "3"}, "max_length '3' is not an integer"),
         ("thm1", {"max_length": 3}, "check 'thm1' does not take max_length"),
