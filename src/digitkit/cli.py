@@ -6,12 +6,14 @@ follows the name it belongs to.  argparse rejects every flag a command
 does not read: a check reads the flags of its bounds (bound_names).
 stats --exhaustive, which samples nothing, exits 2 on a given --samples,
 --seed or --workers.  Exit codes: 0 for success or a passing check, 1
-for a failed verification or an unrefuted claim, 2 for usage errors.
+for a failed verification or an unrefuted claim, 2 for usage errors, and
+141 (128 + SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -127,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recode", help="print recoded expansions")
     p.add_argument("--scheme", type=_scheme, required=True)
     p.add_argument(
-        "--n", type=int, action="append", required=True, metavar="INT",
+        "--n", type=_integer_arg, action="append", required=True, metavar="INT",
         help="exponent; repeat for joint recodings",
     )
     p.add_argument("--length", type=_positive, default=None)
@@ -135,8 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multiexp", help="evaluate a multi-exponentiation")
     p.add_argument("--group", required=True, metavar="modp:<prime>|intadd")
-    p.add_argument("--base", type=int, action="append", required=True, metavar="INT")
-    p.add_argument("--n", type=int, action="append", required=True, metavar="INT")
+    for flag in ("--base", "--n"):
+        p.add_argument(
+            flag, type=_integer_arg, action="append", required=True, metavar="INT"
+        )
     p.add_argument("--scheme", type=_scheme, required=True)
     p.set_defaults(func=cmd_multiexp)
 
@@ -371,4 +375,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Output still buffered goes to the null
+        # device, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as a shell reports a writer the signal ended
+    raise SystemExit(code)

@@ -4,8 +4,10 @@ Digits are plain integers in {-2, -1, 0, 1, 2}, least significant first.
 An expansion is stored only as its length and bit masks of its nonzero,
 negative and magnitude-2 digits, so weights and values are mask
 arithmetic; one encoder and one decoder convert between digits and masks.
-Equality compares lengths and masks, so a zero-padded word is distinct
-from its trimmed form.  Display and JSON read most significant first.
+Column keys, the evaluator's table keys too, are read from the masks
+alone (_column_keys), so only _encode and _octal_code state each digit's
+code.  Equality compares lengths and masks, so a zero-padded word is
+distinct from its trimmed form.  Display and JSON read most significant first.
 _packed_range lays every integer below a count side by side in one
 integer, for transducer's exhaustive zero-digit count.
 """
@@ -21,8 +23,6 @@ DIGIT_MIN = -2
 DIGIT_MAX = 2
 
 _DIGITS = frozenset(range(DIGIT_MIN, DIGIT_MAX + 1))
-# A position's code is support + 2 * negative + 4 * two (see `_octal_code`).
-_CODE_OF_DIGIT = {0: 0, 1: 1, -1: 3, 2: 5, -2: 7}
 # A code, as an ASCII octal digit -> its digit's byte.
 _BYTE_OF_OCTAL = bytes.maketrans(b"01357", b"\x00\x01\xff\x02\xfe")
 _CODE_OF_ASCII = bytes.maketrans(b"01234567", bytes(range(8)))
@@ -104,14 +104,6 @@ def _column_keys(joint: JointExpansion) -> Sequence[int]:
     if width <= 8:
         return struct.unpack(f"<{length}{_KEY_FORMATS[width]}", keys)
     return [int.from_bytes(keys[i : i + width], "little") for i in range(0, len(keys), width)]
-
-
-def _column_key(column: Sequence[int]) -> int:
-    """The key of a column of digits in [-2, 2]; KeyError for another digit."""
-    key = 0
-    for d in reversed(column):
-        key = key << 8 | _CODE_OF_DIGIT[d]
-    return key
 
 
 def _from_masks(

@@ -72,6 +72,14 @@ def _check_draw_bits(dimension: int, length: int) -> None:
         )
 
 
+def _check_scheme(scheme: RecodingScheme, dimension: int) -> None:
+    """Reject anything but a RecodingScheme, and SJSF outside dimension 2."""
+    if not isinstance(scheme, RecodingScheme):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme is RecodingScheme.SJSF and dimension != 2:
+        raise ValueError("the joint sparse form is two-dimensional")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One reproducible experiment: scheme, lengths, sample budget, seed."""
@@ -95,8 +103,7 @@ class RunConfig:
             raise ValueError("lengths must be positive")
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
-        if self.scheme is RecodingScheme.SJSF and self.dimension != 2:
-            raise ValueError("the joint sparse form is two-dimensional")
+        _check_scheme(self.scheme, self.dimension)
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         _check_draw_bits(self.dimension, max(self.lengths))
@@ -205,8 +212,6 @@ def _scheme_metrics(
     """(weight, weight1, top: 1 if column _width - 1 is nonzero) of one
     sample; outside SJSF the nonzero columns are the union of the row supports."""
     if scheme is RecodingScheme.SJSF:
-        if len(exps) != 2:
-            raise ValueError("the joint sparse form is two-dimensional")
         weight, top = _sjsf_weight_top(exps[0], exps[1], length)
         return weight, weight, top
     union = deep = 0
@@ -218,11 +223,9 @@ def _scheme_metrics(
     elif scheme is RecodingScheme.BINARY:
         for n in exps:
             union |= n
-    elif scheme in (RecodingScheme.NAF, RecodingScheme.STACKED_NAF):
+    else:  # NAF, STACKED_NAF
         for n in exps:
             union |= _naf_support(n)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
     weight = union.bit_count()
     return weight, weight + deep, union >> (_width(scheme, length) - 1) & 1
 
@@ -487,7 +490,9 @@ def _wllc_row_counts(length: int) -> tuple[list[int], int]:
     light, strict = range(length // 2 + 1), range((length + 1) // 2)
 
     def rows(column: int, popcounts: range) -> int:
-        return sum(column >> field * c & (1 << field) - 1 for c in popcounts)
+        # The fields below len(popcounts), summed modulo 2**field - 1: 2**field
+        # is 1 there, and no sum (at most 2**length) reaches the modulus.
+        return (column & (1 << field * len(popcounts)) - 1) % ((1 << field) - 1)
 
     counts = [rows(column, light) + rows(column, strict) for column in columns]
     heavy = sum(_binomial(length, c) for c in strict)
@@ -524,12 +529,10 @@ def _exhaustive_sums(
         twos = 0
         if scheme is RecodingScheme.BINARY:
             counts = [1 << length - 1] * length
-        elif scheme in (RecodingScheme.NAF, RecodingScheme.STACKED_NAF):
-            counts = _column_counts(naf_transducer, length, any)
         elif scheme is RecodingScheme.WLLC:
             counts, twos = _wllc_row_counts(length)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+        else:  # NAF, STACKED_NAF
+            counts = _column_counts(naf_transducer, length, any)
 
         def covered(c: int) -> int:
             return vectors - ((1 << length) - c) ** dimension
@@ -564,8 +567,7 @@ def exhaustive_stats(
         raise ValueError(
             f"exhaustive mode capped at 2**{_EXHAUSTIVE_BITS_BOUND} vectors"
         )
-    if scheme is RecodingScheme.SJSF and dimension != 2:
-        raise ValueError("the joint sparse form is two-dimensional")
+    _check_scheme(scheme, dimension)
     sums = _exhaustive_sums(scheme, length, dimension)
     return _record("exhaustive", length, dimension, scheme, sums, seed=0, std_error=0.0)
 

@@ -2,15 +2,15 @@
 
 The evaluator walks a joint expansion most significant column first,
 reading each column as an integer key straight from the rows' masks (no
-digit tuple is built), and the table is looked up by the same keys.  It
-loads the top column's table entry, then squares once per lower column
-and multiplies by one precomputed table entry per nonzero column, or by
-two when the column holds a magnitude-2 digit (which the
-complement-assisted recoding can leave at digit 0; weight1 charges it
-two).  The counts are tallied per group operation as it is performed, so
-they are exact: squarings = length - 1 and multiplications = weight1 - 1
-when the top column is nonzero (its first factor is loaded, not
-multiplied).  The square-and-multiply ladder is this loop on one binary row.
+digit tuple is built); the same reader keys the table.  It loads the top
+column's table entry, then squares once per lower column and multiplies
+by one precomputed table entry per nonzero column, or by two (_split)
+when the column holds a magnitude-2 digit (which the complement-assisted
+recoding can leave at digit 0; weight1 charges it two).  The counts are
+tallied per group operation as it is performed, so they are exact:
+squarings = length - 1 and multiplications = weight1 - 1 when the top
+column is nonzero (its first factor is loaded, not multiplied).  The
+square-and-multiply ladder is this loop on one binary row.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Any, Sequence
 
-from .expansions import JointExpansion, _column_key, _column_keys, _integer, binary
+from .expansions import JointExpansion, _DIGITS, _column_keys, _integer, binary
+from .expansions import _rows_from_columns
 from .recoding import RecodingScheme, recode_joint
 
 Element = Any
@@ -194,20 +195,20 @@ _Vectors = tuple[tuple[int, ...], ...]
 
 @functools.lru_cache(maxsize=16)
 def _table_keys(columns: _Vectors, dimension: int) -> tuple[int, ...]:
-    """The column key of each table key; ValueError for a table key that is
-    not a column of `dimension` digits in [-2, 2]."""
-    keys = []
+    """The column keys of the table keys, read by _column_keys from their rows;
+    ValueError for a key that is not a column of `dimension` digits in [-2, 2]."""
     for column in columns:
         try:
-            key = _column_key(column) if len(column) == dimension else None
-        except (KeyError, TypeError):
-            key = None
-        if key is None:
+            valid = len(column) == dimension and _DIGITS.issuperset(column)
+        except TypeError:
+            valid = False
+        if not valid:
             raise ValueError(
                 f"table key {column!r} is not a column of {dimension} digits in [-2, 2]"
             )
-        keys.append(key)
-    return tuple(keys)
+    # int() reads a digit 1.0 as the 1 that _encode takes.
+    rows = _rows_from_columns([tuple(map(int, c)) for c in columns], dimension)
+    return tuple(reversed(_column_keys(JointExpansion(rows))))
 
 
 @functools.cache
@@ -268,6 +269,14 @@ def precompute(bases: Sequence[Element], group: GroupOps) -> PrecompTable:
 _SPLIT = object()
 
 
+def _split(by_key: dict[int, Element], key: int, ones: int) -> tuple[Element, ...]:
+    """The entries of the two keys a magnitude-2 key splits into: each code's
+    sign and support bits (the column clamped to [-1, 1]), and those bits
+    again on the rows whose code has the magnitude-2 bit (`ones`: 1 per row)."""
+    first = key & 3 * ones
+    return by_key[first], by_key[first & (key >> 2 & ones) * 3]
+
+
 def evaluate(
     joint: JointExpansion,
     table: PrecompTable,
@@ -294,9 +303,6 @@ def evaluate(
     mul = group.multiply
     by_key = table._by_key
     get = by_key.get
-    # A magnitude-2 key splits into two table keys: `first` keeps each
-    # code's sign and support bits (the column clamped to [-1, 1]), and
-    # `rest` repeats them on the rows whose code has the magnitude-2 bit.
     ones = (1 << 8 * dimension) // 255  # byte value 1 per row
     squarings = multiplications = 0
     acc = group.identity
@@ -305,9 +311,7 @@ def evaluate(
     if top:
         entry = get(top, _SPLIT)
         if entry is _SPLIT:
-            first = top & 3 * ones
-            rest = first & (top >> 2 & ones) * 3
-            acc = mul(by_key[first], by_key[rest])
+            acc = mul(*_split(by_key, top, ones))
             multiplications += 1
         else:
             acc = entry
@@ -318,10 +322,8 @@ def evaluate(
             continue
         entry = get(key, _SPLIT)
         if entry is _SPLIT:
-            first = key & 3 * ones
-            rest = first & (key >> 2 & ones) * 3
-            acc = mul(acc, by_key[first])
-            acc = mul(acc, by_key[rest])
+            first, rest = _split(by_key, key, ones)
+            acc = mul(mul(acc, first), rest)
             multiplications += 2
         else:
             acc = mul(acc, entry)

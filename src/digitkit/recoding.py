@@ -343,7 +343,14 @@ def reduce_digit2(joint: JointExpansion) -> JointExpansion:
 
 def naf_complement_weight_gap(word: Expansion) -> int:
     """weight(naf(v)) - weight(naf(2^len - v - 1)) for a {0,1} word of value v."""
-    return naf(word.value()).weight() - naf(ones_complement(word).value()).weight()
+    ones_complement(word)  # ValueError for a word that is not {0,1}
+    return _complement_gap(word._support, len(word))
+
+
+def _complement_gap(value: int, length: int) -> int:
+    """naf_complement_weight_gap(binary(value, length)), from the NAF masks."""
+    full = (1 << length) - 1
+    return _naf_support(value).bit_count() - _naf_support(full ^ value).bit_count()
 
 
 def recode_joint(

@@ -6,13 +6,13 @@ counterexamples.  No new mathematics lives here.
 
 The three checks that enumerate every binary word (thm2, transducer and
 wllc-vs-naf) spend one step per word on bit masks, not on expansion
-objects: thm2 and wllc-vs-naf compare popcounts of the recoders' masks,
-and transducer walks the product machine over the prefix tree of the
-words, so each word costs one transition and one flush from its prefix.
-So these checks test the recoders' masks (_naf_support, _wllc_support and
-the _negative_mask that naf and wllc_recode build their rows with), not
-the expansions; the tests tie those masks to naf, wllc_recode,
-naf_complement_weight_gap and JointExpansion.weight1 word by word.
+objects: thm2 (recoding._complement_gap) and wllc-vs-naf compare popcounts
+of the recoders' masks, and transducer walks the product machine over the
+prefix tree of the words, so each word costs one transition and one flush
+from its prefix.  So these checks test the recoders' masks (_naf_support,
+_wllc_support and the _negative_mask that naf and wllc_recode build their
+rows with), not the expansions; the tests tie those masks to naf,
+wllc_recode and JointExpansion.weight1 word by word.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .recoding import (
     sjsf,
     _JOINT_WEIGHT,
     _WEIGHT1,
+    _complement_gap,
     _naf_support,
     _negative_mask,
     _wllc_support,
@@ -83,12 +84,6 @@ def check_weight1_minimality(max_n: int = 63) -> CheckReport:
                 bad.append(f"m={m} n={n} oracle={minimal} sjsf={got}")
     details = f"minimal weight1 equals joint sparse form weight on {cases} pairs"
     return _report("thm1", cases, details, bad)
-
-
-def _complement_gap(value: int, length: int) -> int:
-    """naf_complement_weight_gap(binary(value, length)), from the NAF masks."""
-    full = (1 << length) - 1
-    return _naf_support(value).bit_count() - _naf_support(full ^ value).bit_count()
 
 
 def check_complement_weight_gap(max_length: int = 14) -> CheckReport:

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,25 @@ import pytest
 import digitkit
 from digitkit import cli
 from digitkit.cli import _LENGTH_CAP, _MARKOV_STEPS_CAP, main
-from digitkit.experiments import _DRAW_BITS_CAP, STAT_FIELDS
-from digitkit.verification import _BOUND_CAPS, CHECKS, bound_names
+from digitkit.experiments import (
+    _DRAW_BITS_CAP,
+    STAT_FIELDS,
+    _exhaustive_sums,
+    complement_bit_probabilities,
+)
+from digitkit.recoding import RecodingScheme
+from digitkit.transducer import (
+    double_naf_transducer,
+    stationary_distribution,
+    transition_matrix,
+    zero_output_probability,
+)
+from digitkit.verification import (
+    _BOUND_CAPS,
+    CHECKS,
+    bound_names,
+    check_complement_weight_gap,
+)
 
 VERIFY_FLAGS = {
     "--max-n": "max_n",
@@ -542,6 +560,21 @@ stationary:     0     0     0   1/3   1/3   1/3   | 0.0000 0.0000 0.0000 0.3333 
 """
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    # markov --steps 1000 prints about 1.3 MB, more than a pipe holds, so the
+    # run is still writing when the reader closes the pipe after one line.
+    src = Path(digitkit.__file__).resolve().parents[1]
+    with subprocess.Popen(
+        [sys.executable, "-m", "digitkit", "markov", "--steps", "1000"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"states: 1 2 3 4 5 6\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_markov_steps_walk_once_and_are_capped(capsys, monkeypatch):
     calls = []
 
@@ -616,6 +649,13 @@ def test_global_flag_validation(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 2
+    code, _, err = run_cli(capsys, "recode", "--scheme", "naf", "--n", "x")
+    assert code == 2
+    assert err.endswith("error: argument --n: expected an integer\n")
+    code, _, err = run_cli(capsys, "multiexp", "--group", "intadd", "--base", "y",
+                           "--n", "5", "--scheme", "naf")
+    assert code == 2
+    assert err.endswith("error: argument --base: expected an integer\n")
 
 
 # A valid invocation of each subcommand, and the shared flags it does not read.
@@ -673,6 +713,58 @@ def test_readme_lists_each_checks_flags():
     assert listed == {
         check: {BOUND_FLAGS[bound] for bound in bound_names(check)} for check in CHECKS
     }
+
+
+def naf_zero_probability():
+    for k in range(64):
+        closed_form = Fraction(2, 3) - Fraction(1, 6) * Fraction(-1, 2) ** k
+        assert zero_output_probability(k) == closed_form, k
+    return "2/3 - (1/6)(-1/2)^k"
+
+
+def stationary():
+    matrix = transition_matrix(double_naf_transducer())
+    return "({})".format(",".join(map(str, stationary_distribution(matrix).weights)))
+
+
+def exhaustive_mean_weight1(scheme):
+    count, _, weight1, _ = _exhaustive_sums(scheme, 12, 2)
+    return str(Fraction(weight1, count))
+
+
+# The exact value of each settled number, by the command that recomputes it.
+SETTLED_NUMBERS = {
+    "digitkit falsify bit-prob --length 4":
+        lambda: str(complement_bit_probabilities(4).zero_probability[0]),
+    "digitkit falsify bit-prob --length 2":
+        lambda: str(complement_bit_probabilities(2).pair_zero_probability[0, 1]),
+    "digitkit markov": stationary,
+    "digitkit verify transducer": naf_zero_probability,
+    "digitkit verify thm2":
+        lambda: re.search(r"max gap (\d+)", check_complement_weight_gap().details)[1],
+    "digitkit stats --scheme sjsf --length 12 --exhaustive":
+        lambda: exhaustive_mean_weight1(RecodingScheme.SJSF),
+    "digitkit stats --scheme naf --length 12 --exhaustive":
+        lambda: exhaustive_mean_weight1(RecodingScheme.NAF),
+}
+
+
+def test_readme_settled_numbers_are_recomputed(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## Settled numbers\n", 1)[1].split("\n## ", 1)[0]
+    header, *rows = (
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("| ")
+    )
+    assert header == ["claim", "published value", "exact value", "command"]
+    exact = {command.strip("`"): value for _, _, value, command in rows}
+    assert len(exact) == len(rows)
+    assert exact.keys() == SETTLED_NUMBERS.keys()
+    for command, value in exact.items():
+        assert value == SETTLED_NUMBERS[command](), command
+        assert main(command.split()[1:]) == 0, command
+    capsys.readouterr()
 
 
 def test_help_exits_zero(capsys):

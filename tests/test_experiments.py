@@ -242,6 +242,9 @@ def test_run_config_validation():
         ex.RunConfig(**{**good, "lengths": (0,)})
     with pytest.raises(ValueError):
         ex.RunConfig(**{**good, "scheme": RecodingScheme.SJSF, "dimension": 3})
+    # A scheme name is refused here, not inside a pool worker.
+    with pytest.raises(ValueError, match=r"^unknown scheme 'naf'$"):
+        ex.RunConfig(0, 10, (8,), "naf", workers=2)
     with pytest.raises(ValueError):
         ex.RunConfig(**{**good, "workers": 0})
     with pytest.raises(ValueError):
@@ -436,6 +439,11 @@ def test_exhaustive_stats_bounds():
         ex.exhaustive_stats(RecodingScheme.NAF, 13, dimension=2)
     with pytest.raises(ValueError):
         ex.exhaustive_stats(RecodingScheme.SJSF, 4, dimension=3)
+    with pytest.raises(ValueError, match=r"^unknown scheme 'naf'$"):
+        ex.exhaustive_stats("naf", 4)
+    # Its own vector cap, not the draw-bits cap of a sampled run's RunConfig.
+    with pytest.raises(ValueError, match=r"^exhaustive mode capped at 2\*\*24 vectors$"):
+        ex.exhaustive_stats(RecodingScheme.NAF, 65536, 129)
     with pytest.raises(ValueError):
         ex.exhaustive_stats(RecodingScheme.NAF, 0)
     with pytest.raises(ValueError, match=r"^length 4.5 is not an integer$"):
@@ -562,6 +570,29 @@ def test_wllc_row_counts_equal_the_supports():
         assert twos == sum(two.bit_count() for _, two in masks), length
         # Digit 0 is the only one of magnitude 2.
         assert all(two in (0, 1) for _, two in masks)
+
+
+def wllc_row_counts_by_field(length):
+    """ex._wllc_row_counts as it summed its popcount fields one at a time."""
+    field = length + 1
+    columns = ex._column_counts(ex.naf_transducer, length, any, 1 << field)
+    light, strict = range(length // 2 + 1), range((length + 1) // 2)
+
+    def rows(column, popcounts):
+        return sum(column >> field * c & (1 << field) - 1 for c in popcounts)
+
+    counts = [rows(column, light) + rows(column, strict) for column in columns]
+    heavy = sum(ex._binomial(length, c) for c in strict)
+    counts[-1] += heavy - 2 * rows(columns[-1], strict)
+    threes = sum(ex._binomial(length - 2, c - 2) for c in strict)
+    counts[0] += heavy - rows(columns[0], strict) - threes
+    twos = sum(ex._binomial(length - 2, c - 1) for c in strict)
+    return counts, twos
+
+
+def test_wllc_row_counts_equal_the_field_by_field_sums():
+    for length in (*range(1, 41), 255, 256, 257):
+        assert ex._wllc_row_counts(length) == wllc_row_counts_by_field(length), length
 
 
 def test_exhaustive_sjsf_leaves_the_nibble_table_unbuilt():

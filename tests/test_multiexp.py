@@ -382,9 +382,11 @@ def test_evaluate_reads_keys_wider_than_eight_bytes():
 
 def test_precompute_table_keys_must_be_columns():
     g = ModGroup(101)
-    for key in ((1, 0), (3,), ("1",), 1):
+    for key in ((1, 0), (3,), ("1",), 1, (1.5,), (None,), (-3,), ()):
         with pytest.raises(ValueError, match="is not a column of 1 digits in"):
             PrecompTable(g, (2,), {(0,): 1, key: 2}, 0, 0)
+    # Integral floats pass, as digits do elsewhere.
+    assert PrecompTable(g, (2,), {(0,): 1, (-1.0,): 51}, 0, 0)._by_key == {0: 1, 3: 51}
 
 
 def test_square_and_multiply_frozen_example():

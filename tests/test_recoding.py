@@ -187,6 +187,9 @@ def test_naf_complement_weight_gap_bounded():
         for n in range(1 << length):
             assert abs(naf_complement_weight_gap(binary(n, length))) <= 2
     assert abs(naf_complement_weight_gap(binary(7, 3))) == 2
+    for word in (Expansion((1, -1)), Expansion((2, 0))):
+        with pytest.raises(ValueError, match=r"^ones_complement requires a \{0,1\} word$"):
+            naf_complement_weight_gap(word)
 
 
 def test_recode_joint_dispatch():

@@ -12,6 +12,7 @@ from digitkit.expansions import JointExpansion, binary
 from digitkit.recoding import (
     RecodingScheme,
     _JOINT_WEIGHT,
+    _complement_gap,
     naf,
     naf_complement_weight_gap,
     recode_joint,
@@ -23,7 +24,6 @@ from digitkit.verification import (
     CHECKS,
     CheckReport,
     _BOUND_CAPS,
-    _complement_gap,
     _flushed_outputs,
     _naf_masks,
     _report,
@@ -219,7 +219,9 @@ def test_mask_gap_and_weight1_equal_the_recoders():
         for value in range(1 << length):
             word = binary(value, length)
             assert _naf_masks(value) == masks(naf(value))
-            assert _complement_gap(value, length) == naf_complement_weight_gap(word)
+            gap = naf(value).weight() - naf((1 << length) - 1 - value).weight()
+            assert _complement_gap(value, length) == gap
+            assert naf_complement_weight_gap(word) == gap
             row = wllc_recode(value, length)
             assert _wllc_weight1(value, length) == JointExpansion((row,)).weight1()
 
