@@ -43,7 +43,10 @@ from .expansions import _integer, _integers
 from .recoding import RecodingScheme, _naf_support, _sjsf_weight_top, _wllc_support
 from .transducer import _column_counts, naf_transducer, sjsf_transducer
 
-_EXHAUSTIVE_BITS_BOUND = 24
+# A record prints its vector count 2**(dimension * length), and CPython prints
+# no int of over 4300 digits (2**8192 has 2467).  WLLC's count grows as length**4.
+_EXHAUSTIVE_BITS_BOUND = 8192
+_EXHAUSTIVE_WLLC_LENGTH_BOUND = 512  # 3.2 s to count (2-CPU Xeon, Python 3.11)
 _BIT_PROBABILITY_LENGTH_BOUND = 16
 # Bytes of draws a run holds at once, whatever its lengths and dimension.
 _DRAW_BLOCK_BYTES = 1 << 20
@@ -557,7 +560,8 @@ def exhaustive_stats(
     per-sample metrics on every vector.  The union schemes (binary, NAF,
     stacked NAF, WLLC) count, per position, the rows whose support has
     it, without recoding a row; SJSF sums the nonzero columns of its
-    transducer over the chain, in time linear in length.
+    transducer over the chain, in time linear in length.  dimension *
+    length is capped at 8192, and WLLC's length at 512.
     """
     length = _integer("length", length)
     dimension = _integer("dimension", dimension)
@@ -567,6 +571,8 @@ def exhaustive_stats(
         raise ValueError(
             f"exhaustive mode capped at 2**{_EXHAUSTIVE_BITS_BOUND} vectors"
         )
+    if scheme is RecodingScheme.WLLC and length > _EXHAUSTIVE_WLLC_LENGTH_BOUND:
+        raise ValueError(f"exhaustive wllc capped at length {_EXHAUSTIVE_WLLC_LENGTH_BOUND}")
     _check_scheme(scheme, dimension)
     sums = _exhaustive_sums(scheme, length, dimension)
     return _record("exhaustive", length, dimension, scheme, sums, seed=0, std_error=0.0)

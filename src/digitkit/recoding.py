@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from typing import Sequence
@@ -395,24 +395,17 @@ def recode_joint(
 # ---------------------------------------------------------------------------
 # Brute-force minimal-cost oracles.
 
-ORACLE_BOUND = 1 << 16  # the public oracles' input check; _CarryDP takes any size
+# The public oracles' input check; _CarryDP.cost takes any size.  A witness
+# re-reads the DP once per column, so it costs time quadratic in bit length.
+ORACLE_BOUND = 1 << 16
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """A minimal cost and a cheapest expansion attaining it, built on first read."""
+    """A minimal cost and a cheapest expansion attaining it."""
 
     minimal_cost: int
-    _witness: functools.partial = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def witness(self) -> JointExpansion:
-        return self._witness()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OracleResult):
-            return NotImplemented
-        return (self.minimal_cost, self.witness) == (other.minimal_cost, other.witness)
+    witness: JointExpansion
 
 
 class _CarryDP:
@@ -498,7 +491,7 @@ def _oracle(dp: _CarryDP, m: int, n: int) -> OracleResult:
     m, n = _integer("oracle input", m), _integer("oracle input", n)
     if abs(m) > ORACLE_BOUND or abs(n) > ORACLE_BOUND:
         raise ValueError(f"oracle inputs limited to |x| <= {ORACLE_BOUND}")
-    return OracleResult(dp.cost(m, n), functools.partial(dp.witness, m, n))
+    return OracleResult(dp.cost(m, n), dp.witness(m, n))
 
 
 def min_weight1_oracle(m: int, n: int) -> OracleResult:

@@ -381,14 +381,11 @@ def run_check(name: str, **bounds: int) -> CheckReport:
     for bound, value in bounds.items():
         if bound not in allowed:
             raise ValueError(f"check {name!r} does not take {bound}")
-        cap = _BOUND_CAPS.get(bound)
-        if cap is None:
-            continue
         value = bounds[bound] = _integer(bound, value)
         if value < 0:
             raise ValueError(f"{bound} = {value} is negative")
         if value == 0 and bound != "seed":
             raise ValueError(f"{bound} = 0 is not positive")
-        if value > cap:
-            raise ValueError(f"{bound} = {value} exceeds its cap of {cap}")
+        if value > _BOUND_CAPS[bound]:
+            raise ValueError(f"{bound} = {value} exceeds its cap of {_BOUND_CAPS[bound]}")
     return CHECKS[name](**bounds)

@@ -17,6 +17,7 @@ from digitkit.experiments import (
     compare_schemes,
     complement_bit_probabilities,
     cost_slope,
+    exhaustive_stats,
     run_stats,
 )
 from digitkit.recoding import RecodingScheme, naf_complement_weight_gap
@@ -256,3 +257,20 @@ def test_criterion_11_complement_bit_probabilities(criterion_log):
     assert marginals2 == (Fraction(3, 4), Fraction(3, 4))
     assert pair == Fraction(1, 2)
     assert pair != Fraction(9, 16)
+
+
+def test_sampled_fixtures_lie_near_the_exact_means(wllc_slope, sjsf_slope, d3_record):
+    # Each frozen fixture's mean weight1 against the exact mean over every
+    # vector, in units of the record's own std_error.
+    report, _ = wllc_slope
+    sampled = (report.low, report.high, sjsf_slope.low, sjsf_slope.high, d3_record)
+    exact = [
+        exhaustive_stats(RecodingScheme(r.scheme), r.length, r.dimension) for r in sampled
+    ]
+    for record, mean in zip(sampled, exact):
+        deviation = record.mean_weight1 - mean.mean_weight1
+        assert abs(deviation) <= 4 * record.std_error, (record, deviation)
+    low, high = exact[:2]
+    total_low = low.mean_multiplications + low.mean_squarings
+    total_high = high.mean_multiplications + high.mean_squarings
+    assert round((total_high - total_low) / BASE_LENGTH, 7) == 1.5555859

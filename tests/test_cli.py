@@ -21,6 +21,7 @@ from digitkit.experiments import (
     _DRAW_BITS_CAP,
     STAT_FIELDS,
     _exhaustive_sums,
+    _width,
     complement_bit_probabilities,
 )
 from digitkit.recoding import RecodingScheme
@@ -308,10 +309,10 @@ def test_stats_exhaustive(capsys):
 
     code, _, err = run_cli(
         capsys,
-        "stats", "--scheme", "wllc", "--length", "64", "--exhaustive",
+        "stats", "--scheme", "wllc", "--length", "513", "--exhaustive",
     )
     assert code == 2
-    assert "exhaustive" in err
+    assert "exhaustive wllc capped at length 512" in err
 
 
 def test_verify_pass_and_exit_codes(capsys):
@@ -732,6 +733,21 @@ def exhaustive_mean_weight1(scheme):
     return str(Fraction(weight1, count))
 
 
+def exhaustive_slope(scheme):
+    """The exact cost slope at (256, 512), dimension 2, as its limit plus
+    the excess to two digits."""
+    def total(length):
+        count, _, weight1, top = _exhaustive_sums(scheme, length, 2)
+        return Fraction(weight1 - top, count) + _width(scheme, length) - 1
+
+    slope = (total(512) - total(256)) / 256
+    limit = slope.limit_denominator(100)
+    excess = slope - limit
+    if not excess:
+        return str(limit)
+    return f"{limit} {'-' if excess < 0 else '+'} {abs(float(excess)):.1e}"
+
+
 # The exact value of each settled number, by the command that recomputes it.
 SETTLED_NUMBERS = {
     "digitkit falsify bit-prob --length 4":
@@ -746,6 +762,12 @@ SETTLED_NUMBERS = {
         lambda: exhaustive_mean_weight1(RecodingScheme.SJSF),
     "digitkit stats --scheme naf --length 12 --exhaustive":
         lambda: exhaustive_mean_weight1(RecodingScheme.NAF),
+    "digitkit stats --scheme binary --length 256 --length 512 --exhaustive":
+        lambda: exhaustive_slope(RecodingScheme.BINARY),
+    "digitkit stats --scheme stacked-naf --length 256 --length 512 --exhaustive":
+        lambda: exhaustive_slope(RecodingScheme.STACKED_NAF),
+    "digitkit stats --scheme sjsf --length 256 --length 512 --exhaustive":
+        lambda: exhaustive_slope(RecodingScheme.SJSF),
 }
 
 

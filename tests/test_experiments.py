@@ -435,15 +435,17 @@ def test_exhaustive_stats_wllc_skips_zero_vector():
 
 
 def test_exhaustive_stats_bounds():
-    with pytest.raises(ValueError):
-        ex.exhaustive_stats(RecodingScheme.NAF, 13, dimension=2)
+    assert ex.exhaustive_stats(RecodingScheme.NAF, 13, dimension=2).samples == 1 << 26
     with pytest.raises(ValueError):
         ex.exhaustive_stats(RecodingScheme.SJSF, 4, dimension=3)
     with pytest.raises(ValueError, match=r"^unknown scheme 'naf'$"):
         ex.exhaustive_stats("naf", 4)
     # Its own vector cap, not the draw-bits cap of a sampled run's RunConfig.
-    with pytest.raises(ValueError, match=r"^exhaustive mode capped at 2\*\*24 vectors$"):
-        ex.exhaustive_stats(RecodingScheme.NAF, 65536, 129)
+    for length, dimension in ((65536, 129), (4097, 2)):
+        with pytest.raises(ValueError, match=r"^exhaustive mode capped at 2\*\*8192 vectors$"):
+            ex.exhaustive_stats(RecodingScheme.NAF, length, dimension)
+    with pytest.raises(ValueError, match=r"^exhaustive wllc capped at length 512$"):
+        ex.exhaustive_stats(RecodingScheme.WLLC, 513)
     with pytest.raises(ValueError):
         ex.exhaustive_stats(RecodingScheme.NAF, 0)
     with pytest.raises(ValueError, match=r"^length 4.5 is not an integer$"):

@@ -448,3 +448,8 @@ def test_multiexp_additive_oracle():
     assert result == 5 * 13 + 7 * 5
     with pytest.raises(ValueError, match=r"^exponent 2.5 is not an integer$"):
         multiexp((2,), (2.5,), RecodingScheme.NAF, g)
+
+
+def test_multiexp_needs_a_base_per_exponent():
+    with pytest.raises(ValueError, match="^bases and exponents must have the same dimension$"):
+        multiexp((2,), (13, 5), RecodingScheme.NAF, ModGroup(101))

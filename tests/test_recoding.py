@@ -125,6 +125,15 @@ def test_is_sjsf_rejects_non_minimal_pattern():
     assert not is_sjsf(j)
 
 
+def test_recoders_name_what_they_refuse():
+    with pytest.raises(ValueError, match="^is_sjsf is defined for two rows$"):
+        is_sjsf(recode_joint((1, 2, 3), RecodingScheme.STACKED_NAF))
+    with pytest.raises(ValueError, match="^length must be at least 1$"):
+        wllc_recode(0, 0)
+    with pytest.raises(ValueError, match="^unknown scheme 'naf'$"):
+        recode_joint((1, 2), "naf")
+
+
 def test_wllc_recode_frozen_examples():
     assert wllc_recode(13, 4).digits == (-1, -1, 0, 0, 1)
     assert wllc_recode(1, 1).digits == (-1, 1)
@@ -317,6 +326,13 @@ def test_oracles_agree_with_sjsf_on_a_sample():
             assert result.witness.values() == (m, n)
             assert cost(result.witness) == weight
             assert all(d in digits for r in result.witness.rows for d in r.digits)
+
+
+def test_oracle_results_compare_by_cost_and_witness():
+    for oracle in (min_weight1_oracle, min_joint_weight_oracle):
+        assert oracle(13, 5) == oracle(13.0, 5)
+        assert oracle(13, 5) != oracle(5, 13)  # same cost, other witness
+        assert oracle(13, 5) != oracle(13, 4)
 
 
 def test_oracle_bound_enforced():

@@ -13,6 +13,7 @@ from digitkit.transducer import (
     RationalMatrix,
     StateDistribution,
     Transducer,
+    _carry_transducer,
     _column_counts,
     _solve_exact,
     double_naf_transducer,
@@ -196,6 +197,23 @@ def test_transducer_validation():
             )
 
 
+def test_transducer_needs_its_start_flush_words_and_reachable_states():
+    loop = {("a", 0): ("a", ()), ("a", 1): ("a", ())}
+    with pytest.raises(ValueError, match="^initial state missing from state set$"):
+        Transducer(("a",), "b", 1, loop, {"a": ()})
+    with pytest.raises(ValueError, match="^state 'a' has no flush word$"):
+        Transducer(("a",), "a", 1, loop, {})
+    island = {**loop, ("b", 0): ("a", ()), ("b", 1): ("b", ())}
+    with pytest.raises(ValueError, match="^unreachable states present$"):
+        Transducer(("a", "b"), "a", 1, island, {"a": (), "b": ()})
+
+
+def test_a_rule_whose_carries_never_die_out_is_refused():
+    # Digit -1 everywhere: a pending 1 carries 1 on every zero bit.
+    with pytest.raises(RuntimeError, match="^the rule's carries never die out$"):
+        _carry_transducer(lambda a: (-1,), ((0,), (1,)))
+
+
 def test_double_machine_shape():
     machine = double_naf_transducer()
     assert machine.output_dim == 2
@@ -347,6 +365,15 @@ def test_state_distribution_validation():
     dist = StateDistribution(("a", "b"), (Fraction(1, 2), Fraction(1, 2)), 3)
     assert dist.step == 3
     assert dist.probability("b") == Fraction(1, 2)
+
+
+def test_chain_analysis_refuses_a_negative_step_or_a_substochastic_matrix():
+    p = transition_matrix(double_naf_transducer())
+    with pytest.raises(ValueError, match="^step count must be non-negative$"):
+        state_distribution(p, -1)
+    leaky = RationalMatrix(("a", "b"), ((HALF, ZERO), (ZERO, Fraction(1))))
+    with pytest.raises(ValueError, match="^matrix is not row-stochastic$"):
+        stationary_distribution(leaky)
 
 
 def test_zero_output_probability_closed_form():

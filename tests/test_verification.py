@@ -3,12 +3,16 @@
 import dataclasses
 import inspect
 import random
+import re
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 from digitkit import verification
+from digitkit.cli import _BOUND_FLAGS, main
 from digitkit.expansions import JointExpansion, binary
+from digitkit.multiexp import AdditiveGroup, evaluate
 from digitkit.recoding import (
     RecodingScheme,
     _JOINT_WEIGHT,
@@ -19,7 +23,7 @@ from digitkit.recoding import (
     sjsf,
     wllc_recode,
 )
-from digitkit.transducer import double_naf_transducer
+from digitkit.transducer import _walk, double_naf_transducer, zero_output_probability
 from digitkit.verification import (
     CHECKS,
     CheckReport,
@@ -109,6 +113,7 @@ def test_run_check_dispatch():
 def test_bound_names_follow_check_signatures():
     for name, check in CHECKS.items():
         assert verification.bound_names(name) == tuple(inspect.signature(check).parameters)
+        assert set(verification.bound_names(name)) <= _BOUND_CAPS.keys(), name
     assert verification.bound_names("sjsf") == ("max_n", "random_pairs", "seed")
     with pytest.raises(ValueError, match="^unknown check 'entropy'$"):
         verification.bound_names("entropy")
@@ -264,3 +269,96 @@ def test_transducer_walk_memory_does_not_grow_with_the_words():
     assert report.passed and report.cases == 31 + 8190
     # Holding even one int per word of length 12 would take over 200 KB.
     assert peak < 64 * 1024
+
+
+def off_by_one_results(joint, table, group):
+    got, counter = evaluate(joint, table, group)
+    return got + 1, counter
+
+
+def off_by_one_counts(joint, table, group):
+    """Right modular results, one operation too many of each kind, and a
+    wrong additive result."""
+    got, counter = evaluate(joint, table, group)
+    counter.multiplications += 1
+    counter.squarings += 1
+    return got + isinstance(group, AdditiveGroup), counter
+
+
+def third_step_doubled(p, weights):
+    for k, (numerators, denominator) in enumerate(_walk(p, weights), 1):
+        yield numerators, denominator << (k == 3)
+
+
+# One fault per failure path of each check: (check, bounds, the name the
+# check reads in digitkit.verification, its stand-in, and patterns of the
+# first counterexamples).
+_RANDOM_PAIR = r"m=\d+ n=\d+"
+_INSTANCE = r"scheme=binary exps=\(\d+, \d+\) length=\d+"
+FAULTS = {
+    "thm1 heavier expansion": (
+        "thm1", {"max_n": 7}, "sjsf",
+        lambda m, n: recode_joint((m, n), RecodingScheme.BINARY),
+        ["m=0 n=7 oracle=2 sjsf=3", "m=1 n=7 oracle=2 sjsf=3"],
+    ),
+    "thm2 gap of 3": (
+        "thm2", {"max_length": 4}, "_complement_gap",
+        lambda value, length: 3 if value == 5 else _complement_gap(value, length),
+        ["word=101 gap=3", "word=0101 gap=3"],
+    ),
+    "sjsf syntax": (
+        "sjsf", {"max_n": 1, "random_pairs": 1}, "is_sjsf", lambda joint: False,
+        ["m=0 n=0: syntax violation", "m=0 n=1: syntax violation",
+         "m=1 n=0: syntax violation", "m=1 n=1: syntax violation",
+         rf"{_RANDOM_PAIR}: round-trip or syntax failure"],
+    ),
+    "sjsf optimum": (
+        "sjsf", {"max_n": 1, "random_pairs": 1}, "_JOINT_WEIGHT",
+        SimpleNamespace(cost=lambda m, n: _JOINT_WEIGHT.cost(m, n) + 1),
+        ["m=0 n=0 weight=0 oracle=1", "m=0 n=1 weight=1 oracle=2",
+         "m=1 n=0 weight=1 oracle=2", "m=1 n=1 weight=1 oracle=2",
+         rf"{_RANDOM_PAIR} weight=\d+ optimum=\d+"],
+    ),
+    "cost-model result": (
+        "cost-model", {"instances": 1}, "evaluate", off_by_one_results,
+        [rf"{_INSTANCE}: modular result \d+ != \d+"],
+    ),
+    "cost-model counts": (
+        "cost-model", {"instances": 1}, "evaluate", off_by_one_counts,
+        [rf"{_INSTANCE}: multiplications \d+ != weight1-top \d+",
+         rf"{_INSTANCE}: squarings \d+ != \d+",
+         rf"{_INSTANCE}: additive result \d+"],
+    ),
+    "transducer transients": (
+        "transducer", {"max_length": 3}, "_walk", third_step_doubled,
+        [r"k=3: transient components not 2\^-3"],
+    ),
+    "transducer chain": (
+        "transducer", {"max_length": 3}, "zero_output_probability",
+        lambda k, method="markov": zero_output_probability(k, method)
+        + (method == "exhaustive" and k == 4),
+        ["k=4: chain and enumeration disagree"],
+    ),
+    "wllc-vs-naf lighter": (
+        "wllc-vs-naf", {"max_length": 2}, "_wllc_support", lambda n, length: (0, 0),
+        ["length=1 n=1 weight1=0 naf=1", "length=2 n=1 weight1=0 naf=1",
+         "length=2 n=2 weight1=0 naf=1", "length=2 n=3 weight1=0 naf=2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_each_failure_path_reports_its_counterexample(fault, monkeypatch, capsys):
+    check, bounds, name, stand_in, patterns = FAULTS[fault]
+    monkeypatch.setattr(verification, name, stand_in)
+    report = run_check(check, **bounds)
+    assert not report.passed
+    shown = report.counterexamples[: len(patterns)]
+    assert len(shown) == len(patterns), shown
+    for pattern, line in zip(patterns, shown):
+        assert re.fullmatch(pattern, line), (pattern, line)
+    flags = [a for bound, value in bounds.items() for a in (_BOUND_FLAGS[bound][0], str(value))]
+    assert main(["verify", check, *flags]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"result: FAIL ({report.cases} cases)"
+    assert lines[3:] == [f"counterexample: {line}" for line in report.counterexamples]
