@@ -8,14 +8,11 @@ Column keys, the evaluator's table keys too, are read from the masks
 alone (_column_keys), so only _encode and _octal_code state each digit's
 code.  Equality compares lengths and masks, so a zero-padded word is
 distinct from its trimmed form.  Display and JSON read most significant first.
-_packed_range lays every integer below a count side by side in one
-integer, for transducer's exhaustive zero-digit count.
 """
 
 from __future__ import annotations
 
 import struct
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -28,8 +25,6 @@ _BYTE_OF_OCTAL = bytes.maketrans(b"01357", b"\x00\x01\xff\x02\xfe")
 _CODE_OF_ASCII = bytes.maketrans(b"01234567", bytes(range(8)))
 # The struct code of an unsigned int of each column key width, in bytes.
 _KEY_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-# The width of one field of a packed integer (see `_packed_range`).
-_FIELD_BITS = 8 * array("I").itemsize
 
 
 def _integers(what: str, values: Iterable) -> tuple[int, ...]:
@@ -187,6 +182,7 @@ class Expansion:
 
     def padded(self, length: int) -> "Expansion":
         """Extend with most-significant zeros to exactly `length` digits."""
+        length = _integer("length", length)
         if length < self._length:
             raise ValueError(f"cannot pad {self._length} digits down to {length}")
         return _from_masks(length, self._support, self._negative, self._two)
@@ -305,22 +301,3 @@ def stack(rows: Sequence[Expansion]) -> JointExpansion:
         raise ValueError("nothing to stack")
     length = max(len(r) for r in rows)
     return _joint(tuple(r.padded(length) for r in rows))
-
-
-def _packed_range(count: int) -> tuple[int, int]:
-    """(words, ones): the integers 0 .. count - 1 side by side in one
-    integer, a field of _FIELD_BITS bits each, 0 lowest, and the integer
-    with bit 0 of every field set.  Then (words >> j & ones).bit_count()
-    counts the fields with bit j set: one shift, mask and popcount over
-    all of them.  Built by doubling: the fields c..2c-1 are the fields
-    0..c-1 plus c.  A count that is not a power of two is cut from the
-    next one."""
-    words, ones, filled = 0, 1, 1
-    while filled < count:
-        words |= (words + filled * ones) << _FIELD_BITS * filled
-        ones |= ones << _FIELD_BITS * filled
-        filled *= 2
-    if filled > count:
-        keep = (1 << _FIELD_BITS * count) - 1
-        words, ones = words & keep, ones & keep
-    return words, ones

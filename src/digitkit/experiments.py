@@ -163,10 +163,11 @@ def record_to_csv_row(record: StatRecord) -> str:
 
 def derive_sample_seed(seed: int, index: int) -> int:
     """Stable 64-bit stream seed for one sample, independent of worker layout."""
-    digest = blake2b(
-        struct.pack("<QQ", seed, index), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little")
+    try:
+        packed = struct.pack("<QQ", seed, index)
+    except struct.error:
+        raise ValueError("seed and index must be integers in [0, 2**64)") from None
+    return int.from_bytes(blake2b(packed, digest_size=8).digest(), "little")
 
 
 def sample_exponents(
@@ -189,8 +190,12 @@ def sample_exponents(
     by stride - length, for any k >= dimension * stride from the same seed.
     run_stats and compare_schemes read their vectors so from one draw per
     index (see _draws, which keeps the draws for rereading); only a vector
-    that needs a redraw is sampled here.
+    that needs a redraw is sampled here.  A nonzero vector needs length
+    and dimension of at least 1.
     """
+    length, dimension = _integer("length", length), _integer("dimension", dimension)
+    if nonzero and (length < 1 or dimension < 1):
+        raise ValueError("a nonzero vector needs length and dimension of at least 1")
     rng = random.Random(derive_sample_seed(seed, index))
     exps = tuple(rng.getrandbits(length) for _ in range(dimension))
     redraws = 0

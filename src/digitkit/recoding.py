@@ -12,12 +12,12 @@ in experiments the same masks and counts the public recoders build their
 expansions from.  The column rules _naf_column and _sjsf_column and one
 carry step over them, _carry_step, are what transducer builds its machines
 from.  The joint sparse form's carry steps and both oracles' min-plus DP
-over carry pairs, _CarryDP, are bit automata over two exponents: one
+over carry pairs, _CarryDP, are bit automata over two exponents, each
+with a pure step on its states (a _CarryDP state is its cost vector): one
 builder, _nibble_table, compiles each on first use into rows read a
-nibble pair per lookup, in time linear in the bit length.  The
-recoders build their joint expansions unchecked, as their rows have equal
-length by construction; integer arguments are checked before any bit is
-read.
+nibble pair per lookup, in time linear in the bit length.  The recoders
+build their joint expansions unchecked, as their rows have equal length
+by construction; integer arguments are checked before any bit is read.
 """
 
 from __future__ import annotations
@@ -414,11 +414,11 @@ class _CarryDP:
     Read least significant bit first in two's complement, the residuals
     after k columns are (m >> k) + c1 and (n >> k) + c2 for carries (c1, c2);
     column (d1, d2) takes carry c under bit b to (b + c - d) / 2.  A state
-    is the index in `vectors` of the least costs per carry pair less their
-    minimum, None where that exceeds `spread`: cost-to-go never differs by
-    more between carry pairs, so such an entry is on no cheapest path.
-    _step is one bit step; `nibbles`, its _nibble_table from state 0, is
-    built on first use, and cost() reads a nibble pair per lookup from it.
+    is its cost vector: the least costs over `carries` less their minimum,
+    None past `spread`.  Cost-to-go never differs by more between carry
+    pairs, so such an entry is on no cheapest path.  _step, a pure bit
+    step, gives the next vector; `nibbles`, its _nibble_table from `start`,
+    is built on first use, and cost() reads a nibble pair per lookup.
     """
 
     tail = 2  # past both tops, residuals in [-2, 2] end within 2 columns
@@ -432,12 +432,12 @@ class _CarryDP:
         )
         self.carries = tuple(product(carries, repeat=2))
         self.spread = spread
-        self.vectors = [tuple(0 if c == (0, 0) else None for c in self.carries)]
+        self.start = tuple(0 if c == (0, 0) else None for c in self.carries)
 
-    def _step(self, state: int, letter: int) -> tuple[int, int, int]:
-        """One bit step for _nibble_table, appending a new state to `vectors`."""
+    def _step(self, state: tuple, letter: int) -> tuple[int, int, tuple]:
+        """One bit step for _nibble_table: (its least cost, 0, the next state)."""
         best: dict[tuple[int, int], int] = {}
-        for base, (c1, c2) in zip(self.vectors[state], self.carries):
+        for base, (c1, c2) in zip(state, self.carries):
             if base is not None:
                 a, b = (letter & 1) + c1, (letter >> 1) + c2
                 for cost, d1, d2 in self.table[(a & 1) << 1 | (b & 1)]:
@@ -445,14 +445,11 @@ class _CarryDP:
                     best[succ] = min(base + cost, best.get(succ, base + cost))
         low = min(best.values())
         gaps = [best.get(c, low + self.spread + 1) - low for c in self.carries]
-        vector = tuple(g if g <= self.spread else None for g in gaps)
-        if vector not in self.vectors:
-            self.vectors.append(vector)
-        return low, 0, self.vectors.index(vector)
+        return low, 0, tuple(g if g <= self.spread else None for g in gaps)
 
     @functools.cached_property
     def nibbles(self) -> list:
-        return _nibble_table(0, self._step)
+        return _nibble_table(self.start, self._step)
 
     def cost(self, m: int, n: int) -> int:
         """The minimal cost of (m, n), for integers of any size.
@@ -467,12 +464,13 @@ class _CarryDP:
         # m and n shifted past the read are their signs, so carries of the
         # opposite signs zero the residuals.
         signs = (-(m >> top + 1), -(n >> top + 1))
-        return total + self.vectors[row[256]][self.carries.index(signs)]
+        return total + row[256][self.carries.index(signs)]
 
-    def witness(self, m: int, n: int) -> JointExpansion:
-        """A cheapest expansion of (m, n), one column at a time: a column
-        whose cost plus the rest's minimum is the current minimum."""
+    def witness(self, m: int, n: int) -> tuple[int, JointExpansion]:
+        """(minimal cost, a cheapest expansion) of (m, n), a column at a time:
+        a column whose cost plus the rest's minimum is the current minimum."""
         columns, total = [], self.cost(m, n)
+        least = total
         while m or n:
             for cost, d1, d2 in self.table[(m & 1) << 1 | (n & 1)]:
                 rest = self.cost((m - d1) >> 1, (n - d2) >> 1)
@@ -480,7 +478,7 @@ class _CarryDP:
                     break
             columns.append((d1, d2))
             total, m, n = rest, (m - d1) >> 1, (n - d2) >> 1
-        return JointExpansion(_rows_from_columns(columns, 2))
+        return least, JointExpansion(_rows_from_columns(columns, 2))
 
 
 _WEIGHT1 = _CarryDP((-2, 0, 2), lambda d1, d2: max(abs(d1), abs(d2)), range(-1, 3), 2)
@@ -491,7 +489,7 @@ def _oracle(dp: _CarryDP, m: int, n: int) -> OracleResult:
     m, n = _integer("oracle input", m), _integer("oracle input", n)
     if abs(m) > ORACLE_BOUND or abs(n) > ORACLE_BOUND:
         raise ValueError(f"oracle inputs limited to |x| <= {ORACLE_BOUND}")
-    return OracleResult(dp.cost(m, n), dp.witness(m, n))
+    return OracleResult(*dp.witness(m, n))
 
 
 def min_weight1_oracle(m: int, n: int) -> OracleResult:

@@ -38,7 +38,6 @@ from .expansions import (
     DIGIT_MIN,
     JointExpansion,
     _integer,
-    _packed_range,
     _rows_from_columns,
 )
 from .recoding import _carry_step, _naf_column, _naf_support, _sjsf_column
@@ -51,6 +50,9 @@ TERMINAL = "end"
 ZERO_PROBABILITY_ERROR_CONSTANT = 1
 
 _EXHAUSTIVE_POSITION_BOUND = 20
+# The width of one field of a packed integer (see _packed_range): at
+# k <= 20 every input n is below 2**22, so 3n < 2**24 fits one field.
+_FIELD_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -446,6 +448,25 @@ def _column_counts(
     return columns + flushed
 
 
+def _packed_range(count: int) -> tuple[int, int]:
+    """(words, ones): the integers 0 .. count - 1 side by side in one
+    integer, a field of _FIELD_BITS bits each, 0 lowest, and the integer
+    with bit 0 of every field set.  Then (words >> j & ones).bit_count()
+    counts the fields with bit j set: one shift, mask and popcount over
+    all of them.  Built by doubling: the fields c..2c-1 are the fields
+    0..c-1 plus c.  A count that is not a power of two is cut from the
+    next one."""
+    words, ones, filled = 0, 1, 1
+    while filled < count:
+        words |= (words + filled * ones) << _FIELD_BITS * filled
+        ones |= ones << _FIELD_BITS * filled
+        filled *= 2
+    if filled > count:
+        keep = (1 << _FIELD_BITS * count) - 1
+        words, ones = words & keep, ones & keep
+    return words, ones
+
+
 def zero_output_probability(k: int, method: str = "markov") -> Fraction:
     """Exact probability that output digit k of row 1 is zero.
 
@@ -458,9 +479,9 @@ def zero_output_probability(k: int, method: str = "markov") -> Fraction:
     ZERO_PROBABILITY_ERROR_CONSTANT.
 
     The exhaustive count packs every input into one integer, a field each
-    (expansions._packed_range), and takes the NAF support of all of them
-    at once: under the cap 3n fits its field, so no carry crosses one, and
-    bit 0 of 3n ^ n is always 0, so the shift takes no bit across either.
+    (_packed_range), and takes the NAF support of all of them at once:
+    under the cap 3n fits its field, so no carry crosses one, and bit 0 of
+    3n ^ n is always 0, so the shift takes no bit across either.
     """
     k = _integer("digit position", k)
     if k < 0:

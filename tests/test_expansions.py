@@ -6,14 +6,13 @@ from array import array
 import pytest
 
 from digitkit.expansions import (
-    _FIELD_BITS,
     Expansion,
     JointExpansion,
     binary,
-    _packed_range,
     ones_complement,
     stack,
 )
+from digitkit.transducer import _FIELD_BITS, _packed_range
 
 
 def test_value_is_lsb_first():
@@ -58,8 +57,12 @@ def test_trimmed_and_padded():
     assert e.trimmed().digits == (1, 0, 1)
     assert e.trimmed().value() == e.value()
     assert e.padded(7).digits == (1, 0, 1, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        e.padded(3)
+    # An integral float reads as its int; any other length is refused.
+    assert e.padded(7.0) == e.padded(7) and len(e.padded(7.0)) == 7
+    assert str(e.padded(7.0)) == "0000101"
+    for length in (3, "7", 7.5):
+        with pytest.raises(ValueError):
+            e.padded(length)
     assert Expansion().trimmed() == Expansion()
 
 

@@ -3,12 +3,16 @@
 import hashlib
 import json
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,9 @@ def test_derive_sample_seed_is_stable():
     assert ex.derive_sample_seed(0, 0) == ex.derive_sample_seed(0, 0)
     assert ex.derive_sample_seed(0, 1) != ex.derive_sample_seed(1, 0)
     assert 0 <= ex.derive_sample_seed(2**64 - 1, 2**64 - 1) < 2**64
+    for seed, index in ((-1, 0), (0, -1), (2**64, 0), (0, 2**64), (0.5, 0)):
+        with pytest.raises(ValueError, match=r"must be integers in \[0, 2\*\*64\)$"):
+            ex.derive_sample_seed(seed, index)
 
 
 def test_derive_sample_seed_matches_hashlib_blake2b():
@@ -93,6 +100,28 @@ def test_sample_exponents_redraws_zero_vectors():
             plain, _ = ex.sample_exponents(1, index, 1, 1, nonzero=False)
             assert plain == (0,)
     assert redraw_seen
+    # No bits to draw: the plain draw is all-zero, and a nonzero one is
+    # refused, not redrawn forever.  A child process with a timeout turns
+    # such a hang into a failure here.
+    assert ex.sample_exponents(1, 0, 0, 1) == ((0,), 0)
+    assert ex.sample_exponents(1, 0, 4, 0) == ((), 0)
+    code = (
+        "from digitkit.experiments import sample_exponents\n"
+        "for length, dimension in ((0, 1), (4, 0), (-1, 2), (0.0, 1)):\n"
+        "    try:\n"
+        "        sample_exponents(1, 0, length, dimension, nonzero=True)\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n"
+    )
+    src = Path(ex.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.splitlines() == 4 * [
+        "a nonzero vector needs length and dimension of at least 1"
+    ]
 
 
 def naf_digits(n):

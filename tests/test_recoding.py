@@ -335,6 +335,25 @@ def test_oracle_results_compare_by_cost_and_witness():
         assert oracle(13, 5) != oracle(13, 4)
 
 
+def test_an_oracle_call_reads_its_own_cost_once(monkeypatch):
+    # The answer's cost is the witness's first read.  Later reads are of the
+    # rest after a candidate column, which is (m, n) again only when that
+    # column maps the pair to itself.
+    reads, cost = [], recoding._CarryDP.cost
+    monkeypatch.setattr(
+        recoding._CarryDP, "cost", lambda dp, m, n: reads.append((m, n)) or cost(dp, m, n)
+    )
+    pairs = [*product(range(-15, 16), repeat=2), (ORACLE_BOUND, -ORACLE_BOUND)]
+    for oracle, dp, _ in DPS:
+        for m, n in pairs:
+            reads.clear()
+            assert oracle(m, n).minimal_cost == cost(dp, m, n)
+            assert reads[0] == (m, n)
+            columns = dp.table[(m & 1) << 1 | (n & 1)]
+            if all(((m - d1) >> 1, (n - d2) >> 1) != (m, n) for _, d1, d2 in columns):
+                assert reads.count((m, n)) == 1, (m, n)
+
+
 def test_oracle_bound_enforced():
     with pytest.raises(ValueError):
         min_weight1_oracle(ORACLE_BOUND + 1, 0)
@@ -386,9 +405,9 @@ DPS = ((min_weight1_oracle, _WEIGHT1, 2), (min_joint_weight_oracle, _JOINT_WEIGH
 
 
 def test_carry_dp_equals_the_search_on_every_small_pair():
-    for oracle, dp, _ in DPS:
+    for _, dp, _ in DPS:
         for m, n in product(range(-63, 64), repeat=2):
-            assert oracle(m, n).minimal_cost == _search(m, n, dp.table), (m, n)
+            assert dp.cost(m, n) == _search(m, n, dp.table), (m, n)
 
 
 def test_carry_dp_equals_the_search_on_a_seeded_sample():
@@ -398,9 +417,9 @@ def test_carry_dp_equals_the_search_on_a_seeded_sample():
         for _ in range(500)
     ]
     pairs += [(ORACLE_BOUND, -ORACLE_BOUND), (-ORACLE_BOUND, ORACLE_BOUND - 1)]
-    for oracle, dp, _ in DPS:
+    for _, dp, _ in DPS:
         for m, n in pairs:
-            assert oracle(m, n).minimal_cost == _search(m, n, dp.table), (m, n)
+            assert dp.cost(m, n) == _search(m, n, dp.table), (m, n)
 
 
 def test_carry_dp_tail_ends_a_cheapest_expansion():
@@ -516,14 +535,21 @@ def _rows(start):
     return rows
 
 
+def _fields(dp):
+    """What a carry DP holds: each attribute's repr, the nibble table by
+    identity (its rows link to one another)."""
+    return {k: id(v) if k == "nibbles" else repr(v) for k, v in vars(dp).items()}
+
+
 def test_carry_dp_step_cache_stays_bounded():
     rng = random.Random(1024)
     for (_, dp, _), count in zip(DPS, (42, 25)):
         for _ in range(10):
             dp.cost(rng.getrandbits(1024) - (1 << 1023), rng.getrandbits(1024))
+        fields = _fields(dp)
         step = functools.cache(dp._step)
-        # Every state reachable from the start under every letter.
-        states, todo = {0}, [0]
+        # Every state (cost vector) reachable from the start under every letter.
+        states, todo = {dp.start}, [dp.start]
         while todo:
             state = todo.pop()
             for letter in range(4):
@@ -531,10 +557,10 @@ def test_carry_dp_step_cache_stays_bounded():
                 if succ not in states:
                     states.add(succ)
                     todo.append(succ)
-        assert len(states) == len(dp.vectors) == count
+        assert len(states) == count
         # One nibble row per reachable state, each entry four bit steps composed.
         rows = _rows(dp.nibbles)
-        assert sorted(rows) == sorted(states)
+        assert rows.keys() == states
         for state, row in rows.items():
             assert len(row) == 257 and row[256] == state
             for x, (cost, bits, succ) in enumerate(row[:256]):
@@ -543,14 +569,15 @@ def test_carry_dp_step_cache_stays_bounded():
                     more, _, end = step(end, (x >> 4 + i & 1) | (x >> i & 1) << 1)
                     total += more
                 assert (cost, bits) == (total, 0) and succ is rows[end]
+        # _step is pure: the DP holds what it held before the walk.
+        assert _fields(dp) == fields
 
 
 def test_import_builds_no_carry_dp_step():
     code = (
         "import digitkit\n"
         "from digitkit.recoding import _JOINT_WEIGHT, _WEIGHT1, _sjsf_nibble_table\n"
-        "print(len(_JOINT_WEIGHT.vectors), len(_WEIGHT1.vectors),"
-        " 'nibbles' in vars(_JOINT_WEIGHT), 'nibbles' in vars(_WEIGHT1),"
+        "print('nibbles' in vars(_JOINT_WEIGHT), 'nibbles' in vars(_WEIGHT1),"
         " _sjsf_nibble_table.cache_info().currsize)"
     )
     src = Path(recoding.__file__).resolve().parents[1]
@@ -559,7 +586,7 @@ def test_import_builds_no_carry_dp_step():
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.split() == ["1", "1", "False", "False", "0"]
+    assert out.stdout.split() == ["False", "False", "0"]
 
 
 def test_nibble_table_composes_four_steps_per_entry():
