@@ -15,9 +15,12 @@ from.  The joint sparse form's carry steps and both oracles' min-plus DP
 over carry pairs, _CarryDP, are bit automata over two exponents, each
 with a pure step on its states (a _CarryDP state is its cost vector): one
 builder, _nibble_table, compiles each on first use into rows read a
-nibble pair per lookup, in time linear in the bit length.  The recoders
-build their joint expansions unchecked, as their rows have equal length
-by construction; integer arguments are checked before any bit is read.
+nibble pair per lookup, in time linear in the bit length.  sjsf and
+is_sjsf wrap two mask cores, _sjsf_supports (the width and row supports
+read from the SJSF table) and _sjsf_syntax (the two support conditions),
+which verify reads directly.  The recoders build their joint expansions
+unchecked, as their rows have equal length by construction; integer
+arguments are checked before any bit is read.
 """
 
 from __future__ import annotations
@@ -108,28 +111,33 @@ def _nibble_table(start, step) -> list:
     x1 of m and x2 of n from the least significant bit, is (the four
     steps' summed cost, their column bits with step i's shifted by i, the
     next row)."""
-    states, table = [start], {}
+    # States are numbered once, in the order found, so the composition
+    # below indexes lists rather than hashing states.
+    states, number, table = [start], {start: 0}, []
     for state in states:  # breadth first: states grows while it is read
         # Entry x1 << 1 | x2 reads the letter x1 | x2 << 1.
-        table[state] = [step(state, letter) for letter in (0, 2, 1, 3)]
-        for _, _, end in table[state]:
-            if end not in states:
+        table.append(entries := [])
+        for letter in (0, 2, 1, 3):
+            cost, bits, end = step(state, letter)
+            if end not in number:
+                number[end] = len(states)
                 states.append(end)
+            entries.append((cost, bits, number[end]))
     # k-step rows, entry x1 << k | x2, to 2k-step rows: the low k bits of
     # each exponent, then the high k bits from the state reached.
     for k in (1, 2):
-        mask, doubled = (1 << k) - 1, {}
-        for state, row in table.items():
-            doubled[state] = new = []
+        mask, doubled = (1 << k) - 1, []
+        for row in table:
+            doubled.append(new := [])
             for x1, x2 in product(range(1 << 2 * k), repeat=2):
                 cost, bits, mid = row[(x1 & mask) << k | (x2 & mask)]
                 more, high, end = table[mid][(x1 >> k) << k | (x2 >> k)]
                 new.append((cost + more, bits | high << k, end))
         table = doubled
-    rows: dict = {state: [] for state in states}
-    for state, row in rows.items():
-        row += [(cost, bits, rows[end]) for cost, bits, end in table[state]] + [state]
-    return rows[start]
+    rows: list = [[] for _ in states]
+    for row, entries, state in zip(rows, table, states):
+        row += [(cost, bits, rows[end]) for cost, bits, end in entries] + [state]
+    return rows[0]
 
 
 def _carry_step(rule, pending: tuple, bits: tuple) -> tuple[tuple, tuple]:
@@ -232,6 +240,13 @@ def sjsf(m: int, n: int) -> JointExpansion:
     m, n = _integer("exponent", m), _integer("exponent", n)
     if m < 0 or n < 0:
         raise ValueError("sjsf requires non-negative inputs")
+    width, s1, s2 = _sjsf_supports(m, n)
+    return _joint((_row(width, s1, m), _row(width, s2, n)))
+
+
+def _sjsf_supports(m: int, n: int) -> tuple[int, int, int]:
+    """(width, first row's nonzero mask, second row's) of sjsf(m, n), for
+    non-negative ints m and n."""
     lo, hi, pad = _sjsf_bytes(m, n, max(m.bit_length(), n.bit_length()))
     row = _sjsf_nibble_table()
     # One 16-bit word per byte read: the first row's columns in the low
@@ -246,8 +261,7 @@ def sjsf(m: int, n: int) -> JointExpansion:
     s1 = int.from_bytes(packed[0::2], "little") >> (pad + 1)
     s2 = int.from_bytes(packed[1::2], "little") >> (pad + 1)
     # The last column of the form is nonzero, so the support sets the width.
-    width = (s1 | s2).bit_length()
-    return _joint((_row(width, s1, m), _row(width, s2, n)))
+    return (s1 | s2).bit_length(), s1, s2
 
 
 def is_sjsf(joint: JointExpansion) -> bool:
@@ -255,11 +269,15 @@ def is_sjsf(joint: JointExpansion) -> bool:
     if joint.dimension != 2:
         raise ValueError("is_sjsf is defined for two rows")
     a, b = joint.rows
-    if a._two or b._two:
-        return False
-    unequal = a._support ^ b._support
-    both = a._support & b._support
-    nonzero = a._support | b._support
+    return not (a._two or b._two) and _sjsf_syntax(a._support, b._support)
+
+
+def _sjsf_syntax(s1: int, s2: int) -> bool:
+    """The two conditions of sjsf's docstring on the nonzero masks of two
+    {-1,0,1} rows."""
+    unequal = s1 ^ s2
+    both = s1 & s2
+    nonzero = s1 | s2
     return not unequal & (unequal >> 1) and not both & (nonzero >> 1)
 
 

@@ -13,6 +13,13 @@ from its prefix.  So these checks test the recoders' masks (_naf_support,
 _wllc_support and the _negative_mask that naf and wllc_recode build their
 rows with), not the expansions; the tests tie those masks to naf,
 wllc_recode and JointExpansion.weight1 word by word.
+
+The two pair checks read masks too.  thm1 takes the SJSF weight from
+_sjsf_weight_top, the experiments' read of the same SJSF table, and the
+sjsf check's window takes the row supports from _sjsf_supports and tests
+them with _sjsf_syntax, the cores of sjsf and is_sjsf.  Only the sjsf
+check's random 64-bit pairs build expansions, through the public sjsf,
+is_sjsf, values and joint_weight.
 """
 
 from __future__ import annotations
@@ -35,6 +42,9 @@ from .recoding import (
     _complement_gap,
     _naf_support,
     _negative_mask,
+    _sjsf_supports,
+    _sjsf_syntax,
+    _sjsf_weight_top,
     _wllc_support,
 )
 from .transducer import (
@@ -75,11 +85,12 @@ def check_weight1_minimality(max_n: int = 63) -> CheckReport:
     over all two-row {-2..2} expansions, pair by pair."""
     bad: list[str] = []
     cases = 0
+    length = max_n.bit_length()
     for m in range(max_n + 1):
         for n in range(max_n + 1):
             cases += 1
             minimal = _WEIGHT1.cost(m, n)
-            got = sjsf(m, n).joint_weight()
+            got = _sjsf_weight_top(m, n, length)[0]
             if minimal != got:
                 bad.append(f"m={m} n={n} oracle={minimal} sjsf={got}")
     details = f"minimal weight1 equals joint sparse form weight on {cases} pairs"
@@ -118,15 +129,14 @@ def check_sjsf_optimality(
     for m in range(max_n + 1):
         for n in range(max_n + 1):
             cases += 1
-            joint = sjsf(m, n)
-            if not is_sjsf(joint):
+            _, s1, s2 = _sjsf_supports(m, n)
+            if not _sjsf_syntax(s1, s2):
                 bad.append(f"m={m} n={n}: syntax violation")
                 continue
             minimal = _JOINT_WEIGHT.cost(m, n)
-            if joint.joint_weight() != minimal:
-                bad.append(
-                    f"m={m} n={n} weight={joint.joint_weight()} oracle={minimal}"
-                )
+            weight = (s1 | s2).bit_count()
+            if weight != minimal:
+                bad.append(f"m={m} n={n} weight={weight} oracle={minimal}")
     rng = random.Random(seed)
     for _ in range(random_pairs):
         m, n = rng.getrandbits(64), rng.getrandbits(64)
@@ -175,7 +185,7 @@ def check_cost_model(instances: int = 1000, seed: int = 0) -> CheckReport:
             else:
                 joint = recode_joint(exps, scheme)
             weight1 = joint.weight1()
-            top = 1 if any(joint.column(len(joint) - 1)) else 0
+            top = joint._masks()[0] >> (len(joint) - 1) & 1
             tag = f"scheme={scheme.value} exps={exps} length={length}"
 
             got, counter = evaluate(joint, table, mod)

@@ -125,6 +125,40 @@ def test_is_sjsf_rejects_non_minimal_pattern():
     assert not is_sjsf(j)
 
 
+def test_sjsf_supports_are_the_rows_of_sjsf():
+    rng = random.Random(31)
+    pairs = list(product(range(64), repeat=2))
+    pairs += [(rng.getrandbits(rng.randint(1, 600)), rng.getrandbits(rng.randint(1, 600)))
+              for _ in range(200)]
+    for m, n in pairs:
+        j = sjsf(m, n)
+        assert recoding._sjsf_supports(m, n) == (len(j), j.rows[0]._support, j.rows[1]._support)
+
+
+def _sjsf_conditions(a: tuple, b: tuple) -> bool:
+    """sjsf's two syntactic conditions, column by column, on digit rows."""
+    columns = list(zip(a, b)) + [(0, 0)]
+    return all(
+        (abs(x) == abs(y) or abs(u) == abs(v)) and (not (x and y) or u == v == 0)
+        for (x, y), (u, v) in zip(columns, columns[1:])
+    )
+
+
+def test_sjsf_syntax_states_the_conditions_of_is_sjsf():
+    for length in range(5):
+        words = list(product((-1, 0, 1), repeat=length))
+        for a, b in product(words, repeat=2):
+            joint = JointExpansion((Expansion(a), Expansion(b)))
+            want = _sjsf_conditions(a, b)
+            assert recoding._sjsf_syntax(joint.rows[0]._support, joint.rows[1]._support) == want
+            assert is_sjsf(joint) == want
+    # The supports pass, but a magnitude-2 digit is outside the form.
+    for a, b in (((2,), (0,)), ((0, 1), (0, -2))):
+        joint = JointExpansion((Expansion(a), Expansion(b)))
+        assert recoding._sjsf_syntax(*(r._support for r in joint.rows))
+        assert not is_sjsf(joint)
+
+
 def test_recoders_name_what_they_refuse():
     with pytest.raises(ValueError, match="^is_sjsf is defined for two rows$"):
         is_sjsf(recode_joint((1, 2, 3), RecodingScheme.STACKED_NAF))

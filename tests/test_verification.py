@@ -297,8 +297,8 @@ _RANDOM_PAIR = r"m=\d+ n=\d+"
 _INSTANCE = r"scheme=binary exps=\(\d+, \d+\) length=\d+"
 FAULTS = {
     "thm1 heavier expansion": (
-        "thm1", {"max_n": 7}, "sjsf",
-        lambda m, n: recode_joint((m, n), RecodingScheme.BINARY),
+        "thm1", {"max_n": 7}, "_sjsf_weight_top",
+        lambda m, n, length: ((m | n).bit_count(), 0),  # the binary joint weight
         ["m=0 n=7 oracle=2 sjsf=3", "m=1 n=7 oracle=2 sjsf=3"],
     ),
     "thm2 gap of 3": (
@@ -307,10 +307,22 @@ FAULTS = {
         ["word=101 gap=3", "word=0101 gap=3"],
     ),
     "sjsf syntax": (
-        "sjsf", {"max_n": 1, "random_pairs": 1}, "is_sjsf", lambda joint: False,
+        "sjsf", {"max_n": 1, "random_pairs": 1}, "_sjsf_syntax", lambda s1, s2: False,
         ["m=0 n=0: syntax violation", "m=0 n=1: syntax violation",
-         "m=1 n=0: syntax violation", "m=1 n=1: syntax violation",
-         rf"{_RANDOM_PAIR}: round-trip or syntax failure"],
+         "m=1 n=0: syntax violation", "m=1 n=1: syntax violation"],
+    ),
+    # Binary rows: (0, 3) breaks the first condition, (1, 3) only the second.
+    "sjsf binary supports": (
+        "sjsf", {"max_n": 3, "random_pairs": 1}, "_sjsf_supports",
+        lambda m, n: (max(m, n).bit_length(), m, n),
+        ["m=0 n=3: syntax violation", "m=1 n=2: syntax violation",
+         "m=1 n=3: syntax violation", "m=2 n=1: syntax violation",
+         "m=3 n=0: syntax violation", "m=3 n=1: syntax violation",
+         "m=3 n=3: syntax violation"],
+    ),
+    "sjsf random-pair syntax": (
+        "sjsf", {"max_n": 1, "random_pairs": 1}, "is_sjsf", lambda joint: False,
+        [rf"{_RANDOM_PAIR}: round-trip or syntax failure"],
     ),
     "sjsf optimum": (
         "sjsf", {"max_n": 1, "random_pairs": 1}, "_JOINT_WEIGHT",
