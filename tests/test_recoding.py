@@ -150,7 +150,7 @@ def test_sjsf_syntax_states_the_conditions_of_is_sjsf():
         for a, b in product(words, repeat=2):
             joint = JointExpansion((Expansion(a), Expansion(b)))
             want = _sjsf_conditions(a, b)
-            assert recoding._sjsf_syntax(joint.rows[0]._support, joint.rows[1]._support) == want
+            assert recoding._sjsf_syntax(*(r._support for r in joint.rows)) == want
             assert is_sjsf(joint) == want
     # The supports pass, but a magnitude-2 digit is outside the form.
     for a, b in (((2,), (0,)), ((0, 1), (0, -2))):
