@@ -15,9 +15,13 @@ from.  The joint sparse form's carry steps and both oracles' min-plus DP
 over carry pairs, _CarryDP, are bit automata over two exponents, each
 with a pure step on its states (a _CarryDP state is its cost vector): one
 builder, _nibble_table, compiles each on first use into rows read a
-nibble pair per lookup, in time linear in the bit length.  sjsf and
-is_sjsf wrap two mask cores, _sjsf_supports (the width and row supports
-read from the SJSF table) and _sjsf_syntax (the two support conditions),
+nibble pair per lookup, in time linear in the bit length.  _read reads
+one pair from a row; _read_window reads every pair of a window through
+two tables in step, each low-nibble lookup once for all the pairs that
+share it, for verify's pair windows.  _CarryDP.final is the DP's one
+final read, which cost() and those windows both take.  sjsf and is_sjsf
+wrap two mask cores, _sjsf_supports (the width and row supports read
+from the SJSF table) and _sjsf_syntax (the two support conditions),
 which verify reads directly.  The recoders build their joint expansions
 unchecked, as their rows have equal length by construction; integer
 arguments are checked before any bit is read.
@@ -197,6 +201,60 @@ def _read(row: list, m: int, n: int, length: int) -> tuple[int, list]:
         b, _, row = row[y]
         total += a + b
     return total, row
+
+
+def _read_window(limit: int, first: list, second: list):
+    """Read every pair 0 <= m, n <= limit through two _nibble_table rows in
+    step, from position 0 to a zero nibble past the top nibble of limit,
+    so past position limit.bit_length() + 1.
+
+    Yields (m, n, c1, c2, cost1, cost2, row1, row2) per pair: the first
+    table's column bits of its first (second) row in c1 (c2), the i-th
+    column emitted at bit i; both tables' summed costs; and the rows
+    reached.  Pairs with the same low nibbles share their lookups: each
+    nibble below the top one is read once per prefix, and only the top
+    nibble and the flush once per pair.  Each nibble level is a generator
+    over the one below, so a prefix per level is held at a time, and the
+    pairs come prefix by prefix, not in (m, n) order.
+    """
+
+    def longer(prefixes, at: int):
+        """Each prefix extended by every nibble pair at position `at`."""
+        for m, n, c1, c2, t1, t2, row1, row2 in prefixes:
+            for x1, x2 in product(range(16), repeat=2):
+                a, b, r1 = row1[x1 << 4 | x2]
+                c, _, r2 = row2[x1 << 4 | x2]
+                yield (
+                    m | x1 << at, n | x2 << at, c1 | (b & 15) << at,
+                    c2 | b >> 8 << at, t1 + a, t2 + c, r1, r2,
+                )
+
+    shift = max(limit.bit_length() - 1, 0) & ~3  # the top nibble's
+    prefixes = iter([(0, 0, 0, 0, 0, 0, first, second)])
+    for at in range(0, shift, 4):
+        prefixes = longer(prefixes, at)
+    # A top nibble keeps the pair within limit: below limit >> shift, or
+    # equal to it when the prefix is at most limit's low bits.
+    top, low = limit >> shift, limit & ((1 << shift) - 1)
+    letters: dict[tuple[bool, bool], list] = {}
+    for m, n, c1, c2, t1, t2, row1, row2 in prefixes:
+        over = (m > low, n > low)
+        if over not in letters:
+            letters[over] = [
+                (x1 << shift, x2 << shift, x1 << 4 | x2)
+                for x1 in range(top + 1 - over[0])
+                for x2 in range(top + 1 - over[1])
+            ]
+        for x1, x2, x in letters[over]:
+            a, b, r1 = row1[x]
+            f, g, r1 = r1[0]  # the flush
+            c, _, r2 = row2[x]
+            h, _, r2 = r2[0]
+            bits = b | g << 4
+            yield (
+                m | x1, n | x2, c1 | (bits & 0xFF) << shift, c2 | bits >> 8 << shift,
+                t1 + a + f, t2 + c + h, r1, r2,
+            )
 
 
 def _sjsf_weight_top(m: int, n: int, length: int) -> tuple[int, int]:
@@ -481,8 +539,13 @@ class _CarryDP:
         total, row = _read(self.nibbles, m, n, top)
         # m and n shifted past the read are their signs, so carries of the
         # opposite signs zero the residuals.
-        signs = (-(m >> top + 1), -(n >> top + 1))
-        return total + row[256][self.carries.index(signs)]
+        return total + self.final(row, (-(m >> top + 1), -(n >> top + 1)))
+
+    def final(self, row: list, carries: tuple[int, int] = (0, 0)) -> int:
+        """The least cost left after a read past both tops that reached row,
+        when these carries zero the residuals: (0, 0) for non-negative m
+        and n."""
+        return row[256][self.carries.index(carries)]
 
     def witness(self, m: int, n: int) -> tuple[int, JointExpansion]:
         """(minimal cost, a cheapest expansion) of (m, n), a column at a time:
@@ -491,11 +554,15 @@ class _CarryDP:
         least = total
         while m or n:
             for cost, d1, d2 in self.table[(m & 1) << 1 | (n & 1)]:
-                rest = self.cost((m - d1) >> 1, (n - d2) >> 1)
-                if cost + rest == total:
+                rest = ((m - d1) >> 1, (n - d2) >> 1)
+                # A column that leaves the pair itself costs at least 1 (the
+                # zero column does so only at (0, 0), where the loop has
+                # stopped), so it is never cheapest and is not read.
+                if rest != (m, n) and cost + self.cost(*rest) == total:
                     break
             columns.append((d1, d2))
-            total, m, n = rest, (m - d1) >> 1, (n - d2) >> 1
+            total -= cost
+            m, n = rest
         return least, JointExpansion(_rows_from_columns(columns, 2))
 
 

@@ -14,12 +14,18 @@ _wllc_support and the _negative_mask that naf and wllc_recode build their
 rows with), not the expansions; the tests tie those masks to naf,
 wllc_recode and JointExpansion.weight1 word by word.
 
-The two pair checks read masks too.  thm1 takes the SJSF weight from
-_sjsf_weight_top, the experiments' read of the same SJSF table, and the
-sjsf check's window takes the row supports from _sjsf_supports and tests
-them with _sjsf_syntax, the cores of sjsf and is_sjsf.  Only the sjsf
-check's random 64-bit pairs build expansions, through the public sjsf,
-is_sjsf, values and joint_weight.
+The two pair checks read their windows in one walk each:
+recoding._read_window reads the SJSF table and an oracle's DP table in
+step over every pair, so pairs with the same low nibbles share those
+lookups.  thm1 compares the SJSF table's summed cost, the joint weight
+with the top column, with _WEIGHT1's; the sjsf check's window tests the
+SJSF table's row supports with _sjsf_syntax, the core of is_sjsf, and
+their joint weight against _JOINT_WEIGHT's.  The oracle's minimum is
+its summed cost plus its final read, _CarryDP.final, as in cost().  The
+walk meets the pairs prefix by prefix, so their counterexamples are
+sorted by (m, n).  Only the sjsf check's random 64-bit pairs build
+expansions, through the public sjsf, is_sjsf, values and joint_weight,
+and read the DP through cost().
 """
 
 from __future__ import annotations
@@ -42,9 +48,9 @@ from .recoding import (
     _complement_gap,
     _naf_support,
     _negative_mask,
-    _sjsf_supports,
+    _read_window,
+    _sjsf_nibble_table,
     _sjsf_syntax,
-    _sjsf_weight_top,
     _wllc_support,
 )
 from .transducer import (
@@ -83,18 +89,22 @@ def _report(
 def check_weight1_minimality(max_n: int = 63) -> CheckReport:
     """Joint weight of the joint sparse form matches the minimal weight1
     over all two-row {-2..2} expansions, pair by pair."""
-    bad: list[str] = []
-    cases = 0
-    length = max_n.bit_length()
-    for m in range(max_n + 1):
-        for n in range(max_n + 1):
-            cases += 1
-            minimal = _WEIGHT1.cost(m, n)
-            got = _sjsf_weight_top(m, n, length)[0]
-            if minimal != got:
-                bad.append(f"m={m} n={n} oracle={minimal} sjsf={got}")
+    window = []
+    pairs = _read_window(max_n, _sjsf_nibble_table(), _WEIGHT1.nibbles)
+    for m, n, _, _, weight, cost, _, row in pairs:
+        # The flush column is read, so weight counts the top column.
+        minimal = cost + _WEIGHT1.final(row)
+        if minimal != weight:
+            window.append((m, n, f"m={m} n={n} oracle={minimal} sjsf={weight}"))
+    cases = (max_n + 1) ** 2
     details = f"minimal weight1 equals joint sparse form weight on {cases} pairs"
-    return _report("thm1", cases, details, bad)
+    return _report("thm1", cases, details, _in_pair_order(window))
+
+
+def _in_pair_order(window: list[tuple[int, int, str]]) -> list[str]:
+    """The lines of a window's counterexamples, by (m, n): _read_window
+    meets the pairs prefix by prefix."""
+    return [line for _, _, line in sorted(window)]
 
 
 def check_complement_weight_gap(max_length: int = 14) -> CheckReport:
@@ -124,19 +134,20 @@ def check_sjsf_optimality(
 ) -> CheckReport:
     """The joint sparse form is syntactically valid, value-preserving,
     and joint-weight minimal over two-row {-1,0,1} expansions."""
-    bad: list[str] = []
-    cases = 0
-    for m in range(max_n + 1):
-        for n in range(max_n + 1):
-            cases += 1
-            _, s1, s2 = _sjsf_supports(m, n)
-            if not _sjsf_syntax(s1, s2):
-                bad.append(f"m={m} n={n}: syntax violation")
-                continue
-            minimal = _JOINT_WEIGHT.cost(m, n)
-            weight = (s1 | s2).bit_count()
-            if weight != minimal:
-                bad.append(f"m={m} n={n} weight={weight} oracle={minimal}")
+    window = []
+    pairs = _read_window(max_n, _sjsf_nibble_table(), _JOINT_WEIGHT.nibbles)
+    for m, n, c1, c2, _, cost, _, row in pairs:
+        # The first column emitted lies below position 0.
+        s1, s2 = c1 >> 1, c2 >> 1
+        if not _sjsf_syntax(s1, s2):
+            window.append((m, n, f"m={m} n={n}: syntax violation"))
+            continue
+        minimal = cost + _JOINT_WEIGHT.final(row)
+        weight = (s1 | s2).bit_count()
+        if weight != minimal:
+            window.append((m, n, f"m={m} n={n} weight={weight} oracle={minimal}"))
+    bad = _in_pair_order(window)
+    cases = (max_n + 1) ** 2
     rng = random.Random(seed)
     for _ in range(random_pairs):
         m, n = rng.getrandbits(64), rng.getrandbits(64)
@@ -230,12 +241,6 @@ def _expected_transition_matrix() -> RationalMatrix:
 _Masks = tuple[int, int, int]
 
 
-def _naf_masks(n: int) -> _Masks:
-    """The masks of naf(n), as recoding._row sets them."""
-    support = _naf_support(n)
-    return support, _negative_mask(support, n), 0
-
-
 def _flushed_outputs(
     machine: Transducer, max_length: int
 ) -> Iterator[tuple[int, int, _Masks, _Masks]]:
@@ -315,10 +320,16 @@ def check_transducer(max_length: int = 14) -> CheckReport:
         ):
             bad.append(f"k={k}: chain and enumeration disagree")
     mismatches = []
-    for length, value, first, second in _flushed_outputs(machine, max_length):
+    # Each row is held to the masks naf builds: its support, the negative
+    # mask of that support and the value, and no magnitude-2 digit.
+    for length, value, (s1, n1, t1), (s2, n2, t2) in _flushed_outputs(machine, max_length):
         cases += 1
-        full = (1 << length) - 1
-        if first != _naf_masks(value) or second != _naf_masks(full - value):
+        other = (1 << length) - 1 - value
+        if (
+            t1 or t2
+            or s1 != _naf_support(value) or n1 != _negative_mask(s1, value)
+            or s2 != _naf_support(other) or n2 != _negative_mask(s2, other)
+        ):
             mismatches.append((length, value))
     # The walk meets the words depth first; report them by length, then value.
     for length, value in sorted(mismatches):

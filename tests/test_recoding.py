@@ -371,8 +371,8 @@ def test_oracle_results_compare_by_cost_and_witness():
 
 def test_an_oracle_call_reads_its_own_cost_once(monkeypatch):
     # The answer's cost is the witness's first read.  Later reads are of the
-    # rest after a candidate column, which is (m, n) again only when that
-    # column maps the pair to itself.
+    # rest after a candidate column, and a column that maps the pair to
+    # itself is skipped unread.
     reads, cost = [], recoding._CarryDP.cost
     monkeypatch.setattr(
         recoding._CarryDP, "cost", lambda dp, m, n: reads.append((m, n)) or cost(dp, m, n)
@@ -383,9 +383,7 @@ def test_an_oracle_call_reads_its_own_cost_once(monkeypatch):
             reads.clear()
             assert oracle(m, n).minimal_cost == cost(dp, m, n)
             assert reads[0] == (m, n)
-            columns = dp.table[(m & 1) << 1 | (n & 1)]
-            if all(((m - d1) >> 1, (n - d2) >> 1) != (m, n) for _, d1, d2 in columns):
-                assert reads.count((m, n)) == 1, (m, n)
+            assert reads.count((m, n)) == 1, (m, n)
 
 
 def test_oracle_bound_enforced():
@@ -634,6 +632,46 @@ def test_nibble_table_composes_four_steps_per_entry():
             cost, bits, succ = row[x1 << 4 | x2]
             assert (cost, bits) == (x1.bit_count(), x2), (state, x1, x2)
             assert succ[256] == state ^ x1.bit_count() & 1
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 15, 16, 23, 63, 64, 255, 256, 511])
+def test_read_window_equals_the_per_pair_reads(limit):
+    # Each pair is read to the zero nibble past limit's top nibble.
+    last = 4 * (max(1, -(-limit.bit_length() // 4)) + 1) - 1
+
+    def read(row, m, n):
+        """_read's summed cost and the identity of its last row: rows link
+        each other, so comparing two by value may not end."""
+        total, row = recoding._read(row, m, n, last)
+        return total, id(row)
+
+    sjsf_table = recoding._sjsf_nibble_table()
+    # Pair (m, n) is number m * (limit + 1) + n; at the cap, a sample.
+    checked = range((limit + 1) ** 2)
+    if limit == 511:
+        checked = set(random.Random(limit).sample(checked, 3000))
+    for first, second in (
+        (sjsf_table, _WEIGHT1.nibbles),
+        (_JOINT_WEIGHT.nibbles, sjsf_table),
+    ):
+        pairs = []
+        for m, n, c1, c2, cost1, cost2, row1, row2 in recoding._read_window(limit, first, second):
+            pairs.append((m, n))
+            if m * (limit + 1) + n not in checked:
+                continue
+            if first is sjsf_table:
+                # The SJSF table emits its first column below position 0.
+                _, s1, s2 = recoding._sjsf_supports(m, n)
+                assert (c1, c2) == (s1 << 1, s2 << 1), (m, n)
+                assert cost1 == recoding._sjsf_weight_top(m, n, limit.bit_length())[0]
+                assert (cost1, id(row1)) == read(first, m, n), (m, n)
+                assert cost2 + _WEIGHT1.final(row2) == _WEIGHT1.cost(m, n), (m, n)
+            else:
+                assert (c1, c2) == (0, 0)
+                assert (cost1, id(row1)) == read(first, m, n), (m, n)
+                assert cost1 + _JOINT_WEIGHT.final(row1) == _JOINT_WEIGHT.cost(m, n)
+                assert (cost2, id(row2)) == read(second, m, n), (m, n)
+        assert sorted(pairs) == list(product(range(limit + 1), repeat=2))
 
 
 def _handwritten_sjsf_table():

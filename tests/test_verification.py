@@ -1,11 +1,13 @@
 """Invariant check suites at desk-scale bounds, plus report plumbing."""
 
+import copy
 import dataclasses
+import functools
 import inspect
 import random
 import re
 import tracemalloc
-from types import SimpleNamespace
+from itertools import product
 
 import pytest
 
@@ -13,10 +15,16 @@ from digitkit import verification
 from digitkit.cli import _BOUND_FLAGS, main
 from digitkit.expansions import JointExpansion, binary
 from digitkit.multiexp import AdditiveGroup, evaluate
+from digitkit import recoding
 from digitkit.recoding import (
     RecodingScheme,
     _JOINT_WEIGHT,
     _complement_gap,
+    _naf_support,
+    _negative_mask,
+    _nibble_table,
+    _sjsf_supports,
+    _sjsf_syntax,
     naf,
     naf_complement_weight_gap,
     recode_joint,
@@ -29,7 +37,6 @@ from digitkit.verification import (
     CheckReport,
     _BOUND_CAPS,
     _flushed_outputs,
-    _naf_masks,
     _report,
     _wllc_weight1,
     check_complement_weight_gap,
@@ -206,6 +213,13 @@ def masks(row):
     return row._support, row._negative, row._two
 
 
+def naf_masks(n):
+    """The masks of naf(n) from the recoder's helpers, as check_transducer
+    compares them."""
+    support = _naf_support(n)
+    return support, _negative_mask(support, n), 0
+
+
 @pytest.mark.parametrize(
     "machine", [double_naf_transducer(), *mutant_machines().values()]
 )
@@ -223,7 +237,7 @@ def test_mask_gap_and_weight1_equal_the_recoders():
     for length in range(1, 13):
         for value in range(1 << length):
             word = binary(value, length)
-            assert _naf_masks(value) == masks(naf(value))
+            assert naf_masks(value) == masks(naf(value))
             gap = naf(value).weight() - naf((1 << length) - 1 - value).weight()
             assert _complement_gap(value, length) == gap
             assert naf_complement_weight_gap(word) == gap
@@ -233,7 +247,7 @@ def test_mask_gap_and_weight1_equal_the_recoders():
 
 def test_naf_masks_equal_naf_on_negative_integers():
     for n in range(-(1 << 10), 0):
-        assert _naf_masks(n) == masks(naf(n))
+        assert naf_masks(n) == masks(naf(n))
 
 
 @pytest.mark.parametrize("fault", sorted(mutant_machines()))
@@ -271,6 +285,33 @@ def test_transducer_walk_memory_does_not_grow_with_the_words():
     assert peak < 64 * 1024
 
 
+def test_pair_window_memory_does_not_grow_with_the_pairs():
+    # The nibble tables are built outside the trace.
+    check_weight1_minimality(max_n=1)
+    check_sjsf_optimality(max_n=1, random_pairs=1)
+    tracemalloc.start()
+    try:
+        thm1 = check_weight1_minimality(max_n=255)
+        window = check_sjsf_optimality(max_n=255, random_pairs=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert thm1.passed and thm1.cases == 256 ** 2
+    assert window.passed and window.cases == 256 ** 2 + 1
+    # A list with one entry per pair would take over 500 KB.
+    assert peak < 64 * 1024
+
+
+def test_sjsf_window_tests_the_supports_of_sjsf(monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        verification, "_sjsf_syntax", lambda s1, s2: seen.append((s1, s2)) or _sjsf_syntax(s1, s2)
+    )
+    assert check_sjsf_optimality(max_n=23, random_pairs=1).passed
+    # The random pairs go through is_sjsf, so only the window's calls are seen.
+    assert sorted(seen) == sorted(_sjsf_supports(m, n)[1:] for m, n in product(range(24), repeat=2))
+
+
 def off_by_one_results(joint, table, group):
     got, counter = evaluate(joint, table, group)
     return got + 1, counter
@@ -290,6 +331,23 @@ def third_step_doubled(p, weights):
         yield numerators, denominator << (k == 3)
 
 
+@functools.cache
+def binary_nibble_table():
+    """A stand-in for the SJSF table that emits the binary columns, each a
+    step late as the SJSF table emits its own: a state is the letter last
+    read."""
+    return _nibble_table(0, lambda last, letter: (
+        1 if last else 0, (last & 1) | (last >> 1) << 8, letter
+    ))
+
+
+def heavier_finish():
+    """_JOINT_WEIGHT with a final read that adds 1."""
+    dp = copy.copy(_JOINT_WEIGHT)
+    dp.final = lambda row, carries=(0, 0): _JOINT_WEIGHT.final(row, carries) + 1
+    return dp
+
+
 # One fault per failure path of each check: (check, bounds, the name the
 # check reads in digitkit.verification, its stand-in, and patterns of the
 # first counterexamples).
@@ -297,8 +355,8 @@ _RANDOM_PAIR = r"m=\d+ n=\d+"
 _INSTANCE = r"scheme=binary exps=\(\d+, \d+\) length=\d+"
 FAULTS = {
     "thm1 heavier expansion": (
-        "thm1", {"max_n": 7}, "_sjsf_weight_top",
-        lambda m, n, length: ((m | n).bit_count(), 0),  # the binary joint weight
+        # The binary joint weight in place of the SJSF weight.
+        "thm1", {"max_n": 7}, "_sjsf_nibble_table", binary_nibble_table,
         ["m=0 n=7 oracle=2 sjsf=3", "m=1 n=7 oracle=2 sjsf=3"],
     ),
     "thm2 gap of 3": (
@@ -313,8 +371,8 @@ FAULTS = {
     ),
     # Binary rows: (0, 3) breaks the first condition, (1, 3) only the second.
     "sjsf binary supports": (
-        "sjsf", {"max_n": 3, "random_pairs": 1}, "_sjsf_supports",
-        lambda m, n: (max(m, n).bit_length(), m, n),
+        "sjsf", {"max_n": 3, "random_pairs": 1}, "_sjsf_nibble_table",
+        binary_nibble_table,
         ["m=0 n=3: syntax violation", "m=1 n=2: syntax violation",
          "m=1 n=3: syntax violation", "m=2 n=1: syntax violation",
          "m=3 n=0: syntax violation", "m=3 n=1: syntax violation",
@@ -325,8 +383,7 @@ FAULTS = {
         [rf"{_RANDOM_PAIR}: round-trip or syntax failure"],
     ),
     "sjsf optimum": (
-        "sjsf", {"max_n": 1, "random_pairs": 1}, "_JOINT_WEIGHT",
-        SimpleNamespace(cost=lambda m, n: _JOINT_WEIGHT.cost(m, n) + 1),
+        "sjsf", {"max_n": 1, "random_pairs": 1}, "_JOINT_WEIGHT", heavier_finish(),
         ["m=0 n=0 weight=0 oracle=1", "m=0 n=1 weight=1 oracle=2",
          "m=1 n=0 weight=1 oracle=2", "m=1 n=1 weight=1 oracle=2",
          rf"{_RANDOM_PAIR} weight=\d+ optimum=\d+"],
