@@ -15,7 +15,6 @@ from digitkit import verification
 from digitkit.cli import _BOUND_FLAGS, main
 from digitkit.expansions import JointExpansion, binary
 from digitkit.multiexp import AdditiveGroup, evaluate
-from digitkit import recoding
 from digitkit.recoding import (
     RecodingScheme,
     _JOINT_WEIGHT,
@@ -309,7 +308,8 @@ def test_sjsf_window_tests_the_supports_of_sjsf(monkeypatch):
     )
     assert check_sjsf_optimality(max_n=23, random_pairs=1).passed
     # The random pairs go through is_sjsf, so only the window's calls are seen.
-    assert sorted(seen) == sorted(_sjsf_supports(m, n)[1:] for m, n in product(range(24), repeat=2))
+    pairs = product(range(24), repeat=2)
+    assert sorted(seen) == sorted(_sjsf_supports(m, n)[1:] for m, n in pairs)
 
 
 def off_by_one_results(joint, table, group):
