@@ -17,8 +17,8 @@ with a pure step on its states (a _CarryDP state is its cost vector): one
 builder, _nibble_table, compiles each on first use into rows read a
 nibble pair per lookup, in time linear in the bit length.  _read reads
 one pair from a row; _read_window reads every pair of a window through
-two tables in step, each low-nibble lookup once for all the pairs that
-share it, for verify's pair windows.  _CarryDP.final is the DP's one
+the SJSF table and an oracle's table in step, one lookup in each per
+nibble pair, for verify's pair windows.  _CarryDP.final is the DP's one
 final read, which cost() and those windows both take.  sjsf and is_sjsf
 wrap two mask cores, _sjsf_supports (the width and row supports read
 from the SJSF table) and _sjsf_syntax (the two support conditions),
@@ -203,58 +203,34 @@ def _read(row: list, m: int, n: int, length: int) -> tuple[int, list]:
     return total, row
 
 
-def _read_window(limit: int, first: list, second: list):
-    """Read every pair 0 <= m, n <= limit through two _nibble_table rows in
-    step, from position 0 to a zero nibble past the top nibble of limit,
-    so past position limit.bit_length() + 1.
+def _read_window(limit: int, oracle: list):
+    """Read every pair 0 <= m, n <= limit, in (m, n) order, through the SJSF
+    nibble table and an oracle's _nibble_table row in step, a nibble pair
+    per lookup, from position 0 through limit.bit_length() + 1 at least:
+    the SJSF table emits each column a position late, and a _CarryDP reads
+    its tail, two positions, past the tops.
 
-    Yields (m, n, c1, c2, cost1, cost2, row1, row2) per pair: the first
-    table's column bits of its first (second) row in c1 (c2), the i-th
-    column emitted at bit i; both tables' summed costs; and the rows
-    reached.  Pairs with the same low nibbles share their lookups: each
-    nibble below the top one is read once per prefix, and only the top
-    nibble and the flush once per pair.  Each nibble level is a generator
-    over the one below, so a prefix per level is held at a time, and the
-    pairs come prefix by prefix, not in (m, n) order.
+    Yields (m, n, s1, s2, weight, cost, row) per pair: the nonzero masks of
+    the first and second rows of sjsf(m, n), as _sjsf_supports reads them;
+    the SJSF weight, top column included; the oracle's summed cost; and
+    the oracle row reached, for its final read.
     """
-
-    def longer(prefixes, at: int):
-        """Each prefix extended by every nibble pair at position `at`."""
-        for m, n, c1, c2, t1, t2, row1, row2 in prefixes:
-            for x1, x2 in product(range(16), repeat=2):
-                a, b, r1 = row1[x1 << 4 | x2]
-                c, _, r2 = row2[x1 << 4 | x2]
-                yield (
-                    m | x1 << at, n | x2 << at, c1 | (b & 15) << at,
-                    c2 | b >> 8 << at, t1 + a, t2 + c, r1, r2,
-                )
-
-    shift = max(limit.bit_length() - 1, 0) & ~3  # the top nibble's
-    prefixes = iter([(0, 0, 0, 0, 0, 0, first, second)])
-    for at in range(0, shift, 4):
-        prefixes = longer(prefixes, at)
-    # A top nibble keeps the pair within limit: below limit >> shift, or
-    # equal to it when the prefix is at most limit's low bits.
-    top, low = limit >> shift, limit & ((1 << shift) - 1)
-    letters: dict[tuple[bool, bool], list] = {}
-    for m, n, c1, c2, t1, t2, row1, row2 in prefixes:
-        over = (m > low, n > low)
-        if over not in letters:
-            letters[over] = [
-                (x1 << shift, x2 << shift, x1 << 4 | x2)
-                for x1 in range(top + 1 - over[0])
-                for x2 in range(top + 1 - over[1])
-            ]
-        for x1, x2, x in letters[over]:
-            a, b, r1 = row1[x]
-            f, g, r1 = r1[0]  # the flush
-            c, _, r2 = row2[x]
-            h, _, r2 = r2[0]
-            bits = b | g << 4
-            yield (
-                m | x1, n | x2, c1 | (bits & 0xFF) << shift, c2 | bits >> 8 << shift,
-                t1 + a + f, t2 + c + h, r1, r2,
-            )
+    start = _sjsf_nibble_table()
+    places = range(0, limit.bit_length() + 2, 4)
+    for m in range(limit + 1):
+        high = [(m >> at & 15) << 4 for at in places]
+        for n in range(limit + 1):
+            row1, row2, s1, s2, weight, cost = start, oracle, 0, 0, 0, 0
+            for at, x in zip(places, high):
+                x |= n >> at & 15
+                a, b, row1 = row1[x]
+                c, _, row2 = row2[x]
+                s1 |= (b & 15) << at
+                s2 |= b >> 8 << at
+                weight += a
+                cost += c
+            # The first column emitted lies below position 0.
+            yield m, n, s1 >> 1, s2 >> 1, weight, cost, row2
 
 
 def _sjsf_weight_top(m: int, n: int, length: int) -> tuple[int, int]:

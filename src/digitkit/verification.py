@@ -14,18 +14,16 @@ _wllc_support and the _negative_mask that naf and wllc_recode build their
 rows with), not the expansions; the tests tie those masks to naf,
 wllc_recode and JointExpansion.weight1 word by word.
 
-The two pair checks read their windows in one walk each:
+The two pair checks read each pair of their windows in one walk:
 recoding._read_window reads the SJSF table and an oracle's DP table in
-step over every pair, so pairs with the same low nibbles share those
-lookups.  thm1 compares the SJSF table's summed cost, the joint weight
-with the top column, with _WEIGHT1's; the sjsf check's window tests the
-SJSF table's row supports with _sjsf_syntax, the core of is_sjsf, and
-their joint weight against _JOINT_WEIGHT's.  The oracle's minimum is
-its summed cost plus its final read, _CarryDP.final, as in cost().  The
-walk meets the pairs prefix by prefix, so their counterexamples are
-sorted by (m, n).  Only the sjsf check's random 64-bit pairs build
-expansions, through the public sjsf, is_sjsf, values and joint_weight,
-and read the DP through cost().
+step, in (m, n) order.  thm1 compares the SJSF weight, top column
+included, with _WEIGHT1's minimum; the sjsf check's window tests the
+SJSF row supports with _sjsf_syntax, the core of is_sjsf, and their
+joint weight against _JOINT_WEIGHT's minimum.  The oracle's minimum is
+its summed cost plus its final read, _CarryDP.final, as in cost().
+Only the sjsf check's random 64-bit pairs build expansions, through the
+public sjsf, is_sjsf, values and joint_weight, and read the DP through
+cost().
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from .recoding import (
     _naf_support,
     _negative_mask,
     _read_window,
-    _sjsf_nibble_table,
     _sjsf_syntax,
     _wllc_support,
 )
@@ -89,22 +86,16 @@ def _report(
 def check_weight1_minimality(max_n: int = 63) -> CheckReport:
     """Joint weight of the joint sparse form matches the minimal weight1
     over all two-row {-2..2} expansions, pair by pair."""
-    window = []
-    pairs = _read_window(max_n, _sjsf_nibble_table(), _WEIGHT1.nibbles)
-    for m, n, _, _, weight, cost, _, row in pairs:
+    bad: list[str] = []
+    cases = 0
+    for m, n, _, _, weight, cost, row in _read_window(max_n, _WEIGHT1.nibbles):
+        cases += 1
         # The flush column is read, so weight counts the top column.
         minimal = cost + _WEIGHT1.final(row)
         if minimal != weight:
-            window.append((m, n, f"m={m} n={n} oracle={minimal} sjsf={weight}"))
-    cases = (max_n + 1) ** 2
+            bad.append(f"m={m} n={n} oracle={minimal} sjsf={weight}")
     details = f"minimal weight1 equals joint sparse form weight on {cases} pairs"
-    return _report("thm1", cases, details, _in_pair_order(window))
-
-
-def _in_pair_order(window: list[tuple[int, int, str]]) -> list[str]:
-    """The lines of a window's counterexamples, by (m, n): _read_window
-    meets the pairs prefix by prefix."""
-    return [line for _, _, line in sorted(window)]
+    return _report("thm1", cases, details, bad)
 
 
 def check_complement_weight_gap(max_length: int = 14) -> CheckReport:
@@ -134,20 +125,18 @@ def check_sjsf_optimality(
 ) -> CheckReport:
     """The joint sparse form is syntactically valid, value-preserving,
     and joint-weight minimal over two-row {-1,0,1} expansions."""
-    window = []
-    pairs = _read_window(max_n, _sjsf_nibble_table(), _JOINT_WEIGHT.nibbles)
-    for m, n, c1, c2, _, cost, _, row in pairs:
-        # The first column emitted lies below position 0.
-        s1, s2 = c1 >> 1, c2 >> 1
+    bad: list[str] = []
+    cases = 0
+    for m, n, s1, s2, _, cost, row in _read_window(max_n, _JOINT_WEIGHT.nibbles):
+        cases += 1
         if not _sjsf_syntax(s1, s2):
-            window.append((m, n, f"m={m} n={n}: syntax violation"))
+            bad.append(f"m={m} n={n}: syntax violation")
             continue
         minimal = cost + _JOINT_WEIGHT.final(row)
         weight = (s1 | s2).bit_count()
         if weight != minimal:
-            window.append((m, n, f"m={m} n={n} weight={weight} oracle={minimal}"))
-    bad = _in_pair_order(window)
-    cases = (max_n + 1) ** 2
+            bad.append(f"m={m} n={n} weight={weight} oracle={minimal}")
+    window = cases
     rng = random.Random(seed)
     for _ in range(random_pairs):
         m, n = rng.getrandbits(64), rng.getrandbits(64)
@@ -160,7 +149,7 @@ def check_sjsf_optimality(
         if joint.joint_weight() != minimal:
             bad.append(f"m={m} n={n} weight={joint.joint_weight()} optimum={minimal}")
     details = (
-        f"optimality on {(max_n + 1) ** 2} pairs and {random_pairs} random "
+        f"optimality on {window} pairs and {random_pairs} random "
         f"64-bit pairs, round-trip on the random pairs"
     )
     return _report("sjsf", cases, details, bad)
@@ -239,6 +228,12 @@ def _expected_transition_matrix() -> RationalMatrix:
 
 # A row's (support, negative, two) masks.
 _Masks = tuple[int, int, int]
+
+
+def _naf_masks(n: int) -> _Masks:
+    """The masks of naf(n), as recoding._row sets them."""
+    support = _naf_support(n)
+    return support, _negative_mask(support, n), 0
 
 
 def _flushed_outputs(
@@ -320,16 +315,10 @@ def check_transducer(max_length: int = 14) -> CheckReport:
         ):
             bad.append(f"k={k}: chain and enumeration disagree")
     mismatches = []
-    # Each row is held to the masks naf builds: its support, the negative
-    # mask of that support and the value, and no magnitude-2 digit.
-    for length, value, (s1, n1, t1), (s2, n2, t2) in _flushed_outputs(machine, max_length):
+    for length, value, first, second in _flushed_outputs(machine, max_length):
         cases += 1
-        other = (1 << length) - 1 - value
-        if (
-            t1 or t2
-            or s1 != _naf_support(value) or n1 != _negative_mask(s1, value)
-            or s2 != _naf_support(other) or n2 != _negative_mask(s2, other)
-        ):
+        full = (1 << length) - 1
+        if first != _naf_masks(value) or second != _naf_masks(full - value):
             mismatches.append((length, value))
     # The walk meets the words depth first; report them by length, then value.
     for length, value in sorted(mismatches):

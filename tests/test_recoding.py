@@ -634,44 +634,22 @@ def test_nibble_table_composes_four_steps_per_entry():
             assert succ[256] == state ^ x1.bit_count() & 1
 
 
-@pytest.mark.parametrize("limit", [0, 1, 2, 3, 15, 16, 23, 63, 64, 255, 256, 511])
+@pytest.mark.parametrize("limit", [-3, 0, 1, 2, 3, 7, 15, 16, 23, 63, 64, 127, 255, 256, 511])
 def test_read_window_equals_the_per_pair_reads(limit):
-    # Each pair is read to the zero nibble past limit's top nibble.
-    last = 4 * (max(1, -(-limit.bit_length() // 4)) + 1) - 1
-
-    def read(row, m, n):
-        """_read's summed cost and the identity of its last row: rows link
-        each other, so comparing two by value may not end."""
-        total, row = recoding._read(row, m, n, last)
-        return total, id(row)
-
-    sjsf_table = recoding._sjsf_nibble_table()
     # Pair (m, n) is number m * (limit + 1) + n; at the cap, a sample.
-    checked = range((limit + 1) ** 2)
+    checked = range(max(limit + 1, 0) ** 2)
     if limit == 511:
         checked = set(random.Random(limit).sample(checked, 3000))
-    for first, second in (
-        (sjsf_table, _WEIGHT1.nibbles),
-        (_JOINT_WEIGHT.nibbles, sjsf_table),
-    ):
+    for oracle in (_WEIGHT1, _JOINT_WEIGHT):
         pairs = []
-        for m, n, c1, c2, cost1, cost2, row1, row2 in recoding._read_window(limit, first, second):
+        for m, n, s1, s2, weight, cost, row in recoding._read_window(limit, oracle.nibbles):
             pairs.append((m, n))
             if m * (limit + 1) + n not in checked:
                 continue
-            if first is sjsf_table:
-                # The SJSF table emits its first column below position 0.
-                _, s1, s2 = recoding._sjsf_supports(m, n)
-                assert (c1, c2) == (s1 << 1, s2 << 1), (m, n)
-                assert cost1 == recoding._sjsf_weight_top(m, n, limit.bit_length())[0]
-                assert (cost1, id(row1)) == read(first, m, n), (m, n)
-                assert cost2 + _WEIGHT1.final(row2) == _WEIGHT1.cost(m, n), (m, n)
-            else:
-                assert (c1, c2) == (0, 0)
-                assert (cost1, id(row1)) == read(first, m, n), (m, n)
-                assert cost1 + _JOINT_WEIGHT.final(row1) == _JOINT_WEIGHT.cost(m, n)
-                assert (cost2, id(row2)) == read(second, m, n), (m, n)
-        assert sorted(pairs) == list(product(range(limit + 1), repeat=2))
+            assert (s1, s2) == recoding._sjsf_supports(m, n)[1:], (m, n)
+            assert weight == recoding._sjsf_weight_top(m, n, limit.bit_length())[0], (m, n)
+            assert cost + oracle.final(row) == oracle.cost(m, n), (m, n)
+        assert pairs == list(product(range(limit + 1), repeat=2))
 
 
 def _handwritten_sjsf_table():

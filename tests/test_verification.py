@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import functools
 import inspect
 import random
 import re
@@ -11,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from digitkit import verification
+from digitkit import recoding, verification
 from digitkit.cli import _BOUND_FLAGS, main
 from digitkit.expansions import JointExpansion, binary
 from digitkit.multiexp import AdditiveGroup, evaluate
@@ -19,9 +18,6 @@ from digitkit.recoding import (
     RecodingScheme,
     _JOINT_WEIGHT,
     _complement_gap,
-    _naf_support,
-    _negative_mask,
-    _nibble_table,
     _sjsf_supports,
     _sjsf_syntax,
     naf,
@@ -36,6 +32,7 @@ from digitkit.verification import (
     CheckReport,
     _BOUND_CAPS,
     _flushed_outputs,
+    _naf_masks,
     _report,
     _wllc_weight1,
     check_complement_weight_gap,
@@ -88,6 +85,15 @@ def test_sjsf_optimality_reads_the_random_pairs_optimum():
     ]
     assert any(o < w for o, w in zip(optima, stacked))
     assert optima == [sjsf(m, n).joint_weight() for m, n in pairs]
+
+
+def test_pair_windows_count_the_pairs_they_read():
+    # CHECKS skips run_check's bound checks, so a negative window reaches
+    # the checks, and it holds no pairs.
+    assert CHECKS["thm1"](max_n=-3).cases == 0
+    report = CHECKS["sjsf"](max_n=-3, random_pairs=2)
+    assert report.cases == 2
+    assert report.details.startswith("optimality on 0 pairs and 2 random")
 
 
 def test_cost_model_small():
@@ -212,13 +218,6 @@ def masks(row):
     return row._support, row._negative, row._two
 
 
-def naf_masks(n):
-    """The masks of naf(n) from the recoder's helpers, as check_transducer
-    compares them."""
-    support = _naf_support(n)
-    return support, _negative_mask(support, n), 0
-
-
 @pytest.mark.parametrize(
     "machine", [double_naf_transducer(), *mutant_machines().values()]
 )
@@ -236,7 +235,7 @@ def test_mask_gap_and_weight1_equal_the_recoders():
     for length in range(1, 13):
         for value in range(1 << length):
             word = binary(value, length)
-            assert naf_masks(value) == masks(naf(value))
+            assert _naf_masks(value) == masks(naf(value))
             gap = naf(value).weight() - naf((1 << length) - 1 - value).weight()
             assert _complement_gap(value, length) == gap
             assert naf_complement_weight_gap(word) == gap
@@ -246,7 +245,7 @@ def test_mask_gap_and_weight1_equal_the_recoders():
 
 def test_naf_masks_equal_naf_on_negative_integers():
     for n in range(-(1 << 10), 0):
-        assert naf_masks(n) == masks(naf(n))
+        assert _naf_masks(n) == masks(naf(n))
 
 
 @pytest.mark.parametrize("fault", sorted(mutant_machines()))
@@ -309,7 +308,7 @@ def test_sjsf_window_tests_the_supports_of_sjsf(monkeypatch):
     assert check_sjsf_optimality(max_n=23, random_pairs=1).passed
     # The random pairs go through is_sjsf, so only the window's calls are seen.
     pairs = product(range(24), repeat=2)
-    assert sorted(seen) == sorted(_sjsf_supports(m, n)[1:] for m, n in pairs)
+    assert seen == [_sjsf_supports(m, n)[1:] for m, n in pairs]
 
 
 def off_by_one_results(joint, table, group):
@@ -331,14 +330,10 @@ def third_step_doubled(p, weights):
         yield numerators, denominator << (k == 3)
 
 
-@functools.cache
-def binary_nibble_table():
-    """A stand-in for the SJSF table that emits the binary columns, each a
-    step late as the SJSF table emits its own: a state is the letter last
-    read."""
-    return _nibble_table(0, lambda last, letter: (
-        1 if last else 0, (last & 1) | (last >> 1) << 8, letter
-    ))
+def binary_window(limit, oracle):
+    """_read_window with the binary rows in place of the joint sparse form."""
+    for m, n, _, _, _, cost, row in recoding._read_window(limit, oracle):
+        yield m, n, m, n, (m | n).bit_count(), cost, row
 
 
 def heavier_finish():
@@ -356,7 +351,7 @@ _INSTANCE = r"scheme=binary exps=\(\d+, \d+\) length=\d+"
 FAULTS = {
     "thm1 heavier expansion": (
         # The binary joint weight in place of the SJSF weight.
-        "thm1", {"max_n": 7}, "_sjsf_nibble_table", binary_nibble_table,
+        "thm1", {"max_n": 7}, "_read_window", binary_window,
         ["m=0 n=7 oracle=2 sjsf=3", "m=1 n=7 oracle=2 sjsf=3"],
     ),
     "thm2 gap of 3": (
@@ -371,8 +366,7 @@ FAULTS = {
     ),
     # Binary rows: (0, 3) breaks the first condition, (1, 3) only the second.
     "sjsf binary supports": (
-        "sjsf", {"max_n": 3, "random_pairs": 1}, "_sjsf_nibble_table",
-        binary_nibble_table,
+        "sjsf", {"max_n": 3, "random_pairs": 1}, "_read_window", binary_window,
         ["m=0 n=3: syntax violation", "m=1 n=2: syntax violation",
          "m=1 n=3: syntax violation", "m=2 n=1: syntax violation",
          "m=3 n=0: syntax violation", "m=3 n=1: syntax violation",
