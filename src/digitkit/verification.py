@@ -90,7 +90,7 @@ def check_weight1_minimality(max_n: int = 63) -> CheckReport:
     cases = 0
     for m, n, _, _, weight, cost, row in _read_window(max_n, _WEIGHT1.nibbles):
         cases += 1
-        # The flush column is read, so weight counts the top column.
+        # The read reaches past the top column, so weight counts it.
         minimal = cost + _WEIGHT1.final(row)
         if minimal != weight:
             bad.append(f"m={m} n={n} oracle={minimal} sjsf={weight}")
