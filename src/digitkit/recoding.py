@@ -15,11 +15,12 @@ from.  The joint sparse form's carry steps and both oracles' min-plus DP
 over carry pairs, _CarryDP, are bit automata over two exponents, each
 with a pure step on its states (a _CarryDP state is its cost vector): one
 builder, _nibble_table, compiles each on first use into rows read a
-nibble pair per lookup, in time linear in the bit length.  _read reads
-one pair from a row; _read_window reads every pair of a window through
-the SJSF table and an oracle's table in step, one lookup in each per
-nibble pair, for verify's pair windows.  _CarryDP.final is the DP's one
-final read, which cost() and those windows both take.  sjsf and is_sjsf
+nibble pair per lookup, in time linear in the bit length.  No row leaves
+this module: _read reads one pair and returns the state reached, and
+_read_window reads every pair of a window through the SJSF table and an
+oracle's table in step, yielding each pair's SJSF row supports and
+minimum, for verify's pair windows.  _CarryDP.final reads the cost left
+at a final state.  sjsf and is_sjsf
 wrap two mask cores, _sjsf_supports (the width and row supports read
 from the SJSF table) and _sjsf_syntax (the two support conditions),
 which verify reads directly.  The recoders build their joint expansions
@@ -191,46 +192,44 @@ def _sjsf_bytes(m: int, n: int, length: int) -> tuple[bytes, bytes, int]:
     return lo, hi, pad
 
 
-def _read(row: list, m: int, n: int, length: int) -> tuple[int, list]:
-    """(summed cost, last row) of reading positions 0..length of m and n,
-    as _sjsf_bytes lays them out, from row, a _nibble_table row."""
+def _read(row: list, m: int, n: int, length: int) -> tuple[int, tuple]:
+    """(summed cost, state reached) of reading positions 0..length of m and
+    n, as _sjsf_bytes lays them out, from row, a _nibble_table row."""
     lo, hi, _ = _sjsf_bytes(m, n, length)
     total = 0
     for x, y in zip(lo, hi):
         a, _, row = row[x]
         b, _, row = row[y]
         total += a + b
-    return total, row
+    return total, row[256]
 
 
-def _read_window(limit: int, oracle: list):
+def _read_window(limit: int, dp: _CarryDP):
     """Read every pair 0 <= m, n <= limit, in (m, n) order, through the SJSF
-    nibble table and an oracle's _nibble_table row in step, a nibble pair
-    per lookup, from position 0 through limit.bit_length() + 1 at least:
-    the SJSF table emits each column a position late, and a _CarryDP reads
-    its tail, two positions, past the tops.
+    nibble table and dp's in step, a nibble pair per lookup, from position
+    0 through limit.bit_length() + 1 at least: the SJSF table emits each
+    column a position late, and a _CarryDP reads its tail, two positions,
+    past the tops.
 
-    Yields (m, n, s1, s2, weight, cost, row) per pair: the nonzero masks of
-    the first and second rows of sjsf(m, n), as _sjsf_supports reads them;
-    the SJSF weight, top column included; the oracle's summed cost; and
-    the oracle row reached, for its final read.
+    Yields (m, n, s1, s2, least) per pair: the nonzero masks of the first
+    and second rows of sjsf(m, n), as _sjsf_supports reads them, and dp's
+    minimal cost of (m, n), as cost() gives it.
     """
-    start = _sjsf_nibble_table()
+    start, oracle = _sjsf_nibble_table(), dp.nibbles
     places = range(0, limit.bit_length() + 2, 4)
     for m in range(limit + 1):
         high = [(m >> at & 15) << 4 for at in places]
         for n in range(limit + 1):
-            row1, row2, s1, s2, weight, cost = start, oracle, 0, 0, 0, 0
+            row1, row2, s1, s2, cost = start, oracle, 0, 0, 0
             for at, x in zip(places, high):
                 x |= n >> at & 15
-                a, b, row1 = row1[x]
+                _, b, row1 = row1[x]
                 c, _, row2 = row2[x]
                 s1 |= (b & 15) << at
                 s2 |= b >> 8 << at
-                weight += a
                 cost += c
             # The first column emitted lies below position 0.
-            yield m, n, s1 >> 1, s2 >> 1, weight, cost, row2
+            yield m, n, s1 >> 1, s2 >> 1, cost + dp.final(row2[256])
 
 
 def _sjsf_weight_top(m: int, n: int, length: int) -> tuple[int, int]:
@@ -243,9 +242,8 @@ def _sjsf_weight_top(m: int, n: int, length: int) -> tuple[int, int]:
     """
     if (m | n) >> length:
         raise RuntimeError("joint sparse form exceeded its width bound")
-    start = _sjsf_nibble_table()
-    weight, row = _read(start, m, n, length)
-    top = 0 if row is start else 1
+    weight, pending = _read(_sjsf_nibble_table(), m, n, length)
+    top = 1 if pending != (0, 0) else 0
     return weight + top, top
 
 
@@ -512,16 +510,16 @@ class _CarryDP:
         zero at no cost, so reading further leaves the answer alone.
         """
         top = (max(m.bit_length(), n.bit_length()) + self.tail - 1) | 7
-        total, row = _read(self.nibbles, m, n, top)
+        total, state = _read(self.nibbles, m, n, top)
         # m and n shifted past the read are their signs, so carries of the
         # opposite signs zero the residuals.
-        return total + self.final(row, (-(m >> top + 1), -(n >> top + 1)))
+        return total + self.final(state, (-(m >> top + 1), -(n >> top + 1)))
 
-    def final(self, row: list, carries: tuple[int, int] = (0, 0)) -> int:
-        """The least cost left after a read past both tops that reached row,
-        when these carries zero the residuals: (0, 0) for non-negative m
-        and n."""
-        return row[256][self.carries.index(carries)]
+    def final(self, state: tuple, carries: tuple[int, int] = (0, 0)) -> int:
+        """The least cost left after a read past both tops that reached
+        state, when these carries zero the residuals: (0, 0) for
+        non-negative m and n."""
+        return state[self.carries.index(carries)]
 
     def witness(self, m: int, n: int) -> tuple[int, JointExpansion]:
         """(minimal cost, a cheapest expansion) of (m, n), a column at a time:

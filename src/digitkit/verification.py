@@ -16,14 +16,13 @@ wllc_recode and JointExpansion.weight1 word by word.
 
 The two pair checks read each pair of their windows in one walk:
 recoding._read_window reads the SJSF table and an oracle's DP table in
-step, in (m, n) order.  thm1 compares the SJSF weight, top column
+step, in (m, n) order, and yields the SJSF row supports and the oracle's
+minimum.  thm1 compares the joint weight of the supports, top column
 included, with _WEIGHT1's minimum; the sjsf check's window tests the
-SJSF row supports with _sjsf_syntax, the core of is_sjsf, and their
-joint weight against _JOINT_WEIGHT's minimum.  The oracle's minimum is
-its summed cost plus its final read, _CarryDP.final, as in cost().
-Only the sjsf check's random 64-bit pairs build expansions, through the
-public sjsf, is_sjsf, values and joint_weight, and read the DP through
-cost().
+supports with _sjsf_syntax, the core of is_sjsf, and their joint weight
+against _JOINT_WEIGHT's minimum.  Only the sjsf check's random 64-bit
+pairs build expansions, through the public sjsf, is_sjsf, values and
+joint_weight, and read the DP through cost().
 """
 
 from __future__ import annotations
@@ -88,10 +87,10 @@ def check_weight1_minimality(max_n: int = 63) -> CheckReport:
     over all two-row {-2..2} expansions, pair by pair."""
     bad: list[str] = []
     cases = 0
-    for m, n, _, _, weight, cost, row in _read_window(max_n, _WEIGHT1.nibbles):
+    for m, n, s1, s2, minimal in _read_window(max_n, _WEIGHT1):
         cases += 1
-        # The read reaches past the top column, so weight counts it.
-        minimal = cost + _WEIGHT1.final(row)
+        # The read reaches past the top column, so the supports hold it.
+        weight = (s1 | s2).bit_count()
         if minimal != weight:
             bad.append(f"m={m} n={n} oracle={minimal} sjsf={weight}")
     details = f"minimal weight1 equals joint sparse form weight on {cases} pairs"
@@ -127,12 +126,11 @@ def check_sjsf_optimality(
     and joint-weight minimal over two-row {-1,0,1} expansions."""
     bad: list[str] = []
     cases = 0
-    for m, n, s1, s2, _, cost, row in _read_window(max_n, _JOINT_WEIGHT.nibbles):
+    for m, n, s1, s2, minimal in _read_window(max_n, _JOINT_WEIGHT):
         cases += 1
         if not _sjsf_syntax(s1, s2):
             bad.append(f"m={m} n={n}: syntax violation")
             continue
-        minimal = cost + _JOINT_WEIGHT.final(row)
         weight = (s1 | s2).bit_count()
         if weight != minimal:
             bad.append(f"m={m} n={n} weight={weight} oracle={minimal}")

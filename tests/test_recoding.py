@@ -2,6 +2,7 @@
 digit-2 reduction, and the brute-force minimality oracles."""
 
 import functools
+import hashlib
 import os
 import random
 import subprocess
@@ -369,6 +370,21 @@ def test_oracle_results_compare_by_cost_and_witness():
         assert oracle(13, 5) != oracle(13, 4)
 
 
+def test_oracle_answers_match_their_pinned_digest():
+    # The sha256 of every (m, n, minimal cost, witness row digits) of both
+    # oracles over |m|, |n| <= 31, one repr per line: a change to the carry
+    # DP or to the witness's greedy choice that moves any answer moves it.
+    digest = hashlib.sha256()
+    for oracle in (min_weight1_oracle, min_joint_weight_oracle):
+        for m, n in product(range(-31, 32), repeat=2):
+            result = oracle(m, n)
+            rows = tuple(row.digits for row in result.witness.rows)
+            digest.update(repr((m, n, result.minimal_cost, rows)).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "85c7f00c2609c2c88fe26d20aade6bdd4a324cb43981b4e3068bf6a0e197eb0d"
+    )
+
+
 def test_an_oracle_call_reads_its_own_cost_once(monkeypatch):
     # The answer's cost is the witness's first read.  Later reads are of the
     # rest after a candidate column, and a column that maps the pair to
@@ -642,14 +658,28 @@ def test_read_window_equals_the_per_pair_reads(limit):
         checked = set(random.Random(limit).sample(checked, 3000))
     for oracle in (_WEIGHT1, _JOINT_WEIGHT):
         pairs = []
-        for m, n, s1, s2, weight, cost, row in recoding._read_window(limit, oracle.nibbles):
+        for m, n, s1, s2, least in recoding._read_window(limit, oracle):
             pairs.append((m, n))
             if m * (limit + 1) + n not in checked:
                 continue
             assert (s1, s2) == recoding._sjsf_supports(m, n)[1:], (m, n)
-            assert weight == recoding._sjsf_weight_top(m, n, limit.bit_length())[0], (m, n)
-            assert cost + oracle.final(row) == oracle.cost(m, n), (m, n)
+            weight = recoding._sjsf_weight_top(m, n, limit.bit_length())[0]
+            assert (s1 | s2).bit_count() == weight, (m, n)
+            assert least == oracle.cost(m, n), (m, n)
         assert pairs == list(product(range(limit + 1), repeat=2))
+
+
+def test_read_returns_a_state_that_hashes_and_compares_by_value():
+    # Rows link one another, so comparing two rows by value need not end;
+    # what a read hands back is the state it reached, a plain tuple.
+    rng = random.Random(33)
+    for start in (recoding._sjsf_nibble_table(), _WEIGHT1.nibbles, _JOINT_WEIGHT.nibbles):
+        reachable = set(_rows(start))
+        for _ in range(40):
+            length = rng.randrange(1, 80)
+            m, n = rng.randrange(-1 << length, 1 << length), rng.getrandbits(length)
+            _, state = recoding._read(start, m, n, length)
+            assert {state} <= reachable, (m, n, length)
 
 
 def _handwritten_sjsf_table():

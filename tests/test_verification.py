@@ -330,16 +330,16 @@ def third_step_doubled(p, weights):
         yield numerators, denominator << (k == 3)
 
 
-def binary_window(limit, oracle):
+def binary_window(limit, dp):
     """_read_window with the binary rows in place of the joint sparse form."""
-    for m, n, _, _, _, cost, row in recoding._read_window(limit, oracle):
-        yield m, n, m, n, (m | n).bit_count(), cost, row
+    for m, n, _, _, least in recoding._read_window(limit, dp):
+        yield m, n, m, n, least
 
 
 def heavier_finish():
     """_JOINT_WEIGHT with a final read that adds 1."""
     dp = copy.copy(_JOINT_WEIGHT)
-    dp.final = lambda row, carries=(0, 0): _JOINT_WEIGHT.final(row, carries) + 1
+    dp.final = lambda state, carries=(0, 0): _JOINT_WEIGHT.final(state, carries) + 1
     return dp
 
 
