@@ -17,15 +17,14 @@ with a pure step on its states (a _CarryDP state is its cost vector): one
 builder, _nibble_table, compiles each on first use into rows read a
 nibble pair per lookup, in time linear in the bit length.  No row leaves
 this module: _read reads one pair and returns the state reached, and
-_read_window reads every pair of a window through the SJSF table and an
-oracle's table in step, yielding each pair's SJSF row supports and
-minimum, for verify's pair windows.  _CarryDP.final reads the cost left
-at a final state.  sjsf and is_sjsf
-wrap two mask cores, _sjsf_supports (the width and row supports read
-from the SJSF table) and _sjsf_syntax (the two support conditions),
-which verify reads directly.  The recoders build their joint expansions
-unchecked, as their rows have equal length by construction; integer
-arguments are checked before any bit is read.
+_read_pairs reads any pairs through the SJSF table and an oracle's table
+in step, yielding each pair's SJSF row supports and minimum, for verify's
+pair checks.  _CarryDP.final reads the cost left at a final state.  sjsf
+and is_sjsf wrap two mask cores, _sjsf_supports (the width and row
+supports read from the SJSF table) and _sjsf_syntax (the two support
+conditions), which verify reads directly.  The recoders build their
+joint expansions unchecked, as their rows have equal length by
+construction; integer arguments are checked before any bit is read.
 """
 
 from __future__ import annotations
@@ -204,32 +203,29 @@ def _read(row: list, m: int, n: int, length: int) -> tuple[int, tuple]:
     return total, row[256]
 
 
-def _read_window(limit: int, dp: _CarryDP):
-    """Read every pair 0 <= m, n <= limit, in (m, n) order, through the SJSF
-    nibble table and dp's in step, a nibble pair per lookup, from position
-    0 through limit.bit_length() + 1 at least: the SJSF table emits each
-    column a position late, and a _CarryDP reads its tail, two positions,
-    past the tops.
+def _read_pairs(pairs, dp: _CarryDP):
+    """Read each pair (m, n) of non-negative ints, in the order given,
+    through the SJSF nibble table and dp's in step, a nibble pair per
+    lookup, from position 0 through its own bit length + 1 at least: the
+    SJSF table emits each column a position late, and a _CarryDP reads its
+    tail, two positions, past the tops.
 
     Yields (m, n, s1, s2, least) per pair: the nonzero masks of the first
     and second rows of sjsf(m, n), as _sjsf_supports reads them, and dp's
     minimal cost of (m, n), as cost() gives it.
     """
     start, oracle = _sjsf_nibble_table(), dp.nibbles
-    places = range(0, limit.bit_length() + 2, 4)
-    for m in range(limit + 1):
-        high = [(m >> at & 15) << 4 for at in places]
-        for n in range(limit + 1):
-            row1, row2, s1, s2, cost = start, oracle, 0, 0, 0
-            for at, x in zip(places, high):
-                x |= n >> at & 15
-                _, b, row1 = row1[x]
-                c, _, row2 = row2[x]
-                s1 |= (b & 15) << at
-                s2 |= b >> 8 << at
-                cost += c
-            # The first column emitted lies below position 0.
-            yield m, n, s1 >> 1, s2 >> 1, cost + dp.final(row2[256])
+    for m, n in pairs:
+        row1, row2, s1, s2, cost = start, oracle, 0, 0, 0
+        for at in range(0, (m | n).bit_length() + 2, 4):
+            x = (m >> at & 15) << 4 | n >> at & 15
+            _, b, row1 = row1[x]
+            c, _, row2 = row2[x]
+            s1 |= (b & 15) << at
+            s2 |= b >> 8 << at
+            cost += c
+        # The first column emitted lies below position 0.
+        yield m, n, s1 >> 1, s2 >> 1, cost + dp.final(row2[256])
 
 
 def _sjsf_weight_top(m: int, n: int, length: int) -> tuple[int, int]:
@@ -534,6 +530,8 @@ class _CarryDP:
                 # stopped), so it is never cheapest and is not read.
                 if rest != (m, n) and cost + self.cost(*rest) == total:
                     break
+            else:
+                raise RuntimeError("no column attains the minimum")
             columns.append((d1, d2))
             total -= cost
             m, n = rest

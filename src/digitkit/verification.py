@@ -14,15 +14,14 @@ _wllc_support and the _negative_mask that naf and wllc_recode build their
 rows with), not the expansions; the tests tie those masks to naf,
 wllc_recode and JointExpansion.weight1 word by word.
 
-The two pair checks read each pair of their windows in one walk:
-recoding._read_window reads the SJSF table and an oracle's DP table in
-step, in (m, n) order, and yields the SJSF row supports and the oracle's
-minimum.  thm1 compares the joint weight of the supports, top column
-included, with _WEIGHT1's minimum; the sjsf check's window tests the
-supports with _sjsf_syntax, the core of is_sjsf, and their joint weight
-against _JOINT_WEIGHT's minimum.  Only the sjsf check's random 64-bit
-pairs build expansions, through the public sjsf, is_sjsf, values and
-joint_weight, and read the DP through cost().
+The two pair checks read every pair in one walk: recoding._read_pairs
+reads the SJSF table and an oracle's DP table in step and yields the SJSF
+row supports and the oracle's minimum.  thm1 compares the joint weight of
+the supports, top column included, with _WEIGHT1's minimum over its
+window.  The sjsf check reads its window, then its random 64-bit pairs,
+in one loop against _JOINT_WEIGHT: each pair's supports must give back
+its values, pass _sjsf_syntax, the core of is_sjsf, and have the
+minimum's joint weight.  No pair builds an expansion.
 """
 
 from __future__ import annotations
@@ -31,21 +30,20 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, product
 from typing import Callable, Iterator
 
 from .expansions import _encode, _integer, binary
 from .multiexp import AdditiveGroup, MERSENNE61, ModGroup, evaluate, precompute
 from .recoding import (
     RecodingScheme,
-    is_sjsf,
     recode_joint,
-    sjsf,
     _JOINT_WEIGHT,
     _WEIGHT1,
     _complement_gap,
     _naf_support,
     _negative_mask,
-    _read_window,
+    _read_pairs,
     _sjsf_syntax,
     _wllc_support,
 )
@@ -87,7 +85,8 @@ def check_weight1_minimality(max_n: int = 63) -> CheckReport:
     over all two-row {-2..2} expansions, pair by pair."""
     bad: list[str] = []
     cases = 0
-    for m, n, s1, s2, minimal in _read_window(max_n, _WEIGHT1):
+    pairs = product(range(max_n + 1), repeat=2)
+    for m, n, s1, s2, minimal in _read_pairs(pairs, _WEIGHT1):
         cases += 1
         # The read reaches past the top column, so the supports hold it.
         weight = (s1 | s2).bit_count()
@@ -126,28 +125,25 @@ def check_sjsf_optimality(
     and joint-weight minimal over two-row {-1,0,1} expansions."""
     bad: list[str] = []
     cases = 0
-    for m, n, s1, s2, minimal in _read_window(max_n, _JOINT_WEIGHT):
+    rng = random.Random(seed)
+    pairs = chain(
+        product(range(max_n + 1), repeat=2),
+        ((rng.getrandbits(64), rng.getrandbits(64)) for _ in range(random_pairs)),
+    )
+    for m, n, s1, s2, minimal in _read_pairs(pairs, _JOINT_WEIGHT):
         cases += 1
+        # A row of sjsf(m, n) with support s has value v when s - v is even.
+        if (s1 ^ m | s2 ^ n) & 1:
+            bad.append(f"m={m} n={n}: round-trip failure")
+            continue
         if not _sjsf_syntax(s1, s2):
             bad.append(f"m={m} n={n}: syntax violation")
             continue
         weight = (s1 | s2).bit_count()
         if weight != minimal:
             bad.append(f"m={m} n={n} weight={weight} oracle={minimal}")
-    window = cases
-    rng = random.Random(seed)
-    for _ in range(random_pairs):
-        m, n = rng.getrandbits(64), rng.getrandbits(64)
-        cases += 1
-        joint = sjsf(m, n)
-        if joint.values() != (m, n) or not is_sjsf(joint):
-            bad.append(f"m={m} n={n}: round-trip or syntax failure")
-            continue
-        minimal = _JOINT_WEIGHT.cost(m, n)
-        if joint.joint_weight() != minimal:
-            bad.append(f"m={m} n={n} weight={joint.joint_weight()} optimum={minimal}")
     details = (
-        f"optimality on {window} pairs and {random_pairs} random "
+        f"optimality on {cases - random_pairs} pairs and {random_pairs} random "
         f"64-bit pairs, round-trip on the random pairs"
     )
     return _report("sjsf", cases, details, bad)

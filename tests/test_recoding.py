@@ -402,6 +402,29 @@ def test_an_oracle_call_reads_its_own_cost_once(monkeypatch):
             assert reads.count((m, n)) == 1, (m, n)
 
 
+def test_witness_fails_when_no_column_attains_the_minimum():
+    # A final read that ignores the carries gives costs no column of the
+    # table meets.  The witness runs in a child process, so a witness that
+    # loops fails the test at the timeout instead of stalling it.
+    code = (
+        "import copy\n"
+        "from digitkit.recoding import _WEIGHT1\n"
+        "dp = copy.copy(_WEIGHT1)\n"
+        "dp.final = lambda state, carries=(0, 0): _WEIGHT1.final(state)\n"
+        "try:\n"
+        "    dp.witness(-31, 12)\n"
+        "except RuntimeError as error:\n"
+        "    print(error)\n"
+    )
+    src = Path(recoding.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout == "no column attains the minimum\n"
+
+
 def test_oracle_bound_enforced():
     with pytest.raises(ValueError):
         min_weight1_oracle(ORACLE_BOUND + 1, 0)
@@ -650,23 +673,46 @@ def test_nibble_table_composes_four_steps_per_entry():
             assert succ[256] == state ^ x1.bit_count() & 1
 
 
-@pytest.mark.parametrize("limit", [-3, 0, 1, 2, 3, 7, 15, 16, 23, 63, 64, 127, 255, 256, 511])
-def test_read_window_equals_the_per_pair_reads(limit):
-    # Pair (m, n) is number m * (limit + 1) + n; at the cap, a sample.
-    checked = range(max(limit + 1, 0) ** 2)
-    if limit == 511:
-        checked = set(random.Random(limit).sample(checked, 3000))
+def _assert_read_pairs_equal_the_per_pair_reads(pairs, sample):
+    """_read_pairs over pairs yields them in order, with both oracle tables;
+    each pair in sample gets the supports of _sjsf_supports and of the rows
+    of sjsf, the joint weight of _sjsf_weight_top and the oracle's cost."""
     for oracle in (_WEIGHT1, _JOINT_WEIGHT):
-        pairs = []
-        for m, n, s1, s2, least in recoding._read_window(limit, oracle):
-            pairs.append((m, n))
-            if m * (limit + 1) + n not in checked:
+        read = []
+        for m, n, s1, s2, least in recoding._read_pairs(iter(pairs), oracle):
+            read.append((m, n))
+            if (m, n) not in sample:
                 continue
             assert (s1, s2) == recoding._sjsf_supports(m, n)[1:], (m, n)
-            weight = recoding._sjsf_weight_top(m, n, limit.bit_length())[0]
+            assert (s1, s2) == tuple(row._support for row in sjsf(m, n).rows), (m, n)
+            weight = recoding._sjsf_weight_top(m, n, (m | n).bit_length())[0]
             assert (s1 | s2).bit_count() == weight, (m, n)
             assert least == oracle.cost(m, n), (m, n)
-        assert pairs == list(product(range(limit + 1), repeat=2))
+        assert read == list(pairs)
+
+
+@pytest.mark.parametrize("limit", [-3, 0, 1, 2, 3, 7, 15, 16, 23, 63, 64, 127, 255, 256, 511])
+def test_read_window_equals_the_per_pair_reads(limit):
+    # Every pair of the window as the pair checks pass it; at the cap, a
+    # sample.  A pair of bit length 4k + 2 emits its top column on the last
+    # bit it reads.
+    pairs = list(product(range(limit + 1), repeat=2))
+    sample = set(pairs)
+    if limit == 511:
+        sample = set(random.Random(limit).sample(pairs, 3000))
+    _assert_read_pairs_equal_the_per_pair_reads(pairs, sample)
+
+
+def test_read_pairs_reads_any_pairs_in_their_own_width():
+    # Seeded 64-bit pairs as the sjsf check draws them, (0, 0), and pairs
+    # of unequal bit length, each read to its own width, in the order given.
+    rng = random.Random(34)
+    pairs = [(rng.getrandbits(64), rng.getrandbits(64)) for _ in range(200)]
+    pairs += [(0, 0), (0, 1), (1, 0), (1, 1 << 64), ((1 << 200) - 1, 3), (5, 0)]
+    for _ in range(100):
+        m, n = rng.getrandbits(rng.randrange(1, 130)), rng.getrandbits(rng.randrange(1, 9))
+        pairs += [(m, n), (n, m)]
+    _assert_read_pairs_equal_the_per_pair_reads(pairs, set(pairs))
 
 
 def test_read_returns_a_state_that_hashes_and_compares_by_value():

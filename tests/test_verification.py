@@ -305,9 +305,11 @@ def test_sjsf_window_tests_the_supports_of_sjsf(monkeypatch):
     monkeypatch.setattr(
         verification, "_sjsf_syntax", lambda s1, s2: seen.append((s1, s2)) or _sjsf_syntax(s1, s2)
     )
-    assert check_sjsf_optimality(max_n=23, random_pairs=1).passed
-    # The random pairs go through is_sjsf, so only the window's calls are seen.
-    pairs = product(range(24), repeat=2)
+    assert check_sjsf_optimality(max_n=23, random_pairs=2, seed=5).passed
+    # The window's pairs in order, then the random pairs of the seed.
+    rng = random.Random(5)
+    randoms = [(rng.getrandbits(64), rng.getrandbits(64)) for _ in range(2)]
+    pairs = [*product(range(24), repeat=2), *randoms]
     assert seen == [_sjsf_supports(m, n)[1:] for m, n in pairs]
 
 
@@ -330,10 +332,23 @@ def third_step_doubled(p, weights):
         yield numerators, denominator << (k == 3)
 
 
-def binary_window(limit, dp):
-    """_read_window with the binary rows in place of the joint sparse form."""
-    for m, n, _, _, least in recoding._read_window(limit, dp):
+def binary_rows(pairs, dp):
+    """_read_pairs with the binary rows in place of the joint sparse form."""
+    for m, n, _, _, least in recoding._read_pairs(pairs, dp):
         yield m, n, m, n, least
+
+
+def broken_past(limit, rows):
+    """_read_pairs with rows(s1, s2), a fault, in place of the SJSF supports
+    of each pair past the window 0 <= m, n <= limit."""
+
+    def read(pairs, dp):
+        for m, n, s1, s2, least in recoding._read_pairs(pairs, dp):
+            if max(m, n) > limit:
+                s1, s2 = rows(s1, s2)
+            yield m, n, s1, s2, least
+
+    return read
 
 
 def heavier_finish():
@@ -351,7 +366,7 @@ _INSTANCE = r"scheme=binary exps=\(\d+, \d+\) length=\d+"
 FAULTS = {
     "thm1 heavier expansion": (
         # The binary joint weight in place of the SJSF weight.
-        "thm1", {"max_n": 7}, "_read_window", binary_window,
+        "thm1", {"max_n": 7}, "_read_pairs", binary_rows,
         ["m=0 n=7 oracle=2 sjsf=3", "m=1 n=7 oracle=2 sjsf=3"],
     ),
     "thm2 gap of 3": (
@@ -366,21 +381,33 @@ FAULTS = {
     ),
     # Binary rows: (0, 3) breaks the first condition, (1, 3) only the second.
     "sjsf binary supports": (
-        "sjsf", {"max_n": 3, "random_pairs": 1}, "_read_window", binary_window,
+        "sjsf", {"max_n": 3, "random_pairs": 1}, "_read_pairs", binary_rows,
         ["m=0 n=3: syntax violation", "m=1 n=2: syntax violation",
          "m=1 n=3: syntax violation", "m=2 n=1: syntax violation",
          "m=3 n=0: syntax violation", "m=3 n=1: syntax violation",
          "m=3 n=3: syntax violation"],
     ),
+    # Two adjacent unequal columns, each row keeping its value's parity.
     "sjsf random-pair syntax": (
-        "sjsf", {"max_n": 1, "random_pairs": 1}, "is_sjsf", lambda joint: False,
-        [rf"{_RANDOM_PAIR}: round-trip or syntax failure"],
+        "sjsf", {"max_n": 1, "random_pairs": 1}, "_read_pairs",
+        broken_past(1, lambda s1, s2: (s1 | 6, s2 & ~6)),
+        [rf"{_RANDOM_PAIR}: syntax violation"],
+    ),
+    "sjsf random-pair round trip, first row": (
+        "sjsf", {"max_n": 1, "random_pairs": 1}, "_read_pairs",
+        broken_past(1, lambda s1, s2: (s1 ^ 1, s2)),
+        [rf"{_RANDOM_PAIR}: round-trip failure"],
+    ),
+    "sjsf random-pair round trip, second row": (
+        "sjsf", {"max_n": 1, "random_pairs": 1}, "_read_pairs",
+        broken_past(1, lambda s1, s2: (s1, s2 ^ 1)),
+        [rf"{_RANDOM_PAIR}: round-trip failure"],
     ),
     "sjsf optimum": (
         "sjsf", {"max_n": 1, "random_pairs": 1}, "_JOINT_WEIGHT", heavier_finish(),
         ["m=0 n=0 weight=0 oracle=1", "m=0 n=1 weight=1 oracle=2",
          "m=1 n=0 weight=1 oracle=2", "m=1 n=1 weight=1 oracle=2",
-         rf"{_RANDOM_PAIR} weight=\d+ optimum=\d+"],
+         rf"{_RANDOM_PAIR} weight=\d+ oracle=\d+"],
     ),
     "cost-model result": (
         "cost-model", {"instances": 1}, "evaluate", off_by_one_results,
