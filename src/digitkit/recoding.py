@@ -11,20 +11,20 @@ _wllc_support and _sjsf_weight_top give the per-sample Monte Carlo metrics
 in experiments the same masks and counts the public recoders build their
 expansions from.  The column rules _naf_column and _sjsf_column and one
 carry step over them, _carry_step, are what transducer builds its machines
-from.  The joint sparse form's carry steps and both oracles' min-plus DP
-over carry pairs, _CarryDP, are bit automata over two exponents, each
-with a pure step on its states (a _CarryDP state is its cost vector): one
-builder, _nibble_table, compiles each on first use into rows read a
-nibble pair per lookup, in time linear in the bit length.  No row leaves
-this module: _read reads one pair and returns the state reached, and
-_read_pairs reads any pairs through the SJSF table and an oracle's table
-in step, yielding each pair's SJSF row supports and minimum, for verify's
-pair checks.  _CarryDP.final reads the cost left at a final state.  sjsf
-and is_sjsf wrap two mask cores, _sjsf_supports (the width and row
-supports read from the SJSF table) and _sjsf_syntax (the two support
-conditions), which verify reads directly.  The recoders build their
-joint expansions unchecked, as their rows have equal length by
-construction; integer arguments are checked before any bit is read.
+from.  Every automaton in the package finds and numbers its states by one
+walk, _chain.  The joint sparse form's carry steps and both oracles'
+min-plus DP over carry pairs, _CarryDP, are bit automata over two
+exponents, each with a pure step on its states (a _CarryDP state is its
+cost vector): one builder, _nibble_table, compiles each on first use into
+rows read a nibble pair per lookup, in time linear in the bit length.  No
+row leaves this module: _read reads one pair and returns the state reached,
+and _read_pairs reads any pairs through the SJSF table and an oracle's
+table in step, yielding each pair's SJSF row supports and minimum, for
+verify's pair checks.  _CarryDP.final reads the cost left at a final
+state.  is_sjsf wraps a mask core, _sjsf_syntax (the two support
+conditions), which verify reads directly.  The recoders build their joint
+expansions unchecked, as their rows have equal length by construction;
+integer arguments are checked before any bit is read.
 """
 
 from __future__ import annotations
@@ -106,6 +106,22 @@ def _sjsf_column(a: int, b: int) -> tuple[int, int]:
     return 0, 0
 
 
+def _chain(start, moves) -> tuple[list, list]:
+    """(states, edges): the states reachable from start, numbered in the
+    order breadth-first search finds them (start is 0), and per state the
+    tuples moves(state) lists, each ending in the next state, with that
+    state's number in its place.  moves runs once per state."""
+    states, number, edges = [start], {start: 0}, []
+    for state in states:  # breadth first: states grows while it is read
+        edges.append(out := [])
+        for *move, end in moves(state):
+            if end not in number:
+                number[end] = len(states)
+                states.append(end)
+            out.append((*move, number[end]))
+    return states, edges
+
+
 def _nibble_table(start, step) -> list:
     """Compile a bit automaton over two exponents to read a nibble pair per
     lookup; return the row of `start`.  step(state, letter) gives (cost,
@@ -115,18 +131,10 @@ def _nibble_table(start, step) -> list:
     x1 of m and x2 of n from the least significant bit, is (the four
     steps' summed cost, their column bits with step i's shifted by i, the
     next row)."""
-    # States are numbered once, in the order found, so the composition
-    # below indexes lists rather than hashing states.
-    states, number, table = [start], {start: 0}, []
-    for state in states:  # breadth first: states grows while it is read
-        # Entry x1 << 1 | x2 reads the letter x1 | x2 << 1.
-        table.append(entries := [])
-        for letter in (0, 2, 1, 3):
-            cost, bits, end = step(state, letter)
-            if end not in number:
-                number[end] = len(states)
-                states.append(end)
-            entries.append((cost, bits, number[end]))
+    # The states are numbered once (_chain), so the composition below
+    # indexes lists rather than hashing states.  Entry x1 << 1 | x2 reads
+    # the letter x1 | x2 << 1.
+    states, table = _chain(start, lambda state: [step(state, x) for x in (0, 2, 1, 3)])
     # k-step rows, entry x1 << k | x2, to 2k-step rows: the low k bits of
     # each exponent, then the high k bits from the state reached.
     for k in (1, 2):
@@ -211,8 +219,8 @@ def _read_pairs(pairs, dp: _CarryDP):
     tail, two positions, past the tops.
 
     Yields (m, n, s1, s2, least) per pair: the nonzero masks of the first
-    and second rows of sjsf(m, n), as _sjsf_supports reads them, and dp's
-    minimal cost of (m, n), as cost() gives it.
+    and second rows of sjsf(m, n), and dp's minimal cost of (m, n), as
+    cost() gives it.
     """
     start, oracle = _sjsf_nibble_table(), dp.nibbles
     for m, n in pairs:
@@ -268,13 +276,6 @@ def sjsf(m: int, n: int) -> JointExpansion:
     m, n = _integer("exponent", m), _integer("exponent", n)
     if m < 0 or n < 0:
         raise ValueError("sjsf requires non-negative inputs")
-    width, s1, s2 = _sjsf_supports(m, n)
-    return _joint((_row(width, s1, m), _row(width, s2, n)))
-
-
-def _sjsf_supports(m: int, n: int) -> tuple[int, int, int]:
-    """(width, first row's nonzero mask, second row's) of sjsf(m, n), for
-    non-negative ints m and n."""
     lo, hi, pad = _sjsf_bytes(m, n, max(m.bit_length(), n.bit_length()))
     row = _sjsf_nibble_table()
     # One 16-bit word per byte read: the first row's columns in the low
@@ -289,7 +290,8 @@ def _sjsf_supports(m: int, n: int) -> tuple[int, int, int]:
     s1 = int.from_bytes(packed[0::2], "little") >> (pad + 1)
     s2 = int.from_bytes(packed[1::2], "little") >> (pad + 1)
     # The last column of the form is nonzero, so the support sets the width.
-    return (s1 | s2).bit_length(), s1, s2
+    width = (s1 | s2).bit_length()
+    return _joint((_row(width, s1, m), _row(width, s2, n)))
 
 
 def is_sjsf(joint: JointExpansion) -> bool:

@@ -9,8 +9,9 @@ least significant first, as one input letter, and emits signed digit
 columns one position late, once the residues mod 4 the rule needs are
 known.  Each row holds a pending value in {0, 1, 2} (input digit plus
 carry); the flush word realizes what the pending values still contribute.
-A run returns its rows as mask-built expansions: the emitted columns go
-straight into bit masks, with no digit tuple per row.
+A run zips its emitted columns into one digit tuple per row, then masks
+(expansions._rows_from_columns); only verify's walk over every word
+(verification._flushed_outputs) puts the columns straight into masks.
 
 The chain tools accept any of the machines.  Everything downstream of the
 machines is exact: distributions walk integer numerators over a common
@@ -40,7 +41,7 @@ from .expansions import (
     _integer,
     _rows_from_columns,
 )
-from .recoding import _carry_step, _naf_column, _naf_support, _sjsf_column
+from .recoding import _carry_step, _chain, _naf_column, _naf_support, _sjsf_column
 
 Column = tuple[int, ...]
 OutputWord = tuple[Column, ...]
@@ -122,14 +123,8 @@ class Transducer:
 
 
 def _reachable(successors: Mapping[Hashable, Iterable], start: Hashable) -> set:
-    """Every node reachable from start, start included, by depth-first search."""
-    seen, stack = {start}, [start]
-    while stack:
-        for target in successors[stack.pop()]:
-            if target not in seen:
-                seen.add(target)
-                stack.append(target)
-    return seen
+    """Every node reachable from start, start included (recoding._chain)."""
+    return set(_chain(start, lambda node: [(target,) for target in successors[node]])[0])
 
 
 def _components(
@@ -164,39 +159,40 @@ def _carry_transducer(
     Letter k feeds the bits inputs[k], one per row.  A state other than
     "start" is "p" followed by the pending value (bit plus carry, in
     {0, 1, 2}) of each row at the last position read; states are named in
-    the order breadth-first search over the letters discovers them.  Each
-    letter after the first takes one recoding._carry_step, which emits the
-    rule's column for the previous position.  Flushing steps on zero bits
-    at least once, then until nothing is pending.  numbered=True names the
+    the order recoding._chain finds them, breadth first.  Each letter
+    after the first takes one recoding._carry_step, which emits the rule's
+    column for the previous position.  Flushing steps on zero bits at
+    least once, then until nothing is pending.  numbered=True names the
     states "1", "2", ... in the same order instead.
     """
     zeros = (0,) * len(inputs[0])
-    label: dict[Column | None, str] = {None: "1" if numbered else "start"}
-    order: list[Column | None] = [None]
-    transitions: dict[tuple[str, int], tuple[str, OutputWord]] = {}
+
+    def moves(pending: Column | None) -> list[tuple[OutputWord, Column]]:
+        if pending is None:  # the start emits nothing
+            return [((), bits) for bits in inputs]
+        return [((c,), t) for t, c in (_carry_step(rule, pending, b) for b in inputs)]
+
+    order, edges = _chain(None, moves)
+    if numbered:
+        names = [str(i + 1) for i in range(len(order))]
+    else:
+        names = ["start"] + ["p" + "".join(map(str, pending)) for pending in order[1:]]
+    transitions = {
+        (source, letter): (names[target], word)
+        for source, out in zip(names, edges)
+        for letter, (word, target) in enumerate(out)
+    }
     flush: dict[str, OutputWord] = {}
-    for pending in order:
-        source = label[pending]
-        for letter, bits in enumerate(inputs):
-            if pending is None:
-                target, word = bits, ()
-            else:
-                target, column = _carry_step(rule, pending, bits)
-                word = (column,)
-            if target not in label:
-                name = "p" + "".join(map(str, target))
-                label[target] = str(len(label) + 1) if numbered else name
-                order.append(target)
-            transitions[(source, letter)] = (label[target], word)
+    for name, pending in zip(names, order):
         tail: list[Column] = []
         while pending is not None and (not tail or any(pending)):
             if len(tail) > 3 ** len(zeros):  # more steps than pending values
                 raise RuntimeError("the rule's carries never die out")
             pending, column = _carry_step(rule, pending, zeros)
             tail.append(column)
-        flush[source] = tuple(tail)
-    states, input_dim = tuple(label.values()), len(inputs).bit_length() - 1
-    return Transducer(states, label[None], len(zeros), transitions, flush, input_dim)
+        flush[name] = tuple(tail)
+    input_dim = len(inputs).bit_length() - 1
+    return Transducer(tuple(names), names[0], len(zeros), transitions, flush, input_dim)
 
 
 def naf_transducer() -> Transducer:

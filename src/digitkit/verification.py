@@ -40,6 +40,7 @@ from .recoding import (
     recode_joint,
     _JOINT_WEIGHT,
     _WEIGHT1,
+    _chain,
     _complement_gap,
     _naf_support,
     _negative_mask,
@@ -144,7 +145,7 @@ def check_sjsf_optimality(
             bad.append(f"m={m} n={n} weight={weight} oracle={minimal}")
     details = (
         f"optimality on {cases - random_pairs} pairs and {random_pairs} random "
-        f"64-bit pairs, round-trip on the random pairs"
+        "64-bit pairs, round-trip on every pair"
     )
     return _report("sjsf", cases, details, bad)
 
@@ -248,21 +249,19 @@ def _flushed_outputs(
         first, second = zip(*word) if word else ((), ())
         return (len(word), *_encode(first), *_encode(second))
 
-    steps = {
-        state: [
-            (target, *encoded(word))
-            for target, word in (machine.transitions[(state, b)] for b in (0, 1))
-        ]
-        for state in machine.states
-    }
-    flush = {state: encoded(word) for state, word in machine.flush.items()}
-    # (prefix length, state, value, output width, the six row masks)
-    stack = [(0, machine.initial, 0, 0, 0, 0, 0, 0, 0, 0)] if max_length > 0 else []
+    # States by number (recoding._chain), the initial state 0.
+    states, steps = _chain(machine.initial, lambda state: [
+        (*encoded(word), target)
+        for target, word in (machine.transitions[(state, b)] for b in (0, 1))
+    ])
+    flush = [encoded(machine.flush[state]) for state in states]
+    # (prefix length, state number, value, output width, the six row masks)
+    stack = [(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)] if max_length > 0 else []
     while stack:
         depth, state, value, at, s1, n1, t1, s2, n2, t2 = stack.pop()
         top = 1 << depth
         depth += 1
-        for b, (target, width, a1, b1, c1, a2, b2, c2) in enumerate(steps[state]):
+        for b, (width, a1, b1, c1, a2, b2, c2, target) in enumerate(steps[state]):
             v, end = value | top * b, at + width
             x1, y1, z1 = s1 | a1 << at, n1 | b1 << at, t1 | c1 << at
             x2, y2, z2 = s2 | a2 << at, n2 | b2 << at, t2 | c2 << at

@@ -126,16 +126,6 @@ def test_is_sjsf_rejects_non_minimal_pattern():
     assert not is_sjsf(j)
 
 
-def test_sjsf_supports_are_the_rows_of_sjsf():
-    rng = random.Random(31)
-    pairs = list(product(range(64), repeat=2))
-    pairs += [(rng.getrandbits(rng.randint(1, 600)), rng.getrandbits(rng.randint(1, 600)))
-              for _ in range(200)]
-    for m, n in pairs:
-        j = sjsf(m, n)
-        assert recoding._sjsf_supports(m, n) == (len(j), j.rows[0]._support, j.rows[1]._support)
-
-
 def _sjsf_conditions(a: tuple, b: tuple) -> bool:
     """sjsf's two syntactic conditions, column by column, on digit rows."""
     columns = list(zip(a, b)) + [(0, 0)]
@@ -620,18 +610,11 @@ def test_carry_dp_step_cache_stays_bounded():
         fields = _fields(dp)
         step = functools.cache(dp._step)
         # Every state (cost vector) reachable from the start under every letter.
-        states, todo = {dp.start}, [dp.start]
-        while todo:
-            state = todo.pop()
-            for letter in range(4):
-                _, _, succ = step(state, letter)
-                if succ not in states:
-                    states.add(succ)
-                    todo.append(succ)
+        states, _ = recoding._chain(dp.start, lambda s: [step(s, letter) for letter in range(4)])
         assert len(states) == count
         # One nibble row per reachable state, each entry four bit steps composed.
         rows = _rows(dp.nibbles)
-        assert rows.keys() == states
+        assert rows.keys() == set(states)
         for state, row in rows.items():
             assert len(row) == 257 and row[256] == state
             for x, (cost, bits, succ) in enumerate(row[:256]):
@@ -660,6 +643,26 @@ def test_import_builds_no_carry_dp_step():
     assert out.stdout.split() == ["False", "False", "0"]
 
 
+def test_chain_numbers_the_states_in_the_order_found():
+    # A toy automaton: "w" is never reached, "y" is reached from "x" and
+    # from "z", and each move's items before the next state are labels.
+    graph = {
+        "x": [("go", 1, "z"), ("stay", 2, "x"), ("back", 3, "y")],
+        "z": [("y",), ("to", 4, "y")],
+        "y": [("loop", 5, "y"), ("home", 6, "x")],
+        "w": [("in", 7, "x")],
+    }
+    calls = []
+    states, edges = recoding._chain("x", lambda s: calls.append(s) or graph[s])
+    assert states == ["x", "z", "y"] and calls == states
+    assert edges == [
+        [("go", 1, 1), ("stay", 2, 0), ("back", 3, 2)],
+        [(2,), ("to", 4, 2)],
+        [("loop", 5, 2), ("home", 6, 0)],
+    ]
+    assert recoding._chain(0, lambda s: []) == ([0], [[]])
+
+
 def test_nibble_table_composes_four_steps_per_entry():
     # A toy automaton: the state is the parity of m's bits read; each step
     # costs m's bit and sets column bit 0 to n's bit.
@@ -675,15 +678,14 @@ def test_nibble_table_composes_four_steps_per_entry():
 
 def _assert_read_pairs_equal_the_per_pair_reads(pairs, sample):
     """_read_pairs over pairs yields them in order, with both oracle tables;
-    each pair in sample gets the supports of _sjsf_supports and of the rows
-    of sjsf, the joint weight of _sjsf_weight_top and the oracle's cost."""
+    each pair in sample gets the supports of the rows of sjsf, the joint
+    weight of _sjsf_weight_top and the oracle's cost."""
     for oracle in (_WEIGHT1, _JOINT_WEIGHT):
         read = []
         for m, n, s1, s2, least in recoding._read_pairs(iter(pairs), oracle):
             read.append((m, n))
             if (m, n) not in sample:
                 continue
-            assert (s1, s2) == recoding._sjsf_supports(m, n)[1:], (m, n)
             assert (s1, s2) == tuple(row._support for row in sjsf(m, n).rows), (m, n)
             weight = recoding._sjsf_weight_top(m, n, (m | n).bit_length())[0]
             assert (s1 | s2).bit_count() == weight, (m, n)

@@ -18,7 +18,6 @@ from digitkit.recoding import (
     RecodingScheme,
     _JOINT_WEIGHT,
     _complement_gap,
-    _sjsf_supports,
     _sjsf_syntax,
     naf,
     naf_complement_weight_gap,
@@ -73,7 +72,7 @@ def test_sjsf_optimality_reads_the_random_pairs_optimum():
     report = check_sjsf_optimality(max_n=3, random_pairs=50, seed=3)
     assert report.details == (
         "optimality on 16 pairs and 50 random 64-bit pairs, "
-        "round-trip on the random pairs"
+        "round-trip on every pair"
     )
     # Negative control on the same pairs: the optimum the check compares
     # with is below stacked NAF's joint weight somewhere, and SJSF meets it.
@@ -310,7 +309,7 @@ def test_sjsf_window_tests_the_supports_of_sjsf(monkeypatch):
     rng = random.Random(5)
     randoms = [(rng.getrandbits(64), rng.getrandbits(64)) for _ in range(2)]
     pairs = [*product(range(24), repeat=2), *randoms]
-    assert seen == [_sjsf_supports(m, n)[1:] for m, n in pairs]
+    assert seen == [tuple(row._support for row in sjsf(m, n).rows) for m, n in pairs]
 
 
 def off_by_one_results(joint, table, group):
