@@ -610,7 +610,7 @@ def test_carry_dp_step_cache_stays_bounded():
         fields = _fields(dp)
         step = functools.cache(dp._step)
         # Every state (cost vector) reachable from the start under every letter.
-        states, _ = recoding._chain(dp.start, lambda s: [step(s, letter) for letter in range(4)])
+        states, _ = recoding._chain(dp.start, lambda s: [step(s, x) for x in range(4)])
         assert len(states) == count
         # One nibble row per reachable state, each entry four bit steps composed.
         rows = _rows(dp.nibbles)
